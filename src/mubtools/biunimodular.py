@@ -395,24 +395,11 @@ def assemble_bases(census: CensusResult, tol: Tolerance = DEFAULT_TOL, orth_tol:
     adj = gram < orth_tol
     np.fill_diagonal(adj, False)
 
-    cliques: list[list[int]] = []
-
-    def extend(chosen: list[int], mask: np.ndarray) -> None:
-        if len(chosen) == n:
-            cliques.append(list(chosen))
-            return
-        for nxt in np.nonzero(mask)[0]:
-            if nxt > chosen[-1]:
-                extend(chosen + [int(nxt)], mask & adj[nxt])
-
-    for i in range(m):
-        extend([i], adj[i])
-
     std = Basis.standard(n)
     fb = fourier(n)
     bases = []
     membership = np.zeros(m, dtype=int)
-    for bi, clique in enumerate(cliques):
+    for bi, clique in enumerate(search_mod.cliques(adj, n)):
         cols = np.stack([vecs[i] for i in clique], axis=1)
         kind = GAUSSIAN if all(census.sequences[i].kind == GAUSSIAN for i in clique) else BJORCK
         circulant = _is_circulant_column_set(cols)

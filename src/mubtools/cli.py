@@ -248,10 +248,11 @@ def _root_payload_pair(obj, k: int) -> dict:
 
 def _cmd_search(args) -> int:
     lines = []
+    checkpoint = args.checkpoint or f"{args.depth}-n{args.n}-k{args.k}.checkpoint.json"
     if args.depth == "hadamards":
         outcome = search_mod.root_hadamard_enumerate(
             args.n, args.k, budget=args.budget,
-            checkpoint_path=args.checkpoint, resume_token=args.resume,
+            checkpoint_path=checkpoint, resume_token=args.resume,
         )
         for mat in outcome.matrices:
             lines.append(mio.dumps(mio.root_matrix_payload(mat, args.k)))
@@ -266,7 +267,7 @@ def _cmd_search(args) -> int:
     else:
         func = search_mod.mub_triplet_search if args.depth == "triplets" else search_mod.mub_quartet_search
         outcome = func(args.n, args.k, budget=args.budget,
-                       checkpoint_path=args.checkpoint, resume_token=args.resume)
+                       checkpoint_path=checkpoint, resume_token=args.resume)
         for item in outcome.results:
             lines.append(mio.dumps(_root_payload_pair(item, args.k)))
         summary = {
@@ -408,8 +409,6 @@ def _cmd_ks_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mubtools", description=__doc__)
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="parallelism hint; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate catalog objects")
@@ -491,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--k", type=int, required=True)
     sea.add_argument("--budget", type=int)
     sea.add_argument("--resume", help="checkpoint token from an interrupted run")
-    sea.add_argument("--checkpoint", help="where to write the checkpoint on budget exhaustion")
+    sea.add_argument("--checkpoint", help="where to write the checkpoint on budget exhaustion "
+                     "(default <depth>-n<n>-k<k>.checkpoint.json)")
     sea.add_argument("--write-fixtures", action="store_true",
                      help="store the canonical matrix as a package fixture (hadamards only)")
     sea.add_argument("-o", "--output")

@@ -17,10 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# Orders exercised by the root-restricted searches; arbitrary k >= 1 works.
-SUPPORTED_ORDERS = (1, 2, 3, 4, 6, 8, 12, 24)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_k, constant term first."""

@@ -40,15 +40,10 @@ def _dump(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        items = sorted(obj.items()) if not isinstance(obj, OrderedUnsorted) else obj.items()
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _dump(v) for k, v in items) + "}"
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _dump(v) for k, v in sorted(obj.items())) + "}"
     if isinstance(obj, np.floating):
         return _fmt_float(float(obj))
     raise TypeError(f"cannot serialize {type(obj)}")
-
-
-class OrderedUnsorted(dict):
-    """Dict whose key order is preserved verbatim by the deterministic dumper."""
 
 
 def dumps(obj) -> str:

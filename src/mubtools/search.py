@@ -3,9 +3,18 @@
 All predicates used for pruning are exact: a candidate column is a vector of
 k-th roots of unity, and orthogonality/unbiasedness between two dephased
 columns depends only on their exponent difference.  The k^(n-1) possible
-difference vectors are classified once (sum vanishes / squared modulus of
-the sum equals n, decided in Z[zeta]), after which the backtracking works
-on integer indices and boolean tables.
+difference vectors are classified once by one exact test, "the sum of the
+roots has squared modulus t" decided in Z[zeta] (t = 0 for orthogonality,
+t = n for unbiasedness).  After that the searches work on integer indices and
+boolean tables: one dense orthogonality matrix per candidate set, and one
+clique enumerator (`cliques`) that picks mutually orthogonal columns.
+
+The three stages (Hadamards, triplets, quartets) split their work into
+independent units and run them through one loop that charges a node budget.
+When the budget runs out the search stops after the last whole unit; if a
+`checkpoint_path` is given, the completed units and their results are written
+there, and passing that path back as `resume_token` skips those units and
+returns the full answer of an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -19,15 +28,15 @@ from math import lcm
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, haagerup_invariants
+from .core import DEFAULT_TOL, InadmissibleParameterError, Tolerance, haagerup_invariants
 from .cyclotomic import RootVector, reduction_matrix
+from .io import FileFormatError
 
 MAX_CANDIDATES = 10**8
 _CHUNK = 1 << 19
-_DENSE_ADJ_LIMIT = 8000
 
 
-class EnumerationBudgetError(RuntimeError):
+class EnumerationBudgetError(InadmissibleParameterError):
     """The requested root order / dimension combination is not enumerable."""
 
 
@@ -74,10 +83,33 @@ class _NodeBudget:
         return self.limit is None or self.used <= self.limit
 
 
-def _digit_matrix(n: int, k: int, lo: int, hi: int) -> np.ndarray:
-    """Exponent digits (little-endian base k) for candidate indices lo..hi-1."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, n - 1), dtype=np.int16)
+def cliques(adj: np.ndarray, size: int, budget: _NodeBudget | None = None) -> list[list[int]] | None:
+    """All `size`-cliques of a boolean adjacency matrix, in lexicographic order.
+
+    Each clique is an increasing list of vertex indices.  Every vertex tried
+    as a clique member charges one node to `budget`; once the budget is spent
+    the enumeration stops and returns None, never a partial list.
+    """
+    out: list[list[int]] = []
+
+    def extend(chosen: list[int], mask: np.ndarray) -> bool:
+        if len(chosen) == size:
+            out.append(chosen)
+            return True
+        start = chosen[-1] + 1 if chosen else 0
+        for nxt in np.nonzero(mask[start:])[0] + start:
+            if budget is not None and not budget.charge():
+                return False
+            if not extend(chosen + [int(nxt)], mask & adj[nxt]):
+                return False
+        return True
+
+    return out if extend([], np.ones(len(adj), dtype=bool)) else None
+
+
+def _digit_matrix(idx: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Exponent digits (little-endian base k) of candidate indices, one row per index."""
+    out = np.empty((len(idx), n - 1), dtype=np.int16)
     for j in range(n - 1):
         out[:, j] = (idx // k**j) % k
     return out
@@ -103,7 +135,30 @@ def _unit_roots(k: int) -> np.ndarray:
 _PRESCREEN_MARGIN = 1e-6
 
 
+def _norm_sq_is(exps: np.ndarray, k: int, target: int, approx: np.ndarray) -> np.ndarray:
+    """Rows e of `exps` with |1 + sum_j zeta_k^(e_j)|^2 == target, decided exactly in Z[zeta_k].
+
+    `approx` holds the same squared moduli in floating point; rows farther
+    than _PRESCREEN_MARGIN from the target are misses without further work.
+    The exact test expands s * conj(s) over the roots (the cyclic
+    autocorrelation of the root histogram) and reduces it modulo Phi_k.
+    Since s * conj(s) = 0 only for s = 0, target 0 decides s == 0.
+    """
+    near = np.abs(approx - target) < _PRESCREEN_MARGIN
+    out = np.zeros(len(exps), dtype=bool)
+    if not near.any():
+        return out
+    hist = _row_histogram(exps[near], k)
+    hist[:, 0] += 1  # the fixed leading entry zeta^0
+    corr = np.stack([np.sum(hist * np.roll(hist, -s, axis=1), axis=1) for s in range(k)], axis=1)
+    corr[:, 0] -= target
+    out[near] = np.all(corr @ reduction_matrix(k).T == 0, axis=1)
+    return out
+
+
 def _candidate_count(n: int, k: int) -> int:
+    if n < 1 or k < 1:
+        raise InadmissibleParameterError(f"need n >= 1 and k >= 1, got n = {n}, k = {k}")
     m = k ** (n - 1)
     if m > MAX_CANDIDATES:
         raise EnumerationBudgetError(
@@ -121,30 +176,17 @@ def _difference_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     unb_diff[i]:  |1 + sum_a zeta^{d_a}|^2 = n exactly.
     """
     m_total = _candidate_count(n, k)
-    red = reduction_matrix(k)
     roots = _unit_roots(k)
     exps = np.empty((m_total, n - 1), dtype=np.int16)
     orth = np.zeros(m_total, dtype=bool)
     unb = np.zeros(m_total, dtype=bool)
     for lo in range(0, m_total, _CHUNK):
         hi = min(lo + _CHUNK, m_total)
-        digits = _digit_matrix(n, k, lo, hi)
+        digits = _digit_matrix(np.arange(lo, hi, dtype=np.int64), n, k)
         exps[lo:hi] = digits
-        sums = 1.0 + roots[digits].sum(axis=1)
-        near_orth = np.abs(sums) < _PRESCREEN_MARGIN
-        near_unb = np.abs(np.abs(sums) ** 2 - n) < _PRESCREEN_MARGIN
-        near = near_orth | near_unb
-        if not near.any():
-            continue
-        hist = _row_histogram(digits[near].astype(np.int64), k)
-        hist[:, 0] += 1  # the fixed leading zero exponent
-        exact_orth = np.all(hist @ red.T == 0, axis=1)
-        corr = np.stack([np.sum(hist * np.roll(hist, -s, axis=1), axis=1) for s in range(k)], axis=1)
-        corr[:, 0] -= n
-        exact_unb = np.all(corr @ red.T == 0, axis=1)
-        where = np.nonzero(near)[0] + lo
-        orth[where] = exact_orth & near_orth[near]
-        unb[where] = exact_unb & near_unb[near]
+        norm_sq = np.abs(1.0 + roots[digits].sum(axis=1)) ** 2
+        orth[lo:hi] = _norm_sq_is(digits, k, 0, norm_sq)
+        unb[lo:hi] = _norm_sq_is(digits, k, n, norm_sq)
     powers = (k ** np.arange(n - 1)).astype(np.int64)
     for arr in (exps, orth, unb):
         arr.setflags(write=False)
@@ -157,6 +199,22 @@ def _diff_indices(exps: np.ndarray, base: np.ndarray, k: int, powers: np.ndarray
     return ((exps.astype(np.int64) - base.astype(np.int64)) % k) @ powers
 
 
+def _orth_adjacency(cols: np.ndarray, k: int, powers: np.ndarray, orth_diff: np.ndarray) -> np.ndarray:
+    """Dense exact orthogonality matrix between dephased candidate columns (diagonal False)."""
+    adj = np.empty((len(cols), len(cols)), dtype=bool)
+    for i, col in enumerate(cols):
+        adj[i] = orth_diff[_diff_indices(cols, col, k, powers)]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def _exponent_matrix(exps: np.ndarray, columns) -> np.ndarray:
+    """Exponent matrix whose j-th column is dephased candidate columns[j] (row 0 is zero)."""
+    mat = np.zeros((exps.shape[1] + 1, len(columns)), dtype=np.int16)
+    mat[1:] = exps[np.asarray(columns, dtype=np.int64)].T
+    return mat
+
+
 def unbiased_vector_enumerate(n: int, k: int) -> list[RootVector]:
     """All dephased k-th-root vectors of length n exactly unbiased to every Fourier column.
 
@@ -166,54 +224,109 @@ def unbiased_vector_enumerate(n: int, k: int) -> list[RootVector]:
     """
     m_total = _candidate_count(n, k)
     kk = lcm(k, n)
-    red = reduction_matrix(kk)
-    lift_e = kk // k
-    lift_f = kk // n
-    alive = np.empty(0, dtype=np.int64)
     # Pass b = 0 runs chunked over everything; later passes touch survivors only.
     survivors = []
     for lo in range(0, m_total, _CHUNK):
-        hi = min(lo + _CHUNK, m_total)
-        digits = _digit_matrix(n, k, lo, hi).astype(np.int64)
-        mask = _fourier_unbiased_mask(digits, n, kk, red, lift_e, lift_f, b=0)
-        survivors.append(np.arange(lo, hi, dtype=np.int64)[mask])
+        idx = np.arange(lo, min(lo + _CHUNK, m_total), dtype=np.int64)
+        survivors.append(idx[_fourier_unbiased_mask(_digit_matrix(idx, n, k), n, k, kk, b=0)])
     alive = np.concatenate(survivors)
     for b in range(1, n):
         if len(alive) == 0:
             break
-        digits = np.empty((len(alive), n - 1), dtype=np.int64)
-        for j in range(n - 1):
-            digits[:, j] = (alive // k**j) % k
-        mask = _fourier_unbiased_mask(digits, n, kk, red, lift_e, lift_f, b)
-        alive = alive[mask]
-    out = []
-    for idx in alive:
-        e = tuple(int((idx // k**j) % k) for j in range(n - 1))
-        out.append(RootVector(k, (0,) + e))
-    return out
+        alive = alive[_fourier_unbiased_mask(_digit_matrix(alive, n, k), n, k, kk, b)]
+    return [RootVector(k, (0,) + tuple(int(e) for e in row)) for row in _digit_matrix(alive, n, k)]
 
 
-def _fourier_unbiased_mask(digits, n, kk, red, lift_e, lift_f, b):
-    phases = (digits * lift_e + (b * lift_f * np.arange(1, n))[None, :]) % kk
-    sums = 1.0 + _unit_roots(kk)[phases].sum(axis=1)
-    near = np.abs(np.abs(sums) ** 2 - n) < _PRESCREEN_MARGIN
-    out = np.zeros(len(digits), dtype=bool)
-    if not near.any():
-        return out
-    hist = _row_histogram(phases[near], kk)
-    hist[:, 0] += 1  # a = 0 term contributes zeta^0 for every b
-    corr = np.stack([np.sum(hist * np.roll(hist, -s, axis=1), axis=1) for s in range(kk)], axis=1)
-    corr[:, 0] -= n
-    out[near] = np.all(corr @ red.T == 0, axis=1)
-    return out
+def _fourier_unbiased_mask(digits: np.ndarray, n: int, k: int, kk: int, b: int) -> np.ndarray:
+    """Rows of k-th-root exponents whose vector is exactly unbiased to Fourier column b, in Z[zeta_kk]."""
+    phases = (digits.astype(np.int64) * (kk // k) + (b * (kk // n) * np.arange(1, n))[None, :]) % kk
+    norm_sq = np.abs(1.0 + _unit_roots(kk)[phases].sum(axis=1)) ** 2
+    return _norm_sq_is(phases, kk, n, norm_sq)
 
 
-def _hadamard_matrix_from_columns(n: int, exps: np.ndarray, columns: list) -> np.ndarray:
-    """Exponent matrix (rows x cols); column 0 is the implicit all-ones column."""
-    mat = np.zeros((n, n), dtype=np.int16)
-    for pos, cand in enumerate(columns, start=1):
-        mat[1:, pos] = exps[cand]
-    return mat
+def _write_checkpoint(path: str, spec: SearchSpec, completed: list[tuple[int, list]]) -> None:
+    payload = {
+        "spec": spec.key(),
+        "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
+                      for unit, found in completed],
+    }
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    with os.fdopen(fd, "w") as handle:
+        json.dump(payload, handle, sort_keys=True)
+    os.replace(tmp, path)
+
+
+def _read_checkpoint(path: str, spec: SearchSpec) -> dict[int, list]:
+    """Completed unit -> its results, from a checkpoint written for the same search."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise FileFormatError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("spec") != spec.key():
+        raise FileFormatError(f"checkpoint {path} does not belong to the search {spec.key()}")
+    if "completed" not in payload:
+        raise FileFormatError(f"checkpoint {path} stores no results; rerun the search from the start")
+    try:
+        return {int(item["unit"]): [_decode_result(r) for r in item["results"]]
+                for item in payload["completed"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed checkpoint {path}: {exc}") from exc
+
+
+def _decode_result(value) -> np.ndarray | tuple[np.ndarray, ...]:
+    """An exponent matrix (Hadamard stage) or a tuple of them (triplet and quartet stages)."""
+    arr = np.array(value, dtype=np.int16)
+    return arr if arr.ndim == 2 else tuple(arr)
+
+
+class _UnitLoop:
+    """Budget, checkpoint and resume bookkeeping shared by the three search stages.
+
+    Creating the loop validates the resume token; run() then walks the units
+    in order, takes stored results for units a checkpoint already holds, and
+    charges `unit_cost` nodes before running each other unit.  A unit is
+    atomic: if it runs out of budget its partial results are dropped.
+    """
+
+    def __init__(self, depth: str, n: int, k: int, budget: int | None,
+                 checkpoint_path: str | None, resume_token: str | None):
+        self.spec = SearchSpec(n=n, k=k, depth=depth, budget=budget, resume_token=resume_token)
+        self.done = _read_checkpoint(resume_token, self.spec) if resume_token else {}
+        self.budget = _NodeBudget(budget)
+        self.checkpoint_path = checkpoint_path
+
+    def run(self, n_units: int, unit_cost: int, run_unit, prior=None) -> SearchOutcome:
+        """run_unit(u) returns unit u's results, or None if the budget ran out inside it.
+
+        `prior` is the earlier stage's outcome: its nodes count towards the
+        budget, and an incomplete prior makes this stage incomplete too.
+        """
+        complete = True
+        if prior is not None:
+            self.budget.used += prior.nodes_used
+            complete = prior.complete
+        completed: list[tuple[int, list]] = []
+        for unit in range(n_units):
+            found = self.done.get(unit)
+            if found is None:
+                found = run_unit(unit) if self.budget.charge(unit_cost) else None
+                if found is None:
+                    complete = False
+                    break
+            completed.append((unit, found))
+        token = None
+        if not complete and self.checkpoint_path:
+            _write_checkpoint(self.checkpoint_path, self.spec, completed)
+            token = self.checkpoint_path
+        return SearchOutcome(
+            spec=self.spec,
+            results=[r for _, found in completed for r in found],
+            complete=complete,
+            nodes_used=self.budget.used,
+            resume_token=token,
+        )
 
 
 @dataclass
@@ -226,51 +339,6 @@ class HadamardEnumeration:
     complete: bool
     nodes_used: int
     resume_token: str | None = None
-
-
-def _write_checkpoint(path: str, spec: SearchSpec, completed_units: list[int], counts: dict) -> None:
-    payload = {"spec": spec.key(), "completed_units": sorted(completed_units), "partial_counts": counts}
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def _read_checkpoint(path: str, spec: SearchSpec) -> set[int]:
-    with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("spec") != spec.key():
-        raise ValueError(f"checkpoint {path} belongs to a different search: {payload.get('spec')}")
-    return set(int(u) for u in payload.get("completed_units", []))
-
-
-class _OrthAdjacency:
-    """Orthogonality rows over the candidate set S, dense below a size cutoff."""
-
-    def __init__(self, s_exps: np.ndarray, k: int, powers: np.ndarray, orth_diff: np.ndarray):
-        self.s_exps = s_exps
-        self.k = k
-        self.powers = powers
-        self.orth_diff = orth_diff
-        self.n_s = len(s_exps)
-        self.dense = None
-        self._cache: dict[int, np.ndarray] = {}
-        if self.n_s <= _DENSE_ADJ_LIMIT:
-            rows = [self._compute_row(i) for i in range(self.n_s)]
-            self.dense = np.stack(rows) if rows else np.zeros((0, 0), dtype=bool)
-
-    def _compute_row(self, i: int) -> np.ndarray:
-        row = self.orth_diff[_diff_indices(self.s_exps, self.s_exps[i], self.k, self.powers)]
-        row[i] = False
-        return row
-
-    def row(self, i: int) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense[i]
-        if i not in self._cache:
-            self._cache[i] = self._compute_row(i)
-        return self._cache[i]
 
 
 def root_hadamard_enumerate(
@@ -288,67 +356,32 @@ def root_hadamard_enumerate(
     to everything already chosen.  Column order is a symmetry of the
     enumeration, so each column set appears exactly once.
 
-    Work is split into units by the first chosen column; a resumed run
-    (resume_token) skips completed units and returns results for the newly
-    completed units only.
+    Work is split into units by the first chosen column.  On budget
+    exhaustion a checkpoint is written only if `checkpoint_path` is given;
+    a run resumed from it (resume_token) returns every matrix an
+    uninterrupted run returns.
     """
-    spec = SearchSpec(n=n, k=k, depth="hadamards", budget=budget, resume_token=resume_token)
+    loop = _UnitLoop("hadamards", n, k, budget, checkpoint_path, resume_token)
     exps, powers, orth_diff, _ = _difference_tables(n, k)
     s_idx = np.nonzero(orth_diff)[0]
-    s_exps = exps[s_idx]
-    adj = _OrthAdjacency(s_exps, k, powers, orth_diff)
-    budget_box = _NodeBudget(budget)
+    adj = _orth_adjacency(exps[s_idx], k, powers, orth_diff)
 
-    done_units = _read_checkpoint(resume_token, spec) if resume_token else set()
-    completed = sorted(done_units)
-    matrices: list[np.ndarray] = []
-    complete = True
+    def matrices_from(first: int) -> list[np.ndarray] | None:
+        later = first + 1 + np.nonzero(adj[first, first + 1:])[0]
+        found = cliques(adj[np.ix_(later, later)], n - 2, loop.budget)
+        if found is None:
+            return None
+        # candidate 0 has all exponents 0: the all-ones first column
+        return [_exponent_matrix(exps, [0, s_idx[first], *s_idx[later[rest]]]) for rest in found]
 
-    for first in range(adj.n_s):
-        if first in done_units:
-            continue
-        if not budget_box.charge():
-            complete = False
-            break
-        found_here: list[list[int]] = []
-        aborted = False
-
-        def extend(chosen: list[int], mask: np.ndarray) -> bool:
-            nonlocal aborted
-            if len(chosen) == n - 1:
-                found_here.append(list(chosen))
-                return True
-            for nxt in np.nonzero(mask)[0]:
-                if nxt <= chosen[-1]:
-                    continue
-                if not budget_box.charge():
-                    aborted = True
-                    return False
-                if not extend(chosen + [int(nxt)], mask & adj.row(int(nxt))):
-                    return False
-            return True
-
-        extend([first], adj.row(first))
-        if aborted:
-            complete = False
-            break
-        for chosen in found_here:
-            matrices.append(_hadamard_matrix_from_columns(n, s_exps, chosen))
-        completed.append(first)
-
-    token = None
-    if not complete:
-        token = checkpoint_path or (f"hadamards-n{n}-k{k}.checkpoint.json")
-        _write_checkpoint(token, spec, completed, {"matrices": len(matrices)})
-
-    buckets = _haagerup_buckets(matrices, n, k, tol)
+    outcome = loop.run(len(s_idx), 1, matrices_from)
     return HadamardEnumeration(
-        spec=spec,
-        matrices=matrices,
-        buckets=buckets,
-        complete=complete,
-        nodes_used=budget_box.used,
-        resume_token=token,
+        spec=outcome.spec,
+        matrices=outcome.results,
+        buckets=_haagerup_buckets(outcome.results, n, k, tol),
+        complete=outcome.complete,
+        nodes_used=outcome.nodes_used,
+        resume_token=outcome.resume_token,
     )
 
 
@@ -401,35 +434,10 @@ class _TripletContext:
         mask = np.unpackbits(packed, count=len(self.base_mask)).astype(bool)
         return np.nonzero(mask)[0]
 
-    def mutually_orthogonal_bases(self, cand: np.ndarray) -> list[list[int]]:
-        """All n-subsets of `cand` that are pairwise exactly orthogonal."""
-        nc = len(cand)
-        if nc < self.n:
-            return []
-        sub = self.exps[cand].astype(np.int64)
-        adj = np.zeros((nc, nc), dtype=bool)
-        for a in range(nc):
-            adj[a] = self.orth_diff[((sub - sub[a]) % self.k) @ self.powers]
-            adj[a, a] = False
-        out: list[list[int]] = []
-
-        def extend(chosen: list[int], mask: np.ndarray) -> None:
-            if len(chosen) == self.n:
-                out.append([int(cand[c]) for c in chosen])
-                return
-            for nxt in np.nonzero(mask)[0]:
-                if nxt > chosen[-1]:
-                    extend(chosen + [int(nxt)], mask & adj[nxt])
-
-        for a in range(nc):
-            extend([a], adj[a])
-        return out
-
-    def matrix_from_candidates(self, members: list[int]) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=np.int16)
-        for pos, cand in enumerate(sorted(members)):
-            mat[1:, pos] = self.exps[cand]
-        return mat
+    def mutually_orthogonal_bases(self, cand: np.ndarray) -> list[np.ndarray]:
+        """Exponent matrices of all n-subsets of `cand` that are pairwise exactly orthogonal."""
+        adj = _orth_adjacency(self.exps[cand], self.k, self.powers, self.orth_diff)
+        return [_exponent_matrix(self.exps, cand[members]) for members in cliques(adj, self.n)]
 
 
 def _make_context(n: int, k: int) -> _TripletContext:
@@ -456,35 +464,16 @@ def mub_triplet_search(
     exactly orthogonal to one another.  Every k-th-root triplet containing
     the standard basis is equivalent to one of this shape.
     """
-    spec = SearchSpec(n=n, k=k, depth="triplets", budget=budget, resume_token=resume_token)
+    loop = _UnitLoop("triplets", n, k, budget, checkpoint_path, resume_token)
     if hadamards is None:
         hadamards = root_hadamard_enumerate(n, k, budget=None)
     ctx = _make_context(n, k)
-    budget_box = _NodeBudget(budget)
-    budget_box.used += hadamards.nodes_used
 
-    done_units = _read_checkpoint(resume_token, spec) if resume_token else set()
-    completed = sorted(done_units)
-    results: list[tuple[np.ndarray, np.ndarray]] = []
-    complete = hadamards.complete
+    def triplets_from(hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        h1 = hadamards.matrices[hi]
+        return [(h1, h2) for h2 in ctx.mutually_orthogonal_bases(ctx.candidates_for(h1))]
 
-    for hi, h1 in enumerate(hadamards.matrices):
-        if hi in done_units:
-            continue
-        if not budget_box.charge(ctx.n):
-            complete = False
-            break
-        cand = ctx.candidates_for(h1)
-        for members in ctx.mutually_orthogonal_bases(cand):
-            results.append((h1, ctx.matrix_from_candidates(members)))
-        completed.append(hi)
-
-    token = None
-    if not complete:
-        token = checkpoint_path or f"triplets-n{n}-k{k}.checkpoint.json"
-        _write_checkpoint(token, spec, completed, {"triplets": len(results)})
-    return SearchOutcome(spec=spec, results=results, complete=complete,
-                         nodes_used=budget_box.used, resume_token=token)
+    return loop.run(len(hadamards.matrices), ctx.n, triplets_from, prior=hadamards)
 
 
 def mub_quartet_search(
@@ -502,40 +491,22 @@ def mub_quartet_search(
     the triplet search's.  An exhausted budget yields verdict 'inconclusive',
     never 'empty'.
     """
-    spec = SearchSpec(n=n, k=k, depth="quartets", budget=budget, resume_token=resume_token)
+    loop = _UnitLoop("quartets", n, k, budget, checkpoint_path, resume_token)
     if triplets is None:
         triplets = mub_triplet_search(n, k, budget=None)
     ctx = _make_context(n, k)
-    budget_box = _NodeBudget(budget)
-    budget_box.used += triplets.nodes_used
-
-    done_units = _read_checkpoint(resume_token, spec) if resume_token else set()
-    completed = sorted(done_units)
-    results: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    complete = triplets.complete
-
     cand_cache: dict[bytes, np.ndarray] = {}
-    for ti, (h1, h2) in enumerate(triplets.results):
-        if ti in done_units:
-            continue
-        if not budget_box.charge(ctx.n):
-            complete = False
-            break
+
+    def quartets_from(ti: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        h1, h2 = triplets.results[ti]
         key = h1.tobytes()
         if key not in cand_cache:
             cand_cache[key] = ctx.candidates_for(h1)
         cand = cand_cache[key]
+        sub = ctx.exps[cand]
         keep = np.ones(len(cand), dtype=bool)
-        sub = ctx.exps[cand].astype(np.int64)
         for col in range(n):
-            keep &= ctx.unb_diff[((sub - h2[1:, col].astype(np.int64)) % k) @ ctx.powers]
-        for members in ctx.mutually_orthogonal_bases(cand[keep]):
-            results.append((h1, h2, ctx.matrix_from_candidates(members)))
-        completed.append(ti)
+            keep &= ctx.unb_diff[_diff_indices(sub, h2[1:, col], k, ctx.powers)]
+        return [(h1, h2, h3) for h3 in ctx.mutually_orthogonal_bases(cand[keep])]
 
-    token = None
-    if not complete:
-        token = checkpoint_path or f"quartets-n{n}-k{k}.checkpoint.json"
-        _write_checkpoint(token, spec, completed, {"quartets": len(results)})
-    return SearchOutcome(spec=spec, results=results, complete=complete,
-                         nodes_used=budget_box.used, resume_token=token)
+    return loop.run(len(triplets.results), ctx.n, quartets_from, prior=triplets)

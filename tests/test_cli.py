@@ -142,6 +142,35 @@ class TestSearchCli:
         assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["hadamards", "--n", "9", "--k", "24"], 4),  # enumeration guard
+        (["hadamards", "--n", "0", "--k", "3"], 4),
+        (["hadamards", "--n", "3", "--k", "0"], 4),
+        (["hadamards", "--n", "3", "--k", "3", "--resume", "missing.json"], 3),
+        (["triplets", "--n", "3", "--k", "3", "--resume", "hadamards.json"], 3),  # other spec
+        (["hadamards", "--n", "3", "--k", "3", "--resume", "no-results.json"], 3),
+        (["hadamards", "--n", "3", "--k", "3", "--resume", "garbage.json"], 3),
+        (["hadamards", "--n", "3", "--k", "3", "--resume", "hadamards.json"], 0),
+    ],
+)
+def test_search_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "hadamards", "--n", "3", "--k", "3", "--budget", "1",
+                 "--checkpoint", "hadamards.json"]) == 0
+    spec = {"n": 3, "k": 3, "depth": "hadamards"}
+    (tmp_path / "no-results.json").write_text(json.dumps({"spec": spec, "completed_units": []}))
+    (tmp_path / "garbage.json").write_text("{oops")
+    capsys.readouterr()
+    assert main(["search", *argv]) == code
+    lines = capsys.readouterr().out.splitlines()
+    if code == 0:
+        assert json.loads(lines[-1])["summary"]["complete"]
+    else:
+        assert lines == []
+
+
 class TestOptimizeAndScan:
     def test_optimize_report(self, tmp_path):
         out = tmp_path / "opt.json"

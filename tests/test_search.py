@@ -3,11 +3,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mubtools import search
 from mubtools.catalog import load_fixture
 from mubtools.constructions import prime_mub_set
 from mubtools.core import Basis, Tolerance, is_complex_hadamard, is_unbiased_pair
+from mubtools.cyclotomic import RootVector, is_orthogonal, is_unbiased_exact
 from mubtools.search import (
     EnumerationBudgetError,
+    _digit_matrix,
+    _NodeBudget,
+    _norm_sq_is,
+    cliques,
     exponents_to_complex,
     mub_quartet_search,
     mub_triplet_search,
@@ -168,3 +174,97 @@ class TestQuartetSearch:
         assert not outcome.complete
         assert outcome.verdict == "inconclusive"
         assert outcome.resume_token == token
+
+
+class TestCliques:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_bruteforce(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 11
+        upper = np.triu(rng.random((m, m)) < 0.6, 1)
+        adj = upper | upper.T
+        for size in range(6):
+            expected = [list(c) for c in combinations(range(m), size)
+                        if all(adj[a, b] for a, b in combinations(c, 2))]
+            assert cliques(adj, size) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_aborts_when_budget_runs_out(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        m = 10
+        upper = np.triu(rng.random((m, m)) < 0.7, 1)
+        adj = upper | upper.T
+        counter = _NodeBudget(None)
+        full = cliques(adj, 4, counter)
+        assert full
+        for limit in range(counter.used):
+            assert cliques(adj, 4, _NodeBudget(limit)) is None
+        assert cliques(adj, 4, _NodeBudget(counter.used)) == full
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (3, 6), (6, 3)])
+def test_norm_test_matches_cyclotomic_predicates(n, k):
+    digits = _digit_matrix(np.arange(k ** (n - 1)), n, k)
+    approx = np.abs(1.0 + np.exp(2j * np.pi * digits / k).sum(axis=1)) ** 2
+    ones = RootVector(k, (0,) * n)
+    vectors = [RootVector(k, (0, *row)) for row in digits]
+    orth = [is_orthogonal(ones, v) for v in vectors]
+    unb = [is_unbiased_exact(ones, v) for v in vectors]
+    assert any(orth)
+    for target, expected in ((0, orth), (n, unb)):
+        assert _norm_sq_is(digits, k, target, approx).tolist() == expected
+        # an approximation equal to the target sends every row through the exact test
+        assert _norm_sq_is(digits, k, target, np.full(len(digits), float(target))).tolist() == expected
+
+
+def _result_bytes(results) -> list[bytes]:
+    return [np.asarray(r).tobytes() for r in results]
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (5, 5), (6, 3)])
+def test_resume_matches_uninterrupted_run(n, k, tmp_path, monkeypatch):
+    # Haagerup invariants are a pure function of the matrix and dominate the
+    # cost of these ~1,000 runs; compute each distinct matrix's once.
+    memo = {}
+    invariants = search.haagerup_invariants
+
+    def memo_invariants(matrix, tol):
+        key = (matrix.tobytes(), tol)
+        if key not in memo:
+            memo[key] = invariants(matrix, tol)
+        return memo[key]
+
+    monkeypatch.setattr(search, "haagerup_invariants", memo_invariants)
+    had = root_hadamard_enumerate(n, k)
+    trip = mub_triplet_search(n, k, hadamards=had)
+    quart = mub_quartet_search(n, k, triplets=trip)
+    stages = [
+        (lambda **kw: root_hadamard_enumerate(n, k, **kw), had,
+         lambda o: (o.matrices, o.buckets, o.complete)),
+        (lambda **kw: mub_triplet_search(n, k, hadamards=had, **kw), trip,
+         lambda o: (o.results, o.verdict)),
+        (lambda **kw: mub_quartet_search(n, k, triplets=trip, **kw), quart,
+         lambda o: (o.results, o.verdict)),
+    ]
+    path = str(tmp_path / "run.checkpoint.json")
+    for run, full, answer in stages:
+        want = answer(full)
+        for budget in range(1, full.nodes_used + 1):
+            outcome = run(budget=budget, checkpoint_path=path)
+            if not outcome.complete:
+                assert outcome.resume_token == path
+                outcome = run(resume_token=path)
+            got = answer(outcome)
+            assert _result_bytes(got[0]) == _result_bytes(want[0]), (budget, full.spec)
+            assert got[1:] == want[1:], (budget, full.spec)
+
+
+def test_library_writes_no_checkpoint_unless_asked(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    outcomes = [
+        root_hadamard_enumerate(6, 4, budget=400),
+        mub_triplet_search(5, 5, budget=100),
+        mub_quartet_search(5, 5, budget=8),
+    ]
+    assert all(not o.complete and o.resume_token is None for o in outcomes)
+    assert list(tmp_path.iterdir()) == []
