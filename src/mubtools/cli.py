@@ -288,7 +288,7 @@ def _write_fixture(outcome, n: int, k: int) -> None:
     if name is None:
         raise InadmissibleParameterError("fixtures are defined for (n, k) in {(6, 3), (6, 4)} only")
     if not outcome.complete:
-        raise ValueError("refusing to write a fixture from an incomplete search")
+        raise InadmissibleParameterError("refusing to write a fixture from an incomplete search")
     best = min(outcome.matrices, key=lambda m: tuple(m.ravel()))
     payload = mio.root_matrix_payload(
         best, k,

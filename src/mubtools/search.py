@@ -8,6 +8,10 @@ roots has squared modulus t" decided in Z[zeta] (t = 0 for orthogonality,
 t = n for unbiasedness).  After that the searches work on integer indices and
 boolean tables: one dense orthogonality matrix per candidate set, and one
 clique enumerator (`cliques`) that picks mutually orthogonal columns.
+Hadamards are bucketed by the integer histogram of their Haagerup exponents.
+The triplet and quartet stages only ever need columns unbiased to the
+all-ones column (the base set), so their unbiasedness rows are packed bits
+over the base set.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop that charges a node budget.
@@ -28,12 +32,14 @@ from math import lcm
 
 import numpy as np
 
-from .core import DEFAULT_TOL, InadmissibleParameterError, Tolerance, haagerup_invariants
+from .core import InadmissibleParameterError
+from .core import haagerup_invariants  # noqa: F401  (kept importable here; perfbench/child.py wraps it)
 from .cyclotomic import RootVector, reduction_matrix
 from .io import FileFormatError
 
 MAX_CANDIDATES = 10**8
 _CHUNK = 1 << 19
+_BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 1,296 exponents at n = 6
 
 
 class EnumerationBudgetError(InadmissibleParameterError):
@@ -195,8 +201,16 @@ def _difference_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _diff_indices(exps: np.ndarray, base: np.ndarray, k: int, powers: np.ndarray) -> np.ndarray:
-    """Indices of (exps - base) mod k in the difference tables."""
-    return ((exps.astype(np.int64) - base.astype(np.int64)) % k) @ powers
+    """Indices of (exps - base) mod k in the difference tables.
+
+    Digit j contributes ((e_j - base_j) mod k) * k^j, read from a k-entry table
+    per digit, so the rows need no modular arithmetic of their own.
+    """
+    table = (np.arange(k) - base.astype(np.int64)[:, None]) % k * powers[:, None]
+    idx = np.zeros(len(exps), dtype=np.int64)
+    for j, digit in enumerate(table):
+        idx += digit[exps[:, j]]
+    return idx
 
 
 def _orth_adjacency(cols: np.ndarray, k: int, powers: np.ndarray, orth_diff: np.ndarray) -> np.ndarray:
@@ -347,7 +361,6 @@ def root_hadamard_enumerate(
     budget: int | None = None,
     checkpoint_path: str | None = None,
     resume_token: str | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> HadamardEnumeration:
     """Column-by-column backtracking over dephased k-th-root Hadamards of size n.
 
@@ -378,7 +391,7 @@ def root_hadamard_enumerate(
     return HadamardEnumeration(
         spec=outcome.spec,
         matrices=outcome.results,
-        buckets=_haagerup_buckets(outcome.results, n, k, tol),
+        buckets=_haagerup_buckets(outcome.results, k),
         complete=outcome.complete,
         nodes_used=outcome.nodes_used,
         resume_token=outcome.resume_token,
@@ -392,22 +405,33 @@ def exponents_to_complex(exponent_matrix: np.ndarray, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * exps / k) / np.sqrt(n)
 
 
-def _haagerup_buckets(matrices: list[np.ndarray], n: int, k: int, tol: Tolerance) -> list[list[int]]:
-    buckets: dict = {}
-    order: list = []
-    for i, exps in enumerate(matrices):
-        inv = haagerup_invariants(exponents_to_complex(exps, k), tol)
-        key = tuple(sorted(((v.real, v.imag), c) for v, c in inv.items()))
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(i)
-    return [buckets[key] for key in order]
+def _haagerup_buckets(matrices: list[np.ndarray], k: int) -> list[list[int]]:
+    """Matrix indices grouped by equal Haagerup multiset, groups in order of first appearance.
+
+    For an exponent matrix e the Haagerup invariants are the roots
+    zeta^(e_ij - e_rj + e_rs - e_is), so each multiset is the histogram over
+    0..k-1 of those n^4 exponents mod k: exact, with no snapping grid.
+    Matrices are processed in chunks to bound the n^4-wide batch.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for lo in range(0, len(matrices), _BUCKET_CHUNK):
+        batch = np.stack(matrices[lo:lo + _BUCKET_CHUNK]).astype(np.int16)
+        # diff[b, i, r, j] = e_ij - e_rj; the invariant exponent is diff[i, r, j] - diff[i, r, s]
+        diff = batch[:, :, None, :] - batch[:, None, :, :]
+        exps = (diff[..., :, None] - diff[..., None, :]) % k
+        for i, hist in enumerate(_row_histogram(exps.reshape(len(batch), -1), k), start=lo):
+            groups.setdefault(hist.tobytes(), []).append(i)
+    return list(groups.values())
 
 
 @dataclass
 class _TripletContext:
-    """Shared exact tables for the triplet/quartet stages."""
+    """Shared exact tables for the triplet/quartet stages.
+
+    Every column of H2 (and H3) is unbiased to the all-ones column of H1, so
+    candidate rows are kept over that base set only: `base_idx` holds its
+    global candidate indices in increasing order, `base_exps` their exponents.
+    """
 
     n: int
     k: int
@@ -415,24 +439,24 @@ class _TripletContext:
     powers: np.ndarray
     orth_diff: np.ndarray
     unb_diff: np.ndarray
-    base_mask: np.ndarray  # candidates unbiased to the all-ones column
+    base_idx: np.ndarray
+    base_exps: np.ndarray
     row_cache: dict = field(default_factory=dict)
 
     def unbiased_row(self, cand: int) -> np.ndarray:
-        """Packed bits over all candidates: unbiased to candidate column `cand`."""
+        """Packed bits over the base set: unbiased to candidate column `cand`."""
         if cand not in self.row_cache:
-            idx = _diff_indices(self.exps, self.exps[cand], self.k, self.powers)
+            idx = _diff_indices(self.base_exps, self.exps[cand], self.k, self.powers)
             self.row_cache[cand] = np.packbits(self.unb_diff[idx])
         return self.row_cache[cand]
 
     def candidates_for(self, matrix: np.ndarray) -> np.ndarray:
         """Global candidate indices unbiased to every column of a dephased matrix."""
-        packed = np.packbits(self.base_mask)
+        packed = np.packbits(np.ones(len(self.base_idx), dtype=bool))  # column 0: all-ones
         for col in range(1, self.n):
             cand = int(matrix[1:, col].astype(np.int64) @ self.powers)
             packed = packed & self.unbiased_row(cand)
-        mask = np.unpackbits(packed, count=len(self.base_mask)).astype(bool)
-        return np.nonzero(mask)[0]
+        return self.base_idx[np.nonzero(np.unpackbits(packed, count=len(self.base_idx)))[0]]
 
     def mutually_orthogonal_bases(self, cand: np.ndarray) -> list[np.ndarray]:
         """Exponent matrices of all n-subsets of `cand` that are pairwise exactly orthogonal."""
@@ -442,10 +466,11 @@ class _TripletContext:
 
 def _make_context(n: int, k: int) -> _TripletContext:
     exps, powers, orth_diff, unb_diff = _difference_tables(n, k)
-    base_idx = _diff_indices(exps, np.zeros(n - 1, dtype=np.int16), k, powers)
+    # a candidate's difference to the all-ones column is itself, so the base set is unb_diff
+    base_idx = np.nonzero(unb_diff)[0]
     return _TripletContext(
         n=n, k=k, exps=exps, powers=powers, orth_diff=orth_diff, unb_diff=unb_diff,
-        base_mask=unb_diff[base_idx],
+        base_idx=base_idx, base_exps=exps[base_idx],
     )
 
 

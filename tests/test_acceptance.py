@@ -197,6 +197,18 @@ def test_criterion_6_no_quartets_at_desk_scale():
     )
 
 
+def test_no_quartets_at_k24():
+    # extends criterion 6 from 12th to 24th roots: a complete run, no quartets
+    hadamards = root_hadamard_enumerate(6, 24)
+    triplets = mub_triplet_search(6, 24, hadamards=hadamards)
+    quartets = mub_quartet_search(6, 24, triplets=triplets)
+    assert len(hadamards.matrices) == 7584
+    assert [len(b) for b in hadamards.buckets] == [300, 2160, 1080, 2160, 72, 720, 720, 360, 12]
+    assert len(triplets.results) == 1920
+    assert quartets.results == [] and quartets.verdict == "empty"
+    assert hadamards.complete and triplets.complete and quartets.complete
+
+
 def test_criterion_7_real_dimensions():
     start = time.perf_counter()
     census3 = real_unbiased_census(3)

@@ -153,6 +153,7 @@ class TestSearchCli:
         (["hadamards", "--n", "3", "--k", "3", "--resume", "no-results.json"], 3),
         (["hadamards", "--n", "3", "--k", "3", "--resume", "garbage.json"], 3),
         (["hadamards", "--n", "3", "--k", "3", "--resume", "hadamards.json"], 0),
+        (["hadamards", "--n", "6", "--k", "3", "--budget", "1", "--write-fixtures"], 4),  # incomplete
     ],
 )
 def test_search_exit_codes(argv, code, tmp_path, monkeypatch, capsys):

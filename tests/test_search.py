@@ -3,10 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mubtools import search
 from mubtools.catalog import load_fixture
 from mubtools.constructions import prime_mub_set
-from mubtools.core import Basis, Tolerance, is_complex_hadamard, is_unbiased_pair
+from mubtools.core import Basis, Tolerance, haagerup_invariants, is_complex_hadamard, is_unbiased_pair
 from mubtools.cyclotomic import RootVector, is_orthogonal, is_unbiased_exact
 from mubtools.search import (
     EnumerationBudgetError,
@@ -90,6 +89,16 @@ class TestHadamardEnumerate:
         enum = root_hadamard_enumerate(3, 3)
         ours = {tuple(sorted(tuple(m[:, j]) for j in range(3))) for m in enum.matrices}
         assert ours == found
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (6, 4), (4, 4), (5, 5), (4, 12), (6, 6)])
+    def test_buckets_match_float_invariant_multisets(self, n, k):
+        # oracle: group by the snapped floating Haagerup multisets, in order of first appearance
+        enum = root_hadamard_enumerate(n, k)
+        groups: dict = {}
+        for i, m in enumerate(enum.matrices):
+            inv = haagerup_invariants(exponents_to_complex(m, k), TOL)
+            groups.setdefault(frozenset(inv.items()), []).append(i)
+        assert enum.buckets == list(groups.values())
 
     def test_determinism(self):
         a = root_hadamard_enumerate(6, 4)
@@ -222,19 +231,7 @@ def _result_bytes(results) -> list[bytes]:
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (5, 5), (6, 3)])
-def test_resume_matches_uninterrupted_run(n, k, tmp_path, monkeypatch):
-    # Haagerup invariants are a pure function of the matrix and dominate the
-    # cost of these ~1,000 runs; compute each distinct matrix's once.
-    memo = {}
-    invariants = search.haagerup_invariants
-
-    def memo_invariants(matrix, tol):
-        key = (matrix.tobytes(), tol)
-        if key not in memo:
-            memo[key] = invariants(matrix, tol)
-        return memo[key]
-
-    monkeypatch.setattr(search, "haagerup_invariants", memo_invariants)
+def test_resume_matches_uninterrupted_run(n, k, tmp_path):
     had = root_hadamard_enumerate(n, k)
     trip = mub_triplet_search(n, k, hadamards=had)
     quart = mub_quartet_search(n, k, triplets=trip)
