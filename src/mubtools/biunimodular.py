@@ -3,14 +3,15 @@ exact root-restricted enumeration, basis assembly, and the distance-pattern repo
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import search as search_mod
-from .core import DEFAULT_TOL, Basis, Tolerance
-from .constructions import fourier
+from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance
+from .constructions import _is_prime, fourier
 from .grassmann import distance_table
 
 GAUSSIAN = "gaussian"
@@ -189,8 +190,57 @@ class CensusResult:
         return CensusResult(n=int(payload["n"]), sequences=sequences, bases=bases, metadata=payload["metadata"])
 
 
-def _circular_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs((a - b + np.pi) % (2 * np.pi) - np.pi)
+def _within(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """(len(a), len(b)) mask: phase rows within tol of each other in every component."""
+    gap = np.abs((a[:, None, :] - b[None, :, :] + np.pi) % (2 * np.pi) - np.pi)
+    return gap.max(axis=2) <= tol
+
+
+def _new_solutions(sols: np.ndarray, pool: np.ndarray, tol: float) -> list[int]:
+    """Rows of sols, in order, that lie within tol of neither the pool nor an earlier new row."""
+    fresh = np.nonzero(~_within(sols, pool, tol).any(axis=1))[0]
+    new: list[int] = []
+    for i in fresh:
+        if not _within(sols[i : i + 1], sols[new], tol).any():
+            new.append(int(i))
+    return new
+
+
+class _ScrambledHalton:
+    """Owen-scrambled Halton points in [0, 1)^d (Owen, arXiv:1706.02808, Algorithm 1).
+
+    Reproduces scipy.stats.qmc.Halton(d, scramble=True, seed=seed) bit for
+    bit: numpy.random.default_rng(seed) shuffles the same digit permutations
+    in the same order, one per digit position j >= 1 with b^-j > 2^-54, and
+    each coordinate accumulates perm[j-1, digit_j] * b^-j over every
+    permutation row in the same order.
+    """
+
+    def __init__(self, d: int, seed: int):
+        rng = np.random.default_rng(seed)
+        self.bases = list(itertools.islice(filter(_is_prime, itertools.count(2)), d))
+        self.perms = []
+        for base in self.bases:
+            rows = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+            for row in rows:
+                rng.shuffle(row)
+            self.perms.append(rows)
+        self.generated = 0
+
+    def random(self, size: int) -> np.ndarray:
+        """The next `size` points, continuing where the previous call stopped."""
+        index = np.arange(self.generated, self.generated + size, dtype=np.int64)
+        self.generated += size
+        points = np.zeros((size, len(self.bases)))
+        for col, (base, perm) in enumerate(zip(self.bases, self.perms)):
+            quotient = index
+            scale = 1.0 / base
+            # no early exit once the digits run out: digit 0 maps to perm[j, 0], mostly not 0
+            for row in perm:
+                quotient, digit = np.divmod(quotient, base)
+                points[:, col] += row[digit] * scale
+                scale /= base
+        return points
 
 
 def _phase_residual_system(phi: np.ndarray, dft_matrix: np.ndarray, n: int):
@@ -227,18 +277,17 @@ def newton_census(
     stabilizes marks it 'unconverged census'.
     """
     if n not in (3, 5, 6, 7):
-        raise ValueError("census targets n = 6 (primary) or odd n <= 7")
+        raise InadmissibleParameterError("census targets n = 6 (primary) or odd n <= 7")
     if restarts < 1:
-        raise ValueError("need at least one restart")
+        raise InadmissibleParameterError("need at least one restart")
 
     q = np.exp(2j * np.pi / n)
     a = np.arange(n)
     dft_matrix = q ** np.outer(a, a) / np.sqrt(n)
     q_table = q ** np.outer(np.arange(1, n), np.arange(1, n))
 
-    sampler = qmc.Halton(d=n - 1, scramble=True, seed=seed)
-    pool: list[np.ndarray] = []
-    first_seen: list[int] = []
+    sampler = _ScrambledHalton(n - 1, seed)
+    pool = np.empty((0, n - 1))
     last_new = -1
     used = 0
     rank_deficient = 0
@@ -291,27 +340,20 @@ def newton_census(
         # anything still active hit the iteration cap: discard
 
         r, x, xt = _phase_residual_system(phi, dft_matrix, n)
-        converged = np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL
-        for row in np.nonzero(converged)[0]:
-            sol = phi[row] % (2 * np.pi)
-            jac = _phase_jacobian(x[row : row + 1], xt[row : row + 1], q_table, n)[0]
-            if np.linalg.svd(jac, compute_uv=False)[-1] < 1e-6:
-                rank_deficient += 1
-            is_new = True
-            for known in pool:
-                if _circular_gap(sol, known).max() <= tol.dedupe_tol:
-                    is_new = False
-                    break
-            if is_new:
-                pool.append(sol)
-                first_seen.append(start_index + int(row))
-                last_new = start_index + int(row)
+        rows = np.nonzero(np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL)[0]
+        jac = _phase_jacobian(x[rows], xt[rows], q_table, n)
+        rank_deficient += int(np.sum(np.linalg.svd(jac, compute_uv=False)[:, -1] < 1e-6))
+        sols = phi[rows] % (2 * np.pi)
+        new = _new_solutions(sols, pool, tol.dedupe_tol)
+        if new:
+            pool = np.concatenate([pool, sols[new]])
+            last_new = start_index + int(rows[new[-1]])
         floor = min(restarts, 2048)  # never stabilize off a tiny sample
-        if pool and used >= floor and used >= 2 * (last_new + 1):
+        if len(pool) and used >= floor and used >= 2 * (last_new + 1):
             stabilized = True
             break
 
-    if pool and not stabilized:
+    if len(pool) and not stabilized:
         stabilized = used >= 2 * (last_new + 1)
 
     order = sorted(range(len(pool)), key=lambda i: tuple(pool[i]))

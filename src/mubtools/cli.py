@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import biunimodular, catalog, constructions, io as mio, optimize as opt, search as search_mod
+from . import __version__, biunimodular, catalog, constructions, io as mio, optimize as opt, search as search_mod
 from .core import (
     DEFAULT_DEDUPE_TOL,
     DEFAULT_EQ_TOL,
@@ -34,10 +34,21 @@ EXIT_MALFORMED = 3
 EXIT_INADMISSIBLE = 4
 
 
+def _env_float(name: str, default: float) -> float:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return float(text)
+    except ValueError:
+        raise InadmissibleParameterError(f"{name}={text!r} is not a number") from None
+
+
 def _tolerance() -> Tolerance:
-    eq = float(os.environ.get("MUBTOOLS_EQ_TOL", DEFAULT_EQ_TOL))
-    dd = float(os.environ.get("MUBTOOLS_DEDUPE_TOL", DEFAULT_DEDUPE_TOL))
-    return Tolerance(eq_tol=eq, dedupe_tol=dd)
+    return Tolerance(
+        eq_tol=_env_float("MUBTOOLS_EQ_TOL", DEFAULT_EQ_TOL),
+        dedupe_tol=_env_float("MUBTOOLS_DEDUPE_TOL", DEFAULT_DEDUPE_TOL),
+    )
 
 
 def _read_text(path: str) -> str:
@@ -64,16 +75,32 @@ def _load_matrix(path: str) -> np.ndarray:
     return mio.as_complex_matrix(mio.loads(_read_text(path)))
 
 
-def _load_bases(paths: list[str]) -> list[Basis]:
+def _checked_bases(bases: list[Basis], tol: Tolerance) -> list[Basis]:
+    """Every command that reads files as bases rejects non-unitary or mixed-dimension input here."""
+    for basis in bases:
+        try:
+            basis.require_unitary(tol)
+        except ValueError as exc:
+            raise mio.FileFormatError(str(exc)) from None
+    dims = sorted({b.dim for b in bases})
+    if len(dims) > 1:
+        raise mio.FileFormatError(f"bases of mixed dimensions {dims}")
+    return bases
+
+
+def _load_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
     bases: list[Basis] = []
     for path in paths:
         payload = mio.loads(_read_text(path))
         if payload.get("format") == "basis-list":
-            for item in payload["bases"]:
-                bases.append(Basis(mio.as_complex_matrix(item["matrix"]), label=item.get("label", path)))
+            items = payload.get("bases")
+            if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+                raise mio.FileFormatError(f"{path}: basis-list needs a list of basis objects")
+            for item in items:
+                bases.append(Basis(mio.as_complex_matrix(item.get("matrix")), label=item.get("label", path)))
         else:
             bases.append(Basis(mio.as_complex_matrix(payload), label=path))
-    return bases
+    return _checked_bases(bases, tol)
 
 
 def _basis_list_payload(bases: list[Basis], n: int) -> dict:
@@ -152,13 +179,13 @@ def _cmd_verify(args) -> int:
     elif args.what == "unbiased":
         if len(args.files) != 2:
             raise mio.FileFormatError("verify unbiased needs exactly two files")
-        a, b = (Basis(_load_matrix(p), label=p) for p in args.files)
+        a, b = _checked_bases([Basis(_load_matrix(p), label=p) for p in args.files], tol)
         ok, dev = is_unbiased_pair(a, b, tol)
         reports.append({"files": list(args.files), "check": "unbiased", "pass": ok, "deviation": dev})
         failures += 0 if ok else 1
         print(f"unbiasedness deviation {dev:.3e} -> {'pass' if ok else 'FAIL'}", file=sys.stderr)
     else:  # mubset
-        bases = _load_bases(args.files)
+        bases = _load_bases(args.files, tol)
         for basis in bases:
             defect = basis.unitarity_defect()
             ok = defect <= tol.eq_tol
@@ -181,7 +208,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_distance(args) -> int:
     tol = _tolerance()
-    a, b = (Basis(_load_matrix(p), label=p) for p in args.files)
+    a, b = _checked_bases([Basis(_load_matrix(p), label=p) for p in args.files], tol)
     value = chordal_distance_sq_overlap(a, b, tol)
     _write_text(None, mio.dumps({"n": a.dim, "chordal_distance_sq": value}))
     return EXIT_OK
@@ -189,7 +216,9 @@ def _cmd_distance(args) -> int:
 
 def _cmd_table(args) -> int:
     tol = _tolerance()
-    bases = _load_bases(args.files)
+    bases = _load_bases(args.files, tol)
+    if len(bases) < 2:
+        raise mio.FileFormatError("table needs at least two bases")
     table = distance_table(bases, tol)
     csv = mio.distance_csv([b.label for b in bases], table)
     _write_text(args.csv, csv)
@@ -263,7 +292,7 @@ def _cmd_search(args) -> int:
             "resume_token": outcome.resume_token,
         }
         if args.write_fixtures:
-            _write_fixture(outcome, args.n, args.k)
+            _write_fixture(outcome, args.n, args.k, args.argv)
     else:
         func = search_mod.mub_triplet_search if args.depth == "triplets" else search_mod.mub_quartet_search
         outcome = func(args.n, args.k, budget=args.budget,
@@ -282,7 +311,7 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _write_fixture(outcome, n: int, k: int) -> None:
+def _write_fixture(outcome, n: int, k: int, argv: list[str]) -> None:
     known = {(6, 3): "S", (6, 4): "DITA0"}
     name = known.get((n, k))
     if name is None:
@@ -294,7 +323,8 @@ def _write_fixture(outcome, n: int, k: int) -> None:
         best, k,
         provenance={
             "generator": f"mubtools search hadamards --n {n} --k {k} --write-fixtures",
-            "date": "2026-08-10",
+            "argv": argv,
+            "versions": {"mubtools": __version__, "numpy": np.__version__},
             "search": {
                 "n": n, "k": k,
                 "matrices_found": len(outcome.matrices),
@@ -311,6 +341,8 @@ def _write_fixture(outcome, n: int, k: int) -> None:
 
 
 def _cmd_optimize(args) -> int:
+    if args.seeds < 1:
+        raise InadmissibleParameterError("need --seeds >= 1")
     seed, origin = _resolve_seed(args.seed)
     runs = []
     best = None
@@ -333,6 +365,7 @@ def _cmd_optimize(args) -> int:
                 "objective": r.objective,
                 "trials": r.trials,
                 "converged": r.converged,
+                "stop_reason": r.stop_reason,
                 "trajectory": [float(v) for v in _downsample(r.trajectory)],
             }
             for r in runs
@@ -527,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except mio.FileFormatError as exc:

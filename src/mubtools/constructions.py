@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Basis
+from .core import Basis, InadmissibleParameterError
 
 
 def _is_prime(n: int) -> bool:
@@ -33,7 +33,7 @@ def weyl_pair(n: int) -> tuple[np.ndarray, np.ndarray, complex]:
     are the Fourier columns (X f_b = q^b f_b).
     """
     if n < 2:
-        raise ValueError("need dimension >= 2")
+        raise InadmissibleParameterError("need dimension >= 2")
     q = np.exp(2j * np.pi / n)
     z = np.diag(q ** np.arange(n))
     x = np.zeros((n, n), dtype=complex)
@@ -45,7 +45,7 @@ def weyl_pair(n: int) -> tuple[np.ndarray, np.ndarray, complex]:
 def fourier(n: int) -> Basis:
     """Fourier basis: column b has entries q^{ab}/sqrt(n)."""
     if n < 1:
-        raise ValueError("need dimension >= 1")
+        raise InadmissibleParameterError("need dimension >= 1")
     a = np.arange(n)
     q = np.exp(2j * np.pi / n)
     return Basis(q ** np.outer(a, a) / np.sqrt(n), label=f"fourier({n})")
@@ -75,7 +75,7 @@ def prime_mub_set(p: int) -> MubSet:
     entries are 4th roots.
     """
     if not _is_prime(p):
-        raise ValueError(
+        raise InadmissibleParameterError(
             f"{p} is not prime; complete-set construction beyond primes "
             "(prime powers via Galois fields) is unsupported here"
         )

@@ -12,7 +12,7 @@ DEFAULT_DEDUPE_TOL = 1e-6
 
 
 class InadmissibleParameterError(ValueError):
-    """A family parameter lies outside its admissible region."""
+    """A parameter lies outside its admissible region."""
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,9 @@ class Tolerance:
 
     def __post_init__(self):
         if self.eq_tol < 0 or self.dedupe_tol < 0:
-            raise ValueError("tolerances must be non-negative")
+            raise InadmissibleParameterError("tolerances must be non-negative")
         if not self.eq_tol < self.dedupe_tol:
-            raise ValueError(f"eq_tol ({self.eq_tol}) must be smaller than dedupe_tol ({self.dedupe_tol})")
+            raise InadmissibleParameterError(f"eq_tol ({self.eq_tol}) must be smaller than dedupe_tol ({self.dedupe_tol})")
 
 
 DEFAULT_TOL = Tolerance()
@@ -60,7 +60,7 @@ class Basis:
 
     def require_unitary(self, tol: Tolerance = DEFAULT_TOL) -> None:
         defect = self.unitarity_defect()
-        if defect > tol.eq_tol:
+        if not defect <= tol.eq_tol:  # NaN entries fail too
             name = self.label or "<unlabelled>"
             raise ValueError(f"basis {name!r} is not unitary: defect {defect:.3e} > {tol.eq_tol:.1e}")
 

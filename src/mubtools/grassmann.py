@@ -9,7 +9,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Basis, Tolerance
+from .core import DEFAULT_TOL, Basis, Tolerance, overlap_squares
 
 
 @lru_cache(maxsize=None)
@@ -115,11 +115,8 @@ def chordal_distance_sq(p1: np.ndarray, p2: np.ndarray) -> float:
 
 def chordal_distance_sq_overlap(a: Basis, b: Basis, tol: Tolerance = DEFAULT_TOL) -> float:
     """Overlap form of the squared chordal distance: N-1 - sum_ab (|<a|b>|^2 - 1/N)^2."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    n = a.dim
-    s = np.abs(a.matrix.conj().T @ b.matrix) ** 2
-    return float(n - 1 - np.sum((s - 1.0 / n) ** 2))
+    s = overlap_squares(a, b, tol)
+    return float(a.dim - 1 - np.sum((s - 1.0 / a.dim) ** 2))
 
 
 def distance_table(bases: list[Basis], tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .catalog import FAMILY_ARITY, FamilyPoint, family_matrix
 from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance, hadamard_defect
@@ -42,13 +41,22 @@ def spread_and_grads(unitaries: np.ndarray) -> tuple[float, np.ndarray]:
     return f, grads
 
 
-def _skew(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m - m.conj().T)
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp of each skew-Hermitian matrix in a stack (..., n, n), unitary up to rounding.
+
+    -iA is Hermitian with eigendecomposition V diag(w) V^dag, so
+    exp(A) = V diag(exp(iw)) V^dag.
+    """
+    w, v = np.linalg.eigh(-1j * a)
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+STOP_REASONS = ("target", "gradient", "step-underflow", "iteration-cap")
 
 
 @dataclass
 class SpreadResult:
-    """Outcome of one ascent run."""
+    """Outcome of one ascent run; `stop_reason` is one of STOP_REASONS."""
 
     n: int
     m: int
@@ -58,7 +66,12 @@ class SpreadResult:
     trajectory: np.ndarray  # objective after each accepted step
     seed: int | None
     trials: int
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether the run reached its target or a critical point (not a step underflow or the cap)."""
+        return self.stop_reason in ("target", "gradient")
 
 
 def maximize_spread(
@@ -79,7 +92,7 @@ def maximize_spread(
     stops the run early once reached (useful for extension scans).
     """
     if n < 2 or m < 2:
-        raise ValueError("need n >= 2 and m >= 2")
+        raise InadmissibleParameterError("need n >= 2 and m >= 2")
     frozen = list(frozen or [])
     if len(frozen) > m - 1:
         raise ValueError(f"{len(frozen)} frozen bases do not fit in m = {m}")
@@ -91,47 +104,39 @@ def maximize_spread(
         if mat.shape != (n, n):
             raise ValueError(f"frozen matrix {i - 1} has shape {mat.shape}, expected ({n}, {n})")
         us[i] = mat
-    n_free = m - 1 - len(frozen)
-    for i in range(m - n_free, m):
+    lo = 1 + len(frozen)  # the free slots are us[lo:]
+    for i in range(lo, m):
         us[i] = haar_unitary(n, rng)
-    free = list(range(m - n_free, m))
 
     upper = spread_upper_bound(n, m)
     f, grads = spread_and_grads(us)
     trajectory = [f]
     eps = initial_step
-    converged = False
+    stop_reason = "iteration-cap"
     trials = 0
-    accepted_since_renorm = 0
 
     while trials < iterations:
         trials += 1
         if target is not None and f >= target:
-            converged = True
+            stop_reason = "target"
             break
-        skews = [_skew(us[i].conj().T @ grads[i]) for i in free]
-        gnorm_sq = sum(float(np.sum(np.abs(a) ** 2)) for a in skews)
-        if not free or gnorm_sq < 1e-20:
-            converged = True
+        g = us[lo:].conj().swapaxes(1, 2) @ grads[lo:]
+        skews = 0.5 * (g - g.conj().swapaxes(1, 2))
+        gnorm_sq = float(np.sum(np.abs(skews) ** 2))
+        if gnorm_sq < 1e-20:
+            stop_reason = "gradient"
             break
         trial_us = us.copy()
-        for a, i in zip(skews, free):
-            trial_us[i] = us[i] @ expm(eps * a)
+        trial_us[lo:] = us[lo:] @ expm(eps * skews)
         f_trial, grads_trial = spread_and_grads(trial_us)
         if f_trial >= f + 1e-4 * eps * gnorm_sq:
             us, f, grads = trial_us, f_trial, grads_trial
             trajectory.append(f)
             eps = min(eps * 1.3, 2.0)
-            accepted_since_renorm += 1
-            if accepted_since_renorm >= 256:
-                accepted_since_renorm = 0
-                for i in free:
-                    w, _, vh = np.linalg.svd(us[i])
-                    us[i] = w @ vh
         else:
             eps *= 0.5
             if eps < 1e-14:
-                converged = True
+                stop_reason = "step-underflow"
                 break
 
     bases = [Basis(us[0], label="standard")]
@@ -147,7 +152,7 @@ def maximize_spread(
         trajectory=np.asarray(trajectory),
         seed=seed,
         trials=trials,
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 

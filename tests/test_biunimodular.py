@@ -5,6 +5,8 @@ from mubtools.biunimodular import (
     BJORCK,
     GAUSSIAN,
     CensusResult,
+    _new_solutions,
+    _ScrambledHalton,
     assemble_bases,
     autocorrelation,
     census_distance_report,
@@ -131,6 +133,42 @@ class TestNewtonCensus:
         tags = census6.metadata["bjorck_entry_tags"]
         assert sum(tags.values()) == 36 * 6
         assert tags.get("d-times-root12", 0) > 0
+
+
+class TestScrambledHalton:
+    @pytest.mark.parametrize("d", [2, 4, 5, 6])
+    def test_matches_scipy_bit_for_bit(self, d):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        for seed in range(6):
+            ours = _ScrambledHalton(d, seed)
+            # the call the census made before it stopped importing scipy
+            reference = qmc.Halton(d=d, scramble=True, seed=seed)
+            for take in (512, 1, 300, 1024, 7):
+                assert ours.random(take).tobytes() == reference.random(take).tobytes()
+
+    def test_points_lie_in_unit_cube_and_differ_by_seed(self):
+        a = _ScrambledHalton(5, 0).random(2048)
+        assert a.min() >= 0.0 and a.max() < 1.0
+        assert not np.array_equal(a, _ScrambledHalton(5, 1).random(2048))
+
+
+def test_new_solutions_matches_pairwise_loop():
+    """The batched dedupe keeps exactly the rows a one-by-one scan would keep."""
+    rng = np.random.default_rng(5)
+    tol = 1e-6
+    centres = rng.uniform(0, 2 * np.pi, (12, 5))
+    centres[0, 0] = 2 * np.pi - 1e-8  # a near-duplicate across the 2 pi wrap
+    for trial in range(20):
+        picks = rng.integers(0, len(centres), 60)
+        sols = (centres[picks] + rng.uniform(-2e-7, 2e-7, (60, 5))) % (2 * np.pi)
+        pool = sols[:0] if trial % 2 else centres[:3]
+        kept = list(pool)
+        expected = []
+        for i, sol in enumerate(sols):
+            if all(np.abs((sol - k + np.pi) % (2 * np.pi) - np.pi).max() > tol for k in kept):
+                kept.append(sol)
+                expected.append(i)
+        assert _new_solutions(sols, pool, tol) == expected
 
 
 class TestRootCensus:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import mubtools
 from mubtools import io as mio
 from mubtools.cli import main
 
@@ -172,6 +173,72 @@ def test_search_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
         assert lines == []
 
 
+@pytest.mark.parametrize(
+    "argv, env, code",
+    [
+        (["verify", "unbiased", "eye.json", "fourier.json"], {}, 0),
+        (["verify", "unbiased", "fourier.json", "fourier.json"], {}, 2),
+        (["verify", "unbiased", "eye.json", "flat.json"], {}, 3),  # flat.json is not unitary
+        (["verify", "unbiased", "eye.json", "eye6.json"], {}, 3),  # mixed dimensions
+        (["verify", "mubset", "flat.json"], {}, 3),
+        (["table", "eye.json", "flat.json"], {}, 3),
+        (["table", "eye.json"], {}, 3),
+        (["distance", "eye.json", "fourier.json"], {}, 0),
+        (["distance", "eye.json", "flat.json"], {}, 3),
+        (["distance", "eye.json", "eye6.json"], {}, 3),
+        (["distance", "nan.json", "nan.json"], {}, 3),
+        (["gen", "prime-mubs", "--p", "6"], {}, 4),
+        (["gen", "fourier", "--n", "0"], {}, 4),
+        (["gen", "weyl", "--n", "1"], {}, 4),
+        (["gen", "bn", "--theta", "0.5"], {}, 4),
+        (["census", "newton", "--n", "4", "--restarts", "10"], {}, 4),
+        (["census", "newton", "--n", "6", "--restarts", "0"], {}, 4),
+        (["optimize", "--n", "1", "--m", "3"], {}, 4),
+        (["optimize", "--n", "2", "--m", "2", "--seeds", "0"], {}, 4),
+        (["verify", "hadamard", "fourier.json"], {"MUBTOOLS_EQ_TOL": "abc"}, 4),
+        (["distance", "eye.json", "fourier.json"], {"MUBTOOLS_DEDUPE_TOL": ""}, 4),
+        (["table", "eye.json", "fourier.json"], {"MUBTOOLS_EQ_TOL": "1e-3"}, 4),  # not below dedupe
+        (["verify", "hadamard", "fourier.json"], {"MUBTOOLS_EQ_TOL": "nan"}, 4),
+    ],
+)
+def test_exit_codes(argv, env, code, tmp_path, monkeypatch, capsys):
+    """Bad files exit 3 and bad parameters exit 4, with nothing on stdout and no traceback."""
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    for name, matrix in (("eye", np.eye(4)), ("eye6", np.eye(6)), ("flat", np.full((4, 4), 0.5))):
+        (tmp_path / f"{name}.json").write_text(mio.dumps(mio.complex_matrix_payload(matrix)))
+    (tmp_path / "fourier.json").write_text(
+        mio.dumps(mio.complex_matrix_payload(np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2)))
+    (tmp_path / "nan.json").write_text('{"n": 1, "form": "complex", "entries": [[[NaN, 0]]]}')
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    if code in (3, 4):
+        assert out == ""
+
+
+def test_import_loads_no_scipy():
+    probe = "import sys, mubtools.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_fixture_provenance(tmp_path, monkeypatch, capsys):
+    """A written fixture records the versions and argv that made it, not a fixed date."""
+    from importlib import resources
+
+    monkeypatch.setattr(resources, "files", lambda package: tmp_path)
+    argv = ["search", "hadamards", "--n", "6", "--k", "3", "--checkpoint", str(tmp_path / "c.json"),
+            "-o", str(tmp_path / "h.jsonl"), "--write-fixtures"]
+    assert main(argv) == 0
+    provenance = json.loads((tmp_path / "fixtures" / "S.json").read_text())["provenance"]
+    assert "date" not in provenance
+    assert provenance["argv"] == argv
+    assert provenance["versions"] == {"mubtools": mubtools.__version__, "numpy": np.__version__}
+    assert provenance["search"]["matrices_found"] == 12
+
+
 class TestOptimizeAndScan:
     def test_optimize_report(self, tmp_path):
         out = tmp_path / "opt.json"
@@ -181,6 +248,9 @@ class TestOptimizeAndScan:
         assert payload["best_objective"] <= 12.0 + 1e-9
         assert len(payload["runs"]) == 2
         assert payload["seed_origin"] == "explicit"
+        for run in payload["runs"]:
+            assert run["stop_reason"] in ("target", "gradient", "step-underflow", "iteration-cap")
+            assert run["converged"] == (run["stop_reason"] in ("target", "gradient"))
 
     def test_optimize_derives_seed_when_missing(self, tmp_path):
         out = tmp_path / "opt.json"

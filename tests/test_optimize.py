@@ -5,7 +5,7 @@ from mubtools.catalog import h4
 from mubtools.constructions import fourier
 from mubtools.core import Basis
 from mubtools.grassmann import spread_objective, spread_upper_bound
-from mubtools.optimize import haar_unitary, maximize_spread, scan_family, spread_and_grads
+from mubtools.optimize import STOP_REASONS, expm, haar_unitary, maximize_spread, scan_family, spread_and_grads
 
 
 class TestSpreadAndGrads:
@@ -48,7 +48,48 @@ class TestSpreadAndGrads:
             assert abs(f0 - f1) < 1e-9
 
 
+class TestExpm:
+    def test_unitary_and_matches_eigendecomposition(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 4, 6):
+            z = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+            skews = 0.5 * (z - z.conj().swapaxes(1, 2))
+            out = expm(skews)
+            for a, u in zip(skews, out):
+                assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-13
+                # reference: diagonalize the normal matrix A itself, exp(A) = V exp(D) V^-1
+                d, v = np.linalg.eig(a)
+                reference = (v * np.exp(d)) @ np.linalg.inv(v)
+                assert np.abs(u - reference).max() <= 1e-12
+
+    def test_small_argument_series(self):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        a = 1e-3 * 0.5 * (z - z.conj().T)
+        series = np.eye(3) + a + a @ a / 2 + a @ a @ a / 6 + a @ a @ a @ a / 24
+        assert np.abs(expm(a) - series).max() <= 1e-14
+
+
 class TestMaximizeSpread:
+    def test_long_run_stays_unitary(self):
+        result = maximize_spread(6, 4, seed=0, iterations=4000)
+        for basis in result.bases:
+            assert basis.unitarity_defect() <= 1e-12
+
+    def test_stop_reasons(self):
+        reached = maximize_spread(2, 3, seed=0, target=3 - 1e-9)
+        assert reached.stop_reason == "target" and reached.converged
+        capped = maximize_spread(6, 4, seed=0, iterations=20)
+        assert capped.stop_reason == "iteration-cap" and not capped.converged
+        assert capped.trials == 20
+        frozen = maximize_spread(2, 2, frozen=[np.eye(2)])
+        assert frozen.stop_reason == "gradient" and frozen.converged
+        # a local maximum below the bound: backtracking halves the step to nothing
+        stalled = maximize_spread(6, 4, seed=0, iterations=4000)
+        assert stalled.stop_reason == "step-underflow" and not stalled.converged
+        assert stalled.trials < 4000
+        assert {r.stop_reason for r in (reached, capped, frozen, stalled)} == set(STOP_REASONS)
+
     def test_qubit_complete_set(self):
         result = maximize_spread(2, 3, seed=0, target=3 - 1e-9)
         assert result.objective == pytest.approx(3.0, abs=1e-7)
