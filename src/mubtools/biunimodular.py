@@ -13,6 +13,7 @@ from . import search as search_mod
 from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance
 from .constructions import _is_prime, fourier
 from .grassmann import distance_table
+from .io import FileFormatError
 
 GAUSSIAN = "gaussian"
 BJORCK = "bjorck"
@@ -171,23 +172,31 @@ class CensusResult:
 
     @staticmethod
     def from_dict(payload: dict) -> "CensusResult":
+        """Inverse of to_dict; anything that is not a well-formed census raises FileFormatError."""
         if payload.get("format") != "census":
-            raise ValueError("not a census payload")
-        sequences = tuple(
-            BiuniSequence(
-                entries=tuple(complex(re, im) for re, im in item["entries"]),
-                kind=item["kind"],
+            raise FileFormatError("not a census payload")
+        try:
+            n = int(payload["n"])
+            sequences = tuple(
+                BiuniSequence(
+                    entries=tuple(complex(re, im) for re, im in item["entries"]),
+                    kind=item["kind"],
+                )
+                for item in payload["sequences"]
             )
-            for item in payload["sequences"]
-        )
-        bases = tuple(
-            Basis(
-                np.array([[complex(re, im) for re, im in row] for row in item["entries"]]),
-                label=item.get("label", ""),
+            bases = tuple(
+                Basis(
+                    np.array([[complex(re, im) for re, im in row] for row in item["entries"]]),
+                    label=item.get("label", ""),
+                )
+                for item in payload.get("bases", [])
             )
-            for item in payload.get("bases", [])
-        )
-        return CensusResult(n=int(payload["n"]), sequences=sequences, bases=bases, metadata=payload["metadata"])
+            metadata = dict(payload["metadata"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise FileFormatError(f"malformed census payload: {exc}") from exc
+        if any(s.n != n for s in sequences) or any(b.dim != n for b in bases):
+            raise FileFormatError(f"census entries do not all have length n = {n}")
+        return CensusResult(n=n, sequences=sequences, bases=bases, metadata=metadata)
 
 
 def _within(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from .core import InadmissibleParameterError
 from .cyclotomic import RootVector, is_orthogonal
+from .io import RootMatrix, loads, parse_matrix
 
 FAMILY_ARITY = {
     "H4": 1,
@@ -157,27 +157,22 @@ def load_fixture(name: str) -> np.ndarray:
         raise ValueError(f"unknown fixture {name!r}; known: {sorted(_FIXTURE_ROOT_ORDERS)}")
     ref = resources.files("mubtools").joinpath(f"fixtures/{name}.json")
     try:
-        payload = json.loads(ref.read_text())
+        parsed = parse_matrix(loads(ref.read_text()))
     except FileNotFoundError as exc:
         raise FileNotFoundError(
             f"fixture {name} missing; regenerate with "
             f"`mubtools search hadamards --n 6 --k {_FIXTURE_ROOT_ORDERS[name]} --write-fixtures`"
         ) from exc
-    if payload.get("form") != "roots":
+    if not isinstance(parsed, RootMatrix):
         raise ValueError(f"fixture {name} is not in root form")
-    k = int(payload["k"])
-    if k != _FIXTURE_ROOT_ORDERS[name]:
-        raise ValueError(f"fixture {name} has root order {k}, expected {_FIXTURE_ROOT_ORDERS[name]}")
-    exps = np.asarray(payload["exponents"], dtype=int)
-    n = int(payload["n"])
-    if exps.shape != (n, n):
-        raise ValueError(f"fixture {name} has shape {exps.shape}, expected ({n}, {n})")
-    cols = [RootVector(k, tuple(exps[:, j])) for j in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
+    if parsed.k != _FIXTURE_ROOT_ORDERS[name]:
+        raise ValueError(f"fixture {name} has root order {parsed.k}, expected {_FIXTURE_ROOT_ORDERS[name]}")
+    cols = [RootVector(parsed.k, tuple(parsed.exponents[:, j])) for j in range(parsed.n)]
+    for i in range(parsed.n):
+        for j in range(i + 1, parsed.n):
             if not is_orthogonal(cols[i], cols[j]):
                 raise ValueError(f"fixture {name} failed exact verification: columns {i},{j} not orthogonal")
-    return np.exp(2j * np.pi * exps / k) / np.sqrt(n)
+    return parsed.to_complex()
 
 
 def family_matrix(point: FamilyPoint) -> np.ndarray:

@@ -245,7 +245,10 @@ def _cmd_census(args) -> int:
 def _cmd_assemble(args) -> int:
     tol = _tolerance()
     census = biunimodular.CensusResult.from_dict(mio.loads(_read_text(args.census)))
-    census = biunimodular.assemble_bases(census, tol=tol)
+    try:
+        census = biunimodular.assemble_bases(census, tol=tol)
+    except ValueError as exc:  # an empty census, or a basis that is not unbiased to standard and Fourier
+        raise mio.FileFormatError(str(exc)) from None
     _write_text(args.output, mio.dumps(census.to_dict()))
     print(f"assembled {len(census.bases)} bases", file=sys.stderr)
     return EXIT_OK
@@ -254,9 +257,12 @@ def _cmd_assemble(args) -> int:
 def _cmd_report(args) -> int:
     tol = _tolerance()
     census = biunimodular.CensusResult.from_dict(mio.loads(_read_text(args.census)))
-    if not census.bases:
-        census = biunimodular.assemble_bases(census, tol=tol)
-    report = biunimodular.census_distance_report(census, tol=tol)
+    try:
+        if not census.bases:
+            census = biunimodular.assemble_bases(census, tol=tol)
+        report = biunimodular.census_distance_report(census, tol=tol)
+    except ValueError as exc:  # an empty census, non-unitary bases, or not the full census structure
+        raise mio.FileFormatError(str(exc)) from None
     if args.csv:
         _write_text(args.csv, mio.distance_csv(list(report.labels), report.table))
     stats = dict(report.stats)
@@ -387,6 +393,8 @@ def _downsample(traj: np.ndarray, limit: int = 200) -> np.ndarray:
 
 
 def _cmd_scan(args) -> int:
+    if args.seeds < 1:
+        raise InadmissibleParameterError("need --seeds >= 1")
     tol = _tolerance()
     family = {"h4": "H4", "f6": "F6", "bn": "BN"}[args.family]
     n = 4 if family == "H4" else 6

@@ -4,12 +4,11 @@ and the chordal distance between basis planes."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import isqrt
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Basis, Tolerance, overlap_squares
+from .core import DEFAULT_TOL, Basis, Tolerance
 
 
 @lru_cache(maxsize=None)
@@ -113,25 +112,35 @@ def chordal_distance_sq(p1: np.ndarray, p2: np.ndarray) -> float:
     return float(n - 1 - np.sum(p1 * p2))
 
 
+def gram_deviations(unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram blocks G_ij = U_i^dag U_j of a stack (m, N, N) of unitaries, and |G_ij|^2 - 1/N.
+
+    Every squared chordal distance in the package is N-1 minus the sum of
+    squares of one deviation block.
+    """
+    us = np.asarray(unitaries)
+    g = np.einsum("iba,jbc->ijac", us.conj(), us)
+    return g, np.abs(g) ** 2 - 1.0 / us.shape[-1]
+
+
 def chordal_distance_sq_overlap(a: Basis, b: Basis, tol: Tolerance = DEFAULT_TOL) -> float:
     """Overlap form of the squared chordal distance: N-1 - sum_ab (|<a|b>|^2 - 1/N)^2."""
-    s = overlap_squares(a, b, tol)
-    return float(a.dim - 1 - np.sum((s - 1.0 / a.dim) ** 2))
+    return float(distance_table([a, b], tol)[0, 1])
 
 
 def distance_table(bases: list[Basis], tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric table of pairwise squared chordal distances (zero diagonal)."""
+    """Symmetric table of pairwise squared chordal distances (zero diagonal), in overlap form."""
     if len(bases) < 2:
         raise ValueError("need at least two bases")
     dims = {b.dim for b in bases}
     if len(dims) != 1:
         raise ValueError(f"bases of mixed dimensions: {sorted(dims)}")
-    projs = [basis_projector(b, tol) for b in bases]
-    m = len(bases)
-    table = np.zeros((m, m))
-    for i, j in combinations(range(m), 2):
-        table[i, j] = table[j, i] = chordal_distance_sq(projs[i], projs[j])
-    return table
+    for b in bases:
+        b.require_unitary(tol)
+    _, dev = gram_deviations(np.stack([b.matrix for b in bases]))
+    # entry (i, j) is taken from G_ij with i < j; the mirror makes the table exactly symmetric
+    table = np.triu(bases[0].dim - 1 - np.einsum("ijab,ijab->ij", dev, dev), 1)
+    return table + table.T
 
 
 def spread_objective(bases: list[Basis], tol: Tolerance = DEFAULT_TOL) -> float:

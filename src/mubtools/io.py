@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclotomic import RootVector
-
 
 class FileFormatError(ValueError):
     """A file or stream does not match the expected schema."""
@@ -86,9 +84,6 @@ class RootMatrix:
 
     def to_complex(self) -> np.ndarray:
         return np.exp(2j * np.pi * self.exponents / self.k) / np.sqrt(self.n)
-
-    def columns(self) -> list[RootVector]:
-        return [RootVector(self.k, tuple(self.exponents[:, j])) for j in range(self.n)]
 
 
 def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .catalog import FAMILY_ARITY, FamilyPoint, family_matrix
 from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance, hadamard_defect
-from .grassmann import chordal_distance_sq_overlap, spread_upper_bound
+from .grassmann import distance_table, gram_deviations, spread_upper_bound
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -28,8 +28,7 @@ def spread_and_grads(unitaries: np.ndarray) -> tuple[float, np.ndarray]:
     """
     us = np.asarray(unitaries)
     m, n, _ = us.shape
-    g = np.einsum("iba,jbc->ijac", us.conj(), us)
-    dev = np.abs(g) ** 2 - 1.0 / n
+    g, dev = gram_deviations(us)
     f = m * (m - 1) / 2 * (n - 1) - 0.5 * float(np.einsum("ijab,ijab->", dev, dev))
     # remove the diagonal pair terms from both the objective and the gradient
     diag = np.einsum("iiab,iiab->", dev, dev)
@@ -183,6 +182,8 @@ def scan_family(
     extension_m bases with the standard basis and the family member frozen.
     Inadmissible points become rows with NaN entries rather than failures.
     """
+    if extension_m is not None and not seeds:
+        raise InadmissibleParameterError("an extension scan needs at least one seed")
     arity = FAMILY_ARITY[family]
     pts = np.asarray(grid, dtype=float).reshape(-1, arity) if arity else np.zeros((1, 0))
     rows: list[ScanRow] = []
@@ -196,7 +197,7 @@ def scan_family(
             )
             continue
         basis = Basis(mat, label=f"{family}{tuple(round(p, 6) for p in params)}")
-        dists = tuple(chordal_distance_sq_overlap(b, basis, tol) for b in against)
+        dists = tuple(float(d) for d in distance_table([*against, basis], tol)[-1, :-1]) if against else ()
         score = float("nan")
         if extension_m is not None:
             target = spread_upper_bound(basis.dim, extension_m) - 1e-7

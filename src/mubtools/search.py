@@ -398,13 +398,6 @@ def root_hadamard_enumerate(
     )
 
 
-def exponents_to_complex(exponent_matrix: np.ndarray, k: int) -> np.ndarray:
-    """Normalized complex matrix for an exponent matrix over k-th roots."""
-    exps = np.asarray(exponent_matrix)
-    n = exps.shape[0]
-    return np.exp(2j * np.pi * exps / k) / np.sqrt(n)
-
-
 def _haagerup_buckets(matrices: list[np.ndarray], k: int) -> list[list[int]]:
     """Matrix indices grouped by equal Haagerup multiset, groups in order of first appearance.
 

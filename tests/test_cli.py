@@ -7,6 +7,7 @@ import pytest
 
 import mubtools
 from mubtools import io as mio
+from mubtools.biunimodular import root_census
 from mubtools.cli import main
 
 
@@ -173,6 +174,12 @@ def test_search_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
         assert lines == []
 
 
+@pytest.fixture(scope="module")
+def roots_census_text():
+    """What `census roots --n 6 --k 12` writes."""
+    return mio.dumps(root_census(6, 12).to_dict())
+
+
 @pytest.mark.parametrize(
     "argv, env, code",
     [
@@ -199,11 +206,20 @@ def test_search_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
         (["distance", "eye.json", "fourier.json"], {"MUBTOOLS_DEDUPE_TOL": ""}, 4),
         (["table", "eye.json", "fourier.json"], {"MUBTOOLS_EQ_TOL": "1e-3"}, 4),  # not below dedupe
         (["verify", "hadamard", "fourier.json"], {"MUBTOOLS_EQ_TOL": "nan"}, 4),
+        (["assemble", "fourier.json"], {}, 3),  # a matrix file, not a census
+        (["assemble", "stub-census.json"], {}, 3),  # census header without sequences or metadata
+        (["assemble", "empty-census.json"], {}, 3),
+        (["report", "empty-census.json"], {}, 3),
+        (["report", "roots-census.json"], {}, 3),  # 12 gaussians only: not the full census structure
+        (["scan", "h4", "--points", "1", "--extension-m", "5", "--seeds", "0"], {}, 4),
     ],
 )
-def test_exit_codes(argv, env, code, tmp_path, monkeypatch, capsys):
+def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, capsys):
     """Bad files exit 3 and bad parameters exit 4, with nothing on stdout and no traceback."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "stub-census.json").write_text('{"format": "census", "n": 6}')
+    (tmp_path / "empty-census.json").write_text('{"format": "census", "n": 6, "metadata": {}, "sequences": []}')
+    (tmp_path / "roots-census.json").write_text(roots_census_text)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     for name, matrix in (("eye", np.eye(4)), ("eye6", np.eye(6)), ("flat", np.full((4, 4), 0.5))):

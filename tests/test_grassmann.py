@@ -172,6 +172,25 @@ class TestDistanceTable:
         with pytest.raises(ValueError):
             distance_table([Basis.standard(3)])
 
+    def test_matches_projector_oracle(self):
+        rng = np.random.default_rng(8)
+        for n in range(2, 8):
+            for m in (3, 4, 5):
+                bases = [Basis(haar(n, rng)) for _ in range(m)]
+                projs = [basis_projector(b) for b in bases]
+                table = distance_table(bases)
+                for i, j in np.ndindex(m, m):
+                    if i != j:
+                        assert abs(table[i, j] - chordal_distance_sq(projs[i], projs[j])) < 1e-12
+                assert np.array_equal(table, table.T)
+                assert np.all(np.diag(table) == 0.0)
+
+    def test_rejects_non_unitary_and_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            distance_table([Basis.standard(3), Basis(np.full((3, 3), 0.5)), fourier(3)])
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            distance_table([Basis.standard(3), fourier(4)])
+
 
 class TestSpreadObjective:
     def test_complete_set_n3(self):

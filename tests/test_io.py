@@ -4,7 +4,6 @@ import pytest
 from mubtools import io as mio
 from mubtools.catalog import bjorck_c
 from mubtools.constructions import fourier
-from mubtools.search import exponents_to_complex
 
 
 def test_complex_roundtrip_byte_identical():
@@ -27,7 +26,7 @@ def test_root_form_interchange():
     parsed = mio.parse_matrix(mio.loads(mio.dumps(payload)))
     assert isinstance(parsed, mio.RootMatrix)
     assert np.array_equal(parsed.exponents, exps)
-    assert np.allclose(parsed.to_complex(), exponents_to_complex(exps, 3))
+    assert np.allclose(parsed.to_complex(), fourier(3).matrix)
 
 
 def test_malformed_inputs():

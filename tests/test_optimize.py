@@ -3,7 +3,7 @@ import pytest
 
 from mubtools.catalog import h4
 from mubtools.constructions import fourier
-from mubtools.core import Basis
+from mubtools.core import Basis, InadmissibleParameterError
 from mubtools.grassmann import spread_objective, spread_upper_bound
 from mubtools.optimize import STOP_REASONS, expm, haar_unitary, maximize_spread, scan_family, spread_and_grads
 
@@ -160,3 +160,9 @@ class TestScanFamily:
         for row in rows[1:]:
             assert row.admissible
             assert row.hadamard_defect < 1e-9
+
+    def test_empty_against_and_seeds(self):
+        rows = scan_family("H4", np.array([[0.0], [np.pi / 2]]), [])
+        assert [row.distances for row in rows] == [(), ()]
+        with pytest.raises(InadmissibleParameterError, match="seed"):
+            scan_family("H4", np.array([[0.0]]), [], extension_m=5, seeds=())

@@ -7,13 +7,13 @@ from mubtools.catalog import load_fixture
 from mubtools.constructions import prime_mub_set
 from mubtools.core import Basis, Tolerance, haagerup_invariants, is_complex_hadamard, is_unbiased_pair
 from mubtools.cyclotomic import RootVector, is_orthogonal, is_unbiased_exact
+from mubtools.io import RootMatrix
 from mubtools.search import (
     EnumerationBudgetError,
     _digit_matrix,
     _NodeBudget,
     _norm_sq_is,
     cliques,
-    exponents_to_complex,
     mub_quartet_search,
     mub_triplet_search,
     root_hadamard_enumerate,
@@ -21,6 +21,10 @@ from mubtools.search import (
 )
 
 TOL = Tolerance(eq_tol=1e-10, dedupe_tol=1e-6)
+
+
+def to_complex(exps: np.ndarray, k: int) -> np.ndarray:
+    return RootMatrix(len(exps), k, np.asarray(exps)).to_complex()
 
 
 def same_basis_projectively(a: np.ndarray, b: np.ndarray, tol=1e-9) -> bool:
@@ -52,25 +56,25 @@ class TestHadamardEnumerate:
         assert len(enum.matrices) > 0
         assert len(enum.buckets) == 1
         lexleast = min(enum.matrices, key=lambda m: tuple(m.ravel()))
-        assert np.allclose(exponents_to_complex(lexleast, 3), load_fixture("S"))
+        assert np.allclose(to_complex(lexleast, 3), load_fixture("S"))
 
     def test_n6_k4_contains_dita0(self):
         enum = root_hadamard_enumerate(6, 4)
         assert enum.complete and len(enum.buckets) == 1
         lexleast = min(enum.matrices, key=lambda m: tuple(m.ravel()))
-        assert np.allclose(exponents_to_complex(lexleast, 4), load_fixture("DITA0"))
+        assert np.allclose(to_complex(lexleast, 4), load_fixture("DITA0"))
 
     def test_n4_k2_real_hadamard_single_bucket(self):
         enum = root_hadamard_enumerate(4, 2)
         assert enum.complete
         assert len(enum.buckets) == 1
-        assert all(is_complex_hadamard(exponents_to_complex(m, 2), TOL) for m in enum.matrices)
+        assert all(is_complex_hadamard(to_complex(m, 2), TOL) for m in enum.matrices)
 
     def test_emitted_matrices_pass_float_predicates(self):
         for n, k in ((3, 3), (6, 3), (6, 4), (4, 2)):
             enum = root_hadamard_enumerate(n, k)
             for m in enum.matrices:
-                assert is_complex_hadamard(exponents_to_complex(m, k), TOL)
+                assert is_complex_hadamard(to_complex(m, k), TOL)
 
     def test_completeness_against_bruteforce_n3_k3(self):
         # oracle: all 3^(2*3) exponent grids with first row and column zero,
@@ -96,7 +100,7 @@ class TestHadamardEnumerate:
         enum = root_hadamard_enumerate(n, k)
         groups: dict = {}
         for i, m in enumerate(enum.matrices):
-            inv = haagerup_invariants(exponents_to_complex(m, k), TOL)
+            inv = haagerup_invariants(to_complex(m, k), TOL)
             groups.setdefault(frozenset(inv.items()), []).append(i)
         assert enum.buckets == list(groups.values())
 
@@ -124,8 +128,8 @@ class TestTripletSearch:
         outcome = mub_triplet_search(2, 4)
         assert outcome.complete and len(outcome.results) == 1
         h1, h2 = outcome.results[0]
-        m1 = exponents_to_complex(h1, 4)
-        m2 = exponents_to_complex(h2, 4)
+        m1 = to_complex(h1, 4)
+        m2 = to_complex(h2, 4)
         x_eigen = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         y_eigen = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)
         assert same_basis_projectively(m1, x_eigen)
@@ -138,8 +142,8 @@ class TestTripletSearch:
         targets = [np.asarray(b.matrix) for b in mubs.bases[1:]]
         hit = False
         for h1, h2 in outcome.results:
-            m1 = exponents_to_complex(h1, 3)
-            m2 = exponents_to_complex(h2, 3)
+            m1 = to_complex(h1, 3)
+            m2 = to_complex(h2, 3)
             for a, b in ((0, 1), (0, 2), (1, 2)):
                 if (same_basis_projectively(m1, targets[a]) and same_basis_projectively(m2, targets[b])) or (
                     same_basis_projectively(m1, targets[b]) and same_basis_projectively(m2, targets[a])
@@ -150,8 +154,8 @@ class TestTripletSearch:
     def test_triplets_are_mub_numerically(self):
         outcome = mub_triplet_search(3, 3)
         for h1, h2 in outcome.results:
-            b1 = Basis(exponents_to_complex(h1, 3))
-            b2 = Basis(exponents_to_complex(h2, 3))
+            b1 = Basis(to_complex(h1, 3))
+            b2 = Basis(to_complex(h2, 3))
             for basis in (b1, b2):
                 assert is_complex_hadamard(basis.matrix, TOL)
             ok, dev = is_unbiased_pair(b1, b2, TOL)
@@ -167,7 +171,7 @@ class TestQuartetSearch:
         triplet_keys = {(h1.tobytes(), h2.tobytes()) for h1, h2 in triplets.results}
         for h1, h2, h3 in outcome.results:
             assert (h1.tobytes(), h2.tobytes()) in triplet_keys
-            bases = [Basis(exponents_to_complex(h, 3)) for h in (h1, h2, h3)]
+            bases = [Basis(to_complex(h, 3)) for h in (h1, h2, h3)]
             for i, j in combinations(range(3), 2):
                 ok, dev = is_unbiased_pair(bases[i], bases[j], TOL)
                 assert ok, dev
