@@ -2,12 +2,14 @@
 
 stdout carries machine-parseable JSON/CSV; human-readable notes go to
 stderr.  Exit codes: 0 success / verification passed, 2 verification
-failed, 3 malformed input file, 4 inadmissible parameter.
+failed, 3 malformed input file, 4 inadmissible parameter (usage errors
+included).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import secrets
 import sys
@@ -32,6 +34,38 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
 EXIT_MALFORMED = 3
 EXIT_INADMISSIBLE = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are inadmissible parameters (exit 4); argparse's own exit 2 means "verification failed" here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InadmissibleParameterError(f"{self.prog}: {message}")
+
+
+def _int_at_least(low: int):
+    """argparse type for integers >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _env_float(name: str, default: float) -> float:
@@ -347,8 +381,6 @@ def _write_fixture(outcome, n: int, k: int, argv: list[str]) -> None:
 
 
 def _cmd_optimize(args) -> int:
-    if args.seeds < 1:
-        raise InadmissibleParameterError("need --seeds >= 1")
     seed, origin = _resolve_seed(args.seed)
     runs = []
     best = None
@@ -393,8 +425,6 @@ def _downsample(traj: np.ndarray, limit: int = 200) -> np.ndarray:
 
 
 def _cmd_scan(args) -> int:
-    if args.seeds < 1:
-        raise InadmissibleParameterError("need --seeds >= 1")
     tol = _tolerance()
     family = {"h4": "H4", "f6": "F6", "bn": "BN"}[args.family]
     n = 4 if family == "H4" else 6
@@ -449,7 +479,7 @@ def _cmd_ks_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mubtools", description=__doc__)
+    parser = _Parser(prog="mubtools", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate catalog objects")
@@ -466,12 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
     p = gen_sub.add_parser("h4")
-    p.add_argument("--phi", type=float, required=True)
+    p.add_argument("--phi", type=_finite_float, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
     p = gen_sub.add_parser("f6")
-    p.add_argument("--phi1", type=float, default=0.0)
-    p.add_argument("--phi2", type=float, default=0.0)
+    p.add_argument("--phi1", type=_finite_float, default=0.0)
+    p.add_argument("--phi2", type=_finite_float, default=0.0)
     p.add_argument("--transpose", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
@@ -479,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
     p = gen_sub.add_parser("bn")
-    p.add_argument("--theta", type=float, required=True, help="phase of the unimodular parameter")
+    p.add_argument("--theta", type=_finite_float, required=True, help="phase of the unimodular parameter")
     p.add_argument("--branch", type=int, choices=(1, -1), default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
@@ -506,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cen_sub.add_parser("newton")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--restarts", type=int, default=20000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_non_negative_int)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_census)
     p = cen_sub.add_parser("roots")
@@ -529,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("depth", choices=("hadamards", "triplets", "quartets"))
     sea.add_argument("--n", type=int, required=True)
     sea.add_argument("--k", type=int, required=True)
-    sea.add_argument("--budget", type=int)
+    sea.add_argument("--budget", type=_non_negative_int)
     sea.add_argument("--resume", help="checkpoint token from an interrupted run")
     sea.add_argument("--checkpoint", help="where to write the checkpoint on budget exhaustion "
                      "(default <depth>-n<n>-k<k>.checkpoint.json)")
@@ -541,19 +571,19 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("optimize", help="maximize the spread objective")
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--m", type=int, required=True)
-    o.add_argument("--seeds", type=int, default=1)
-    o.add_argument("--seed", type=int)
-    o.add_argument("--iterations", type=int, default=4000)
+    o.add_argument("--seeds", type=_positive_int, default=1)
+    o.add_argument("--seed", type=_non_negative_int)
+    o.add_argument("--iterations", type=_positive_int, default=4000)
     o.add_argument("-o", "--output")
     o.set_defaults(func=_cmd_optimize)
 
     sc = sub.add_parser("scan", help="parameter scans over catalog families")
     sc.add_argument("family", choices=("h4", "f6", "bn"))
-    sc.add_argument("--points", type=int, default=360)
+    sc.add_argument("--points", type=_positive_int, default=360)
     sc.add_argument("--extension-m", type=int)
-    sc.add_argument("--seeds", type=int, default=2)
-    sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--iterations", type=int, default=4000)
+    sc.add_argument("--seeds", type=_positive_int, default=2)
+    sc.add_argument("--seed", type=_non_negative_int, default=0)
+    sc.add_argument("--iterations", type=_positive_int, default=4000)
     sc.add_argument("--with-fourier", action="store_true")
     sc.add_argument("--csv")
     sc.set_defaults(func=_cmd_scan)
@@ -566,10 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(argv)
+        args.argv = sys.argv[1:] if argv is None else list(argv)
         return args.func(args)
     except mio.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

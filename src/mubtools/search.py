@@ -2,16 +2,15 @@
 
 All predicates used for pruning are exact: a candidate column is a vector of
 k-th roots of unity, and orthogonality/unbiasedness between two dephased
-columns depends only on their exponent difference.  The k^(n-1) possible
-difference vectors are classified once by one exact test, "the sum of the
-roots has squared modulus t" decided in Z[zeta] (t = 0 for orthogonality,
-t = n for unbiasedness).  After that the searches work on integer indices and
-boolean tables: one dense orthogonality matrix per candidate set, and one
-clique enumerator (`cliques`) that picks mutually orthogonal columns.
+columns depends only on their exponent difference.  Difference vectors are
+classified by one exact test, "the sum of the roots has squared modulus t"
+decided in Z[zeta] (t = 0 orthogonal, t = n unbiased), once per permutation
+orbit of their digits (`_orbit_hits`).  The searches then work on integer
+indices and boolean tables: one dense orthogonality matrix per candidate set,
+and one clique enumerator (`cliques`) that picks mutually orthogonal columns.
 Hadamards are bucketed by the integer histogram of their Haagerup exponents.
-The triplet and quartet stages only ever need columns unbiased to the
-all-ones column (the base set), so their unbiasedness rows are packed bits
-over the base set.
+The triplet and quartet stages only need columns unbiased to the all-ones
+column (the base set), so their unbiasedness rows are packed bits over it.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop that charges a node budget.
@@ -28,7 +27,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm
+from itertools import chain, combinations_with_replacement
+from math import comb, lcm
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .cyclotomic import RootVector, reduction_matrix
 from .io import FileFormatError
 
 MAX_CANDIDATES = 10**8
-_CHUNK = 1 << 19
 _BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 1,296 exponents at n = 6
 
 
@@ -174,6 +173,24 @@ def _candidate_count(n: int, k: int) -> int:
     return m
 
 
+def _orbit_hits(n: int, k: int, target: int) -> np.ndarray:
+    """Sorted indices of the digit vectors e in [0, k)^(n-1) with |1 + sum_j zeta_k^(e_j)|^2 == target.
+
+    `_norm_sq_is` decides one non-decreasing representative per digit multiset; each hit is
+    expanded over the digits it has left, one position at a time, in time linear in the hits.
+    """
+    reps = np.fromiter(chain.from_iterable(combinations_with_replacement(range(k), n - 1)), dtype=np.int16)
+    reps = reps.reshape(comb(k + n - 2, n - 1), n - 1)
+    hits = reps[_norm_sq_is(reps, k, target, np.abs(1.0 + _unit_roots(k)[reps].sum(axis=1)) ** 2)]
+    left = _row_histogram(hits, k)  # digits each partial arrangement has still to place
+    idx = np.zeros(len(hits), dtype=np.int64)
+    for j in range(n - 1):
+        rows, digit = np.nonzero(left)
+        idx = idx[rows] + digit * k**j
+        left = left[rows] - np.eye(k, dtype=left.dtype)[digit]
+    return np.sort(idx)
+
+
 @lru_cache(maxsize=3)
 def _difference_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(exponents, powers, orth_diff, unb_diff) for all k^(n-1) dephased difference vectors.
@@ -182,21 +199,16 @@ def _difference_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     unb_diff[i]:  |1 + sum_a zeta^{d_a}|^2 = n exactly.
     """
     m_total = _candidate_count(n, k)
-    roots = _unit_roots(k)
-    exps = np.empty((m_total, n - 1), dtype=np.int16)
-    orth = np.zeros(m_total, dtype=bool)
-    unb = np.zeros(m_total, dtype=bool)
-    for lo in range(0, m_total, _CHUNK):
-        hi = min(lo + _CHUNK, m_total)
-        digits = _digit_matrix(np.arange(lo, hi, dtype=np.int64), n, k)
-        exps[lo:hi] = digits
-        norm_sq = np.abs(1.0 + roots[digits].sum(axis=1)) ** 2
-        orth[lo:hi] = _norm_sq_is(digits, k, 0, norm_sq)
-        unb[lo:hi] = _norm_sq_is(digits, k, n, norm_sq)
+    exps = np.empty((k,) * (n - 1) + (n - 1,), dtype=np.int16)  # digit j runs along grid axis n-2-j
+    for j in range(n - 1):
+        exps[..., j] = np.arange(k, dtype=np.int16).reshape((k,) + (1,) * j)
+    exps = exps.reshape(m_total, n - 1)
+    orth, unb = np.zeros((2, m_total), dtype=bool)
+    orth[_orbit_hits(n, k, 0)] = True
+    unb[_orbit_hits(n, k, n)] = True
     powers = (k ** np.arange(n - 1)).astype(np.int64)
-    for arr in (exps, orth, unb):
+    for arr in (exps, orth, unb, powers):
         arr.setflags(write=False)
-    powers.setflags(write=False)
     return exps, powers, orth, unb
 
 
@@ -236,26 +248,14 @@ def unbiased_vector_enumerate(n: int, k: int) -> list[RootVector]:
     every b, with x_a = zeta_k^{e_a} and e_0 = 0.  These are precisely the
     root-restricted biunimodular candidates.
     """
-    m_total = _candidate_count(n, k)
+    _candidate_count(n, k)
     kk = lcm(k, n)
-    # Pass b = 0 runs chunked over everything; later passes touch survivors only.
-    survivors = []
-    for lo in range(0, m_total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, m_total), dtype=np.int64)
-        survivors.append(idx[_fourier_unbiased_mask(_digit_matrix(idx, n, k), n, k, kk, b=0)])
-    alive = np.concatenate(survivors)
+    # column b = 0 depends on the digit multiset only; the others are decided on its survivors
+    alive = _orbit_hits(n, k, n)
     for b in range(1, n):
-        if len(alive) == 0:
-            break
-        alive = alive[_fourier_unbiased_mask(_digit_matrix(alive, n, k), n, k, kk, b)]
+        phases = (_digit_matrix(alive, n, k).astype(np.int64) * (kk // k) + b * (kk // n) * np.arange(1, n)) % kk
+        alive = alive[_norm_sq_is(phases, kk, n, np.abs(1.0 + _unit_roots(kk)[phases].sum(axis=1)) ** 2)]
     return [RootVector(k, (0,) + tuple(int(e) for e in row)) for row in _digit_matrix(alive, n, k)]
-
-
-def _fourier_unbiased_mask(digits: np.ndarray, n: int, k: int, kk: int, b: int) -> np.ndarray:
-    """Rows of k-th-root exponents whose vector is exactly unbiased to Fourier column b, in Z[zeta_kk]."""
-    phases = (digits.astype(np.int64) * (kk // k) + (b * (kk // n) * np.arange(1, n))[None, :]) % kk
-    norm_sq = np.abs(1.0 + _unit_roots(kk)[phases].sum(axis=1)) ** 2
-    return _norm_sq_is(phases, kk, n, norm_sq)
 
 
 def _write_checkpoint(path: str, spec: SearchSpec, completed: list[tuple[int, list]]) -> None:

@@ -94,6 +94,17 @@ def test_criterion_2_gaussian_root_census():
     )
 
 
+def test_gaussian_root_census_k36():
+    """k = 36 (36^5 = 60 M candidates, inside the enumeration guard) finds the same 12 sequences as k = 12."""
+    c12 = root_census(6, 12)
+    c36 = root_census(6, 36)
+    assert c36.count == 12
+    assert c36.metadata["candidates"] == 36**5
+    assert {tuple(np.round(s.phases(), 9)) for s in c36.sequences} == {
+        tuple(np.round(s.phases(), 9)) for s in c12.sequences
+    }
+
+
 def test_criterion_3_newton_census_three_seeds(census6):
     results = {11: census6}
     times = {11: float("nan")}

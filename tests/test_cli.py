@@ -212,6 +212,14 @@ def roots_census_text():
         (["report", "empty-census.json"], {}, 3),
         (["report", "roots-census.json"], {}, 3),  # 12 gaussians only: not the full census structure
         (["scan", "h4", "--points", "1", "--extension-m", "5", "--seeds", "0"], {}, 4),
+        (["scan", "h4", "--points", "-3"], {}, 4),
+        (["gen", "h4", "--phi", "nan"], {}, 4),
+        (["gen", "h4", "--phi", "inf"], {}, 4),
+        (["gen", "bn", "--theta", "nan"], {}, 4),
+        (["census", "newton", "--n", "6", "--restarts", "10", "--seed", "-1"], {}, 4),
+        (["search", "hadamards", "--n", "6", "--k", "3", "--budget", "-5"], {}, 4),
+        (["optimize", "--n", "4", "--m", "3", "--iterations", "-1"], {}, 4),
+        (["optimize", "--n", "4", "--m", "3", "--seed", "x"], {}, 4),  # argparse usage error, not exit 2
     ],
 )
 def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, capsys):

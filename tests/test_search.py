@@ -10,9 +10,11 @@ from mubtools.cyclotomic import RootVector, is_orthogonal, is_unbiased_exact
 from mubtools.io import RootMatrix
 from mubtools.search import (
     EnumerationBudgetError,
+    _difference_tables,
     _digit_matrix,
     _NodeBudget,
     _norm_sq_is,
+    _orbit_hits,
     cliques,
     mub_quartet_search,
     mub_triplet_search,
@@ -228,6 +230,45 @@ def test_norm_test_matches_cyclotomic_predicates(n, k):
         assert _norm_sq_is(digits, k, target, approx).tolist() == expected
         # an approximation equal to the target sends every row through the exact test
         assert _norm_sq_is(digits, k, target, np.full(len(digits), float(target))).tolist() == expected
+
+
+def _scan_hits(n: int, k: int, target: int) -> np.ndarray:
+    """Brute-force oracle for `_orbit_hits`: the chunked scan over every dephased vector it replaced."""
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    m_total = k ** (n - 1)
+    hits = []
+    for lo in range(0, m_total, 1 << 19):
+        idx = np.arange(lo, min(lo + (1 << 19), m_total), dtype=np.int64)
+        digits = _digit_matrix(idx, n, k)
+        hits.append(idx[_norm_sq_is(digits, k, target, np.abs(1.0 + roots[digits].sum(axis=1)) ** 2)])
+    return np.concatenate(hits)
+
+
+# (n-1)! reaches 1.2e17 at (20, 2): a hit expansion through all permutations could not finish these
+_ORBIT_HIT_COUNTS = {(7, 12, 0): 15540, (13, 3, 13): 72072, (20, 2, 0): 92378}
+
+
+@pytest.mark.parametrize(
+    "n,k", [(2, 4), (3, 6), (4, 4), (4, 12), (5, 5), (6, 6), (6, 12), (7, 12), (13, 3), (20, 2)]
+)
+def test_orbit_hits_match_full_scan(n, k):
+    for target in (0, n):
+        hits = _orbit_hits(n, k, target)
+        assert np.array_equal(hits, _scan_hits(n, k, target))
+        if (n, k, target) in _ORBIT_HIT_COUNTS:
+            assert len(hits) == _ORBIT_HIT_COUNTS[n, k, target]
+
+
+@pytest.mark.parametrize("n,k", [(6, 12), (6, 24)])
+def test_difference_tables_match_full_scan(n, k):
+    exps, powers, orth, unb = _difference_tables(n, k)
+    m_total = k ** (n - 1)
+    assert np.array_equal(exps, _digit_matrix(np.arange(m_total), n, k))
+    assert np.array_equal(powers, k ** np.arange(n - 1))
+    for table, target in ((orth, 0), (unb, n)):
+        expected = np.zeros(m_total, dtype=bool)
+        expected[_scan_hits(n, k, target)] = True
+        assert np.array_equal(table, expected)
 
 
 def _result_bytes(results) -> list[bytes]:
