@@ -196,6 +196,9 @@ class CensusResult:
             raise FileFormatError(f"malformed census payload: {exc}") from exc
         if any(s.n != n for s in sequences) or any(b.dim != n for b in bases):
             raise FileFormatError(f"census entries do not all have length n = {n}")
+        entries = [s.entries for s in sequences] + [b.matrix for b in bases]
+        if not all(np.isfinite(e).all() for e in entries):
+            raise FileFormatError("census entries must be finite")
         return CensusResult(n=n, sequences=sequences, bases=bases, metadata=metadata)
 
 

@@ -206,6 +206,8 @@ def _cmd_verify(args) -> int:
         for path in args.files:
             mat = _load_matrix(path)
             defect = hadamard_defect(mat)
+            if not math.isfinite(defect):  # entries near the float limit overflow the products
+                raise mio.FileFormatError(f"{path}: hadamard defect {defect} is not finite")
             ok = is_complex_hadamard(mat, tol)
             reports.append({"file": path, "check": "hadamard", "pass": ok, "defect": defect})
             failures += 0 if ok else 1

@@ -96,15 +96,22 @@ def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:
             m = np.array([[complex(re, im) for re, im in row] for row in entries])
             if m.shape != (n, n):
                 raise FileFormatError(f"entry grid is {m.shape}, header says n = {n}")
+            if not np.isfinite(m).all():
+                raise FileFormatError("matrix entries must be finite")
             return m
         if form == "roots":
+            k = int(payload["k"])
+            if k < 1:
+                raise FileFormatError(f"root order k must be >= 1, got {k}")
+            if not all(type(e) is int for row in payload["exponents"] for e in row):
+                raise FileFormatError("exponents must be integers")
             exps = np.asarray(payload["exponents"], dtype=int)
             if exps.shape != (n, n):
                 raise FileFormatError(f"exponent grid is {exps.shape}, header says n = {n}")
-            return RootMatrix(n=n, k=int(payload["k"]), exponents=exps)
+            return RootMatrix(n=n, k=k, exponents=exps)
     except FileFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed matrix payload: {exc}") from exc
     raise FileFormatError(f"unknown matrix form {form!r}")
 

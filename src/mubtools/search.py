@@ -5,12 +5,16 @@ k-th roots of unity, and orthogonality/unbiasedness between two dephased
 columns depends only on their exponent difference.  Difference vectors are
 classified by one exact test, "the sum of the roots has squared modulus t"
 decided in Z[zeta] (t = 0 orthogonal, t = n unbiased), once per permutation
-orbit of their digits (`_orbit_hits`).  The searches then work on integer
-indices and boolean tables: one dense orthogonality matrix per candidate set,
-and one clique enumerator (`cliques`) that picks mutually orthogonal columns.
-Hadamards are bucketed by the integer histogram of their Haagerup exponents.
+orbit of their digits (`_orbit_hits`).  A vector is indexed by its exponent
+digits in base k, and the verdicts are two boolean tables over those indices;
+`_digit_matrix` is the one decoder, and each stage decodes only the rows it
+reads.  The searches then use one dense orthogonality matrix per candidate
+set, and one clique enumerator (`cliques`) that picks mutually orthogonal
+columns.  Hadamards are bucketed by the integer histogram of their Haagerup
+exponents (a necessary condition for equivalence, not a sufficient one).
 The triplet and quartet stages only need columns unbiased to the all-ones
-column (the base set), so their unbiasedness rows are packed bits over it.
+column (the base set), so they work in positions of that set and keep their
+unbiasedness rows as packed bits over it.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop that charges a node budget.
@@ -165,9 +169,9 @@ def _candidate_count(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise InadmissibleParameterError(f"need n >= 1 and k >= 1, got n = {n}, k = {k}")
     m = k ** (n - 1)
-    if m > MAX_CANDIDATES:
+    if max(m, k * k) > MAX_CANDIDATES:  # the exact test reduces by the phi(k) x k `reduction_matrix(k)`
         raise EnumerationBudgetError(
-            f"k^(n-1) = {m} exceeds the enumeration guard ({MAX_CANDIDATES}); "
+            f"k^(n-1) = {m} and k^2 = {k * k} must not exceed the enumeration guard ({MAX_CANDIDATES}); "
             "use the numerical multistart census instead"
         )
     return m
@@ -187,57 +191,53 @@ def _orbit_hits(n: int, k: int, target: int) -> np.ndarray:
     for j in range(n - 1):
         rows, digit = np.nonzero(left)
         idx = idx[rows] + digit * k**j
-        left = left[rows] - np.eye(k, dtype=left.dtype)[digit]
+        left = left[rows]
+        left[np.arange(len(rows)), digit] -= 1
     return np.sort(idx)
 
 
 @lru_cache(maxsize=3)
-def _difference_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(exponents, powers, orth_diff, unb_diff) for all k^(n-1) dephased difference vectors.
+def _difference_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(orth_diff, unb_diff) over all k^(n-1) dephased difference vectors, by candidate index.
 
     orth_diff[i]: 1 + sum_a zeta^{d_a} = 0 exactly.
     unb_diff[i]:  |1 + sum_a zeta^{d_a}|^2 = n exactly.
+    The digits d of index i are `_digit_matrix`; the stages decode only the rows they read.
     """
-    m_total = _candidate_count(n, k)
-    exps = np.empty((k,) * (n - 1) + (n - 1,), dtype=np.int16)  # digit j runs along grid axis n-2-j
-    for j in range(n - 1):
-        exps[..., j] = np.arange(k, dtype=np.int16).reshape((k,) + (1,) * j)
-    exps = exps.reshape(m_total, n - 1)
-    orth, unb = np.zeros((2, m_total), dtype=bool)
+    orth, unb = np.zeros((2, _candidate_count(n, k)), dtype=bool)
     orth[_orbit_hits(n, k, 0)] = True
     unb[_orbit_hits(n, k, n)] = True
-    powers = (k ** np.arange(n - 1)).astype(np.int64)
-    for arr in (exps, orth, unb, powers):
-        arr.setflags(write=False)
-    return exps, powers, orth, unb
+    orth.setflags(write=False)
+    unb.setflags(write=False)
+    return orth, unb
 
 
-def _diff_indices(exps: np.ndarray, base: np.ndarray, k: int, powers: np.ndarray) -> np.ndarray:
-    """Indices of (exps - base) mod k in the difference tables.
+def _diff_indices(digits: np.ndarray, base: np.ndarray, k: int) -> np.ndarray:
+    """Candidate indices of the difference digit rows (digits - base) mod k.
 
     Digit j contributes ((e_j - base_j) mod k) * k^j, read from a k-entry table
     per digit, so the rows need no modular arithmetic of their own.
     """
-    table = (np.arange(k) - base.astype(np.int64)[:, None]) % k * powers[:, None]
-    idx = np.zeros(len(exps), dtype=np.int64)
+    table = (np.arange(k) - base.astype(np.int64)[:, None]) % k * k ** np.arange(len(base))[:, None]
+    idx = np.zeros(len(digits), dtype=np.int64)
     for j, digit in enumerate(table):
-        idx += digit[exps[:, j]]
+        idx += digit[digits[:, j]]
     return idx
 
 
-def _orth_adjacency(cols: np.ndarray, k: int, powers: np.ndarray, orth_diff: np.ndarray) -> np.ndarray:
-    """Dense exact orthogonality matrix between dephased candidate columns (diagonal False)."""
+def _orth_adjacency(cols: np.ndarray, k: int, orth_diff: np.ndarray) -> np.ndarray:
+    """Dense exact orthogonality matrix between dephased digit rows (diagonal False)."""
     adj = np.empty((len(cols), len(cols)), dtype=bool)
     for i, col in enumerate(cols):
-        adj[i] = orth_diff[_diff_indices(cols, col, k, powers)]
+        adj[i] = orth_diff[_diff_indices(cols, col, k)]
     np.fill_diagonal(adj, False)
     return adj
 
 
-def _exponent_matrix(exps: np.ndarray, columns) -> np.ndarray:
-    """Exponent matrix whose j-th column is dephased candidate columns[j] (row 0 is zero)."""
-    mat = np.zeros((exps.shape[1] + 1, len(columns)), dtype=np.int16)
-    mat[1:] = exps[np.asarray(columns, dtype=np.int64)].T
+def _exponent_matrix(cols: np.ndarray) -> np.ndarray:
+    """Exponent matrix whose j-th column is the dephased digit row cols[j] (row 0 is zero)."""
+    mat = np.zeros((cols.shape[1] + 1, len(cols)), dtype=np.int16)
+    mat[1:] = cols.T
     return mat
 
 
@@ -306,6 +306,8 @@ class _UnitLoop:
 
     def __init__(self, depth: str, n: int, k: int, budget: int | None,
                  checkpoint_path: str | None, resume_token: str | None):
+        if n < 2:  # the 1 x 1 matrix (1) is a Hadamard that no stage's column search represents
+            raise InadmissibleParameterError(f"the searches need n >= 2, got n = {n}")
         self.spec = SearchSpec(n=n, k=k, depth=depth, budget=budget, resume_token=resume_token)
         self.done = _read_checkpoint(resume_token, self.spec) if resume_token else {}
         self.budget = _NodeBudget(budget)
@@ -375,19 +377,20 @@ def root_hadamard_enumerate(
     uninterrupted run returns.
     """
     loop = _UnitLoop("hadamards", n, k, budget, checkpoint_path, resume_token)
-    exps, powers, orth_diff, _ = _difference_tables(n, k)
-    s_idx = np.nonzero(orth_diff)[0]
-    adj = _orth_adjacency(exps[s_idx], k, powers, orth_diff)
+    orth_diff, _ = _difference_tables(n, k)
+    # row 0 is candidate 0, the all-ones first column (all exponents 0): orthogonal to every other row
+    cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth_diff))), n, k)
+    adj = _orth_adjacency(cols, k, orth_diff)
 
-    def matrices_from(first: int) -> list[np.ndarray] | None:
+    def matrices_from(unit: int) -> list[np.ndarray] | None:
+        first = unit + 1
         later = first + 1 + np.nonzero(adj[first, first + 1:])[0]
         found = cliques(adj[np.ix_(later, later)], n - 2, loop.budget)
         if found is None:
             return None
-        # candidate 0 has all exponents 0: the all-ones first column
-        return [_exponent_matrix(exps, [0, s_idx[first], *s_idx[later[rest]]]) for rest in found]
+        return [_exponent_matrix(cols[[0, first, *later[rest]]]) for rest in found]
 
-    outcome = loop.run(len(s_idx), 1, matrices_from)
+    outcome = loop.run(len(cols) - 1, 1, matrices_from)
     return HadamardEnumeration(
         spec=outcome.spec,
         matrices=outcome.results,
@@ -422,49 +425,43 @@ class _TripletContext:
     """Shared exact tables for the triplet/quartet stages.
 
     Every column of H2 (and H3) is unbiased to the all-ones column of H1, so
-    candidate rows are kept over that base set only: `base_idx` holds its
-    global candidate indices in increasing order, `base_exps` their exponents.
+    candidate columns are kept as positions in that base set: `base` holds
+    the digit rows of its members in increasing candidate order.
     """
 
     n: int
     k: int
-    exps: np.ndarray
-    powers: np.ndarray
     orth_diff: np.ndarray
     unb_diff: np.ndarray
-    base_idx: np.ndarray
-    base_exps: np.ndarray
+    base: np.ndarray
     row_cache: dict = field(default_factory=dict)
 
-    def unbiased_row(self, cand: int) -> np.ndarray:
-        """Packed bits over the base set: unbiased to candidate column `cand`."""
-        if cand not in self.row_cache:
-            idx = _diff_indices(self.base_exps, self.exps[cand], self.k, self.powers)
-            self.row_cache[cand] = np.packbits(self.unb_diff[idx])
-        return self.row_cache[cand]
+    def unbiased_row(self, col: np.ndarray) -> np.ndarray:
+        """Packed bits over the base set: unbiased to the dephased digit row `col`."""
+        key = col.tobytes()
+        if key not in self.row_cache:
+            self.row_cache[key] = np.packbits(self.unb_diff[_diff_indices(self.base, col, self.k)])
+        return self.row_cache[key]
 
     def candidates_for(self, matrix: np.ndarray) -> np.ndarray:
-        """Global candidate indices unbiased to every column of a dephased matrix."""
-        packed = np.packbits(np.ones(len(self.base_idx), dtype=bool))  # column 0: all-ones
+        """Base-set positions of the columns unbiased to every column of a dephased matrix."""
+        packed = np.packbits(np.ones(len(self.base), dtype=bool))  # column 0: all-ones
         for col in range(1, self.n):
-            cand = int(matrix[1:, col].astype(np.int64) @ self.powers)
-            packed = packed & self.unbiased_row(cand)
-        return self.base_idx[np.nonzero(np.unpackbits(packed, count=len(self.base_idx)))[0]]
+            packed = packed & self.unbiased_row(matrix[1:, col])
+        return np.flatnonzero(np.unpackbits(packed, count=len(self.base)))
 
     def mutually_orthogonal_bases(self, cand: np.ndarray) -> list[np.ndarray]:
-        """Exponent matrices of all n-subsets of `cand` that are pairwise exactly orthogonal."""
-        adj = _orth_adjacency(self.exps[cand], self.k, self.powers, self.orth_diff)
-        return [_exponent_matrix(self.exps, cand[members]) for members in cliques(adj, self.n)]
+        """Exponent matrices of the n-subsets of base positions `cand` that are pairwise exactly orthogonal."""
+        cols = self.base[cand]
+        adj = _orth_adjacency(cols, self.k, self.orth_diff)
+        return [_exponent_matrix(cols[members]) for members in cliques(adj, self.n)]
 
 
 def _make_context(n: int, k: int) -> _TripletContext:
-    exps, powers, orth_diff, unb_diff = _difference_tables(n, k)
+    orth_diff, unb_diff = _difference_tables(n, k)
     # a candidate's difference to the all-ones column is itself, so the base set is unb_diff
-    base_idx = np.nonzero(unb_diff)[0]
-    return _TripletContext(
-        n=n, k=k, exps=exps, powers=powers, orth_diff=orth_diff, unb_diff=unb_diff,
-        base_idx=base_idx, base_exps=exps[base_idx],
-    )
+    base = _digit_matrix(np.flatnonzero(unb_diff), n, k)
+    return _TripletContext(n=n, k=k, orth_diff=orth_diff, unb_diff=unb_diff, base=base)
 
 
 def mub_triplet_search(
@@ -521,10 +518,10 @@ def mub_quartet_search(
         if key not in cand_cache:
             cand_cache[key] = ctx.candidates_for(h1)
         cand = cand_cache[key]
-        sub = ctx.exps[cand]
+        sub = ctx.base[cand]
         keep = np.ones(len(cand), dtype=bool)
         for col in range(n):
-            keep &= ctx.unb_diff[_diff_indices(sub, h2[1:, col], k, ctx.powers)]
+            keep &= ctx.unb_diff[_diff_indices(sub, h2[1:, col], k)]
         return [(h1, h2, h3) for h3 in ctx.mutually_orthogonal_bases(cand[keep])]
 
     return loop.run(len(triplets.results), ctx.n, quartets_from, prior=triplets)

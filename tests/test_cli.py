@@ -1,4 +1,7 @@
+import argparse
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -8,7 +11,12 @@ import pytest
 import mubtools
 from mubtools import io as mio
 from mubtools.biunimodular import root_census
-from mubtools.cli import main
+from mubtools.cli import build_parser, main
+
+
+# child processes import the mubtools this process imported, installed or from a checkout's src/
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(mubtools.__file__)), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, stdin_text=None):
@@ -17,6 +25,7 @@ def run_cli(args, stdin_text=None):
         capture_output=True,
         text=True,
         input=stdin_text,
+        env=_CHILD_ENV,
     )
     return proc
 
@@ -220,6 +229,15 @@ def roots_census_text():
         (["search", "hadamards", "--n", "6", "--k", "3", "--budget", "-5"], {}, 4),
         (["optimize", "--n", "4", "--m", "3", "--iterations", "-1"], {}, 4),
         (["optimize", "--n", "4", "--m", "3", "--seed", "x"], {}, 4),  # argparse usage error, not exit 2
+        (["census", "roots", "--n", "2", "--k", "40000"], {}, 4),  # k^2 guard: digits would overflow int16
+        (["census", "roots", "--n", "2", "--k", "20000"], {}, 4),  # k^2 guard: k x phi(k) reduction table
+        (["search", "hadamards", "--n", "1", "--k", "3"], {}, 4),  # (1) is a Hadamard; no search for it
+        (["search", "triplets", "--n", "1", "--k", "2"], {}, 4),
+        (["verify", "hadamard", "nan.json"], {}, 3),
+        (["verify", "hadamard", "roots-k0.json"], {}, 3),
+        (["verify", "hadamard", "roots-inf.json"], {}, 3),  # exponent 1e400
+        (["verify", "hadamard", "roots-half.json"], {}, 3),  # exponent 0.5
+        (["verify", "hadamard", "huge.json"], {}, 3),  # entry 1e308: the defect overflows
     ],
 )
 def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, capsys):
@@ -235,6 +253,10 @@ def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, c
     (tmp_path / "fourier.json").write_text(
         mio.dumps(mio.complex_matrix_payload(np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2)))
     (tmp_path / "nan.json").write_text('{"n": 1, "form": "complex", "entries": [[[NaN, 0]]]}')
+    (tmp_path / "huge.json").write_text('{"n": 1, "form": "complex", "entries": [[[1e308, 0]]]}')
+    for name, k, exponent in (("k0", "0", "0"), ("inf", "2", "1e400"), ("half", "2", "0.5")):
+        (tmp_path / f"roots-{name}.json").write_text(
+            '{"n": 1, "form": "roots", "k": %s, "exponents": [[%s]]}' % (k, exponent))
     assert main(argv) == code
     out = capsys.readouterr().out
     if code in (3, 4):
@@ -243,7 +265,7 @@ def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, c
 
 def test_import_loads_no_scipy():
     probe = "import sys, mubtools.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -298,3 +320,135 @@ class TestKsCheck:
         assert payload["kochen_specker"]["uncolourable"] is True
         assert len(payload["kochen_specker"]["contexts"]) == 24
         assert payload["real3"]["mub_pair_exists"] is False
+
+
+# The generated exit-code contract: every leaf command of `build_parser()`, every typed (numeric)
+# option set to each bad value, and every input-file argument replaced by each bad file.
+_BAD_VALUES = ("-1", "0", "nan", "inf", "1e308", "x")
+_FILE_ARGS = {"files", "census", "resume"}  # dests that name input files
+_OUTPUT_ARGS = {"output", "csv", "checkpoint"}
+_BASE_ARGV = {  # cheap, valid invocations; numeric options are replaced or appended per case
+    ("gen", "fourier"): ["--n", "3"],
+    ("gen", "weyl"): ["--n", "3"],
+    ("gen", "prime-mubs"): ["--p", "3"],
+    ("gen", "h4"): ["--phi", "0.5"],
+    ("gen", "f6"): [],
+    ("gen", "bjorck"): [],
+    ("gen", "bn"): ["--theta", "2.0"],
+    ("gen", "real4"): [],
+    ("verify", "hadamard"): ["fourier.json"],
+    ("verify", "unbiased"): ["eye.json", "fourier.json"],
+    ("verify", "mubset"): ["mubs.json"],
+    ("distance",): ["eye.json", "fourier.json"],
+    ("table",): ["eye.json", "fourier.json"],
+    ("census", "newton"): ["--n", "6", "--restarts", "20", "--seed", "0"],
+    ("census", "roots"): ["--n", "3", "--k", "3"],
+    ("assemble",): ["census.json"],
+    ("report",): ["census.json"],
+    **{("search", depth): ["--n", "3", "--k", "3"] for depth in ("hadamards", "triplets", "quartets")},
+    ("optimize",): ["--n", "2", "--m", "2", "--iterations", "20", "--seed", "0"],
+    **{("scan", family): ["--points", "2", "--extension-m", "3", "--seeds", "1", "--iterations", "20"]
+       for family in ("h4", "f6", "bn")},
+    ("ks-check",): [],
+}
+_BAD_FILES = {
+    "missing": None,
+    "empty": "",
+    "not-json": "{oops",
+    "wrong-format": '{"format": "nonsense", "form": "nonsense", "n": 4}',
+    "nan": {
+        "files": '{"n": 2, "form": "complex", "entries": [[[NaN, 0], [1, 0]], [[1, 0], [NaN, 0]]]}',
+        "census": '{"format": "census", "n": 2, "metadata": {}, '
+                  '"sequences": [{"kind": "gaussian", "entries": [[NaN, 0], [1, 0]]}]}',
+        "resume": '{"spec": {"n": 3, "k": 3, "depth": "%s"}, "completed": [{"unit": 0, "results": [[NaN]]}]}',
+    },
+}
+
+
+def _leaf_commands(parser, path=()):
+    """(command path, leaf parser) for every runnable command; choice positionals are expanded."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        for name, child in subs[0].choices.items():
+            yield from _leaf_commands(child, path + (name,))
+        return
+    choice = [a for a in parser._actions if not a.option_strings and a.choices]
+    for value in choice[0].choices if choice else [None]:
+        yield (path if value is None else path + (value,)), parser
+
+
+def _generated_cases():
+    cases = []
+    for path, parser in _leaf_commands(build_parser()):
+        base = _BASE_ARGV[path]
+        cases.append(pytest.param([*path, *base], id=" ".join(path)))
+        for action in parser._actions:
+            if action.type is not None:  # every typed option is numeric
+                opt = action.option_strings[-1]
+                for value in _BAD_VALUES:
+                    argv = list(base)
+                    if opt in argv:
+                        argv[argv.index(opt) + 1] = value
+                    else:
+                        argv += [opt, value]
+                    cases.append(pytest.param([*path, *argv], id=f"{' '.join(path)} {opt}={value}"))
+                continue
+            if isinstance(action, argparse._HelpAction) or action.choices or action.nargs == 0:
+                continue
+            assert action.dest in _FILE_ARGS | _OUTPUT_ARGS, (path, action.dest)
+            if action.dest not in _FILE_ARGS:
+                continue
+            for variant in _BAD_FILES:
+                bad = f"{variant}-{action.dest}.json"
+                if action.option_strings:
+                    argv = [*base, action.option_strings[-1], bad]
+                else:
+                    argv = [bad if token.endswith(".json") else token for token in base]
+                cases.append(pytest.param([*path, *argv], id=f"{' '.join(path)} {action.dest}={variant}"))
+    return cases
+
+
+def _assert_finite_output(text: str) -> None:
+    def reject(token):
+        raise AssertionError(f"non-finite {token} in JSON output")
+
+    def walk(value):
+        if isinstance(value, float):
+            assert math.isfinite(value), value
+        elif isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item)
+
+    for line in text.splitlines():
+        try:
+            value = json.loads(line, parse_constant=reject)
+        except json.JSONDecodeError:  # a CSV line (table, scan); scan marks inadmissible points NaN
+            continue
+        walk(value)
+
+
+@pytest.mark.parametrize("argv", _generated_cases())
+def test_generated_exit_codes(argv, roots_census_text, tmp_path, monkeypatch, capsys):
+    """Any option value or input file exits 0, 2, 3 or 4, never with a traceback or a non-finite output."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "eye.json").write_text(mio.dumps(mio.complex_matrix_payload(np.eye(4))))
+    (tmp_path / "fourier.json").write_text(
+        mio.dumps(mio.complex_matrix_payload(np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2)))
+    assert main(["gen", "prime-mubs", "--p", "3", "-o", "mubs.json"]) == 0
+    (tmp_path / "census.json").write_text(roots_census_text)
+    depth = argv[1] if argv[0] == "search" else ""
+    for variant, text in _BAD_FILES.items():
+        for dest in _FILE_ARGS:
+            content = text.get(dest) if isinstance(text, dict) else text
+            if content is not None:
+                (tmp_path / f"{variant}-{dest}.json").write_text(content.replace("%s", depth))
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 0:
+        _assert_finite_output(out)

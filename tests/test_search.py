@@ -261,10 +261,8 @@ def test_orbit_hits_match_full_scan(n, k):
 
 @pytest.mark.parametrize("n,k", [(6, 12), (6, 24)])
 def test_difference_tables_match_full_scan(n, k):
-    exps, powers, orth, unb = _difference_tables(n, k)
+    orth, unb = _difference_tables(n, k)
     m_total = k ** (n - 1)
-    assert np.array_equal(exps, _digit_matrix(np.arange(m_total), n, k))
-    assert np.array_equal(powers, k ** np.arange(n - 1))
     for table, target in ((orth, 0), (unb, n)):
         expected = np.zeros(m_total, dtype=bool)
         expected[_scan_hits(n, k, target)] = True
