@@ -55,8 +55,7 @@ class Basis:
         return self.matrix[:, j]
 
     def unitarity_defect(self) -> float:
-        n = self.dim
-        return float(np.abs(self.matrix.conj().T @ self.matrix - np.eye(n)).max())
+        return unitarity_defect(self.matrix)
 
     def require_unitary(self, tol: Tolerance = DEFAULT_TOL) -> None:
         defect = self.unitarity_defect()
@@ -70,8 +69,10 @@ class Basis:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
+    """Max entry of |M^H M - I|; inf or NaN, without a warning, when the product overflows."""
     m = np.asarray(matrix, dtype=complex)
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
 
 
 def conjugate_basis(basis: Basis) -> Basis:

@@ -86,11 +86,18 @@ class RootMatrix:
         return np.exp(2j * np.pi * self.exponents / self.k) / np.sqrt(self.n)
 
 
+def _header_int(payload: dict, name: str) -> int:
+    value = payload[name]
+    if type(value) is not int:  # no bools, no truncated floats
+        raise FileFormatError(f"header {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:
     """Parse a matrix payload; complex form yields an ndarray, root form a RootMatrix."""
     try:
         form = payload["form"]
-        n = int(payload["n"])
+        n = _header_int(payload, "n")
         if form == "complex":
             entries = payload["entries"]
             m = np.array([[complex(re, im) for re, im in row] for row in entries])
@@ -100,7 +107,7 @@ def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:
                 raise FileFormatError("matrix entries must be finite")
             return m
         if form == "roots":
-            k = int(payload["k"])
+            k = _header_int(payload, "k")
             if k < 1:
                 raise FileFormatError(f"root order k must be >= 1, got {k}")
             if not all(type(e) is int for row in payload["exponents"] for e in row):

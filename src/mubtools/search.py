@@ -8,13 +8,14 @@ decided in Z[zeta] (t = 0 orthogonal, t = n unbiased), once per permutation
 orbit of their digits (`_orbit_hits`).  A vector is indexed by its exponent
 digits in base k, and the verdicts are two boolean tables over those indices;
 `_digit_matrix` is the one decoder, and each stage decodes only the rows it
-reads.  The searches then use one dense orthogonality matrix per candidate
-set, and one clique enumerator (`cliques`) that picks mutually orthogonal
-columns.  Hadamards are bucketed by the integer histogram of their Haagerup
-exponents (a necessary condition for equivalence, not a sufficient one).
-The triplet and quartet stages only need columns unbiased to the all-ones
-column (the base set), so they work in positions of that set and keep their
-unbiasedness rows as packed bits over it.
+reads.  One chunked kernel (`_difference_bits`) looks up the verdicts of
+many row/column differences at once and returns them as Python-int bitset
+rows; one clique enumerator (`cliques`) walks those rows to pick mutually
+orthogonal columns.  Hadamards are bucketed by the integer histogram of
+their Haagerup exponents (a necessary condition for equivalence, not a
+sufficient one).  The triplet and quartet stages only need columns unbiased
+to the all-ones column (the base set), so they work in positions of that
+set, with the unbiasedness rows of every H1 column as bitsets over it.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop that charges a node budget.
@@ -29,10 +30,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import chain, combinations_with_replacement
 from math import comb, lcm
+from operator import and_
 
 import numpy as np
 
@@ -43,6 +45,8 @@ from .io import FileFormatError
 
 MAX_CANDIDATES = 10**8
 _BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 1,296 exponents at n = 6
+_BLOCK = 1 << 15  # row x column pairs per chunk of `_difference_bits`
+_GROUP_ENTRIES = 1 << 17  # largest lookup of a digit group: (2k)^3 up to k = 25
 
 
 class EnumerationBudgetError(InadmissibleParameterError):
@@ -92,28 +96,53 @@ class _NodeBudget:
         return self.limit is None or self.used <= self.limit
 
 
-def cliques(adj: np.ndarray, size: int, budget: _NodeBudget | None = None) -> list[list[int]] | None:
-    """All `size`-cliques of a boolean adjacency matrix, in lexicographic order.
+def cliques(
+    adj: np.ndarray | list[int], size: int, budget: _NodeBudget | None = None, start: int | None = None
+) -> list[list[int]] | None:
+    """All `size`-cliques of a graph, in lexicographic order.
 
-    Each clique is an increasing list of vertex indices.  Every vertex tried
-    as a clique member charges one node to `budget`; once the budget is spent
-    the enumeration stops and returns None, never a partial list.
+    `adj` is a boolean adjacency matrix or its rows as Python-int bitsets
+    (bit j of row i is adj[i, j]); only the bits above i of row i are read.
+    The cliques are drawn from the vertices in the bitset `start` (default:
+    every vertex).  Each clique is an increasing list of vertex indices.
+    Every vertex tried as a clique member charges one node to `budget`; once
+    the budget is spent the enumeration stops and returns None, never a
+    partial list.
     """
+    rows = _bitsets(adj) if isinstance(adj, np.ndarray) else adj
     out: list[list[int]] = []
 
-    def extend(chosen: list[int], mask: np.ndarray) -> bool:
+    def extend(chosen: list[int], mask: int) -> bool:
         if len(chosen) == size:
             out.append(chosen)
             return True
-        start = chosen[-1] + 1 if chosen else 0
-        for nxt in np.nonzero(mask[start:])[0] + start:
+        while mask:  # the lowest set bit first, so the cliques come out in lexicographic order
+            low = mask & -mask
+            nxt = low.bit_length() - 1
+            mask ^= low  # now only the vertices above nxt
             if budget is not None and not budget.charge():
                 return False
-            if not extend(chosen + [int(nxt)], mask & adj[nxt]):
+            if not extend(chosen + [nxt], mask & rows[nxt]):
                 return False
         return True
 
-    return out if extend([], np.ones(len(adj), dtype=bool)) else None
+    return out if extend([], (1 << len(rows)) - 1 if start is None else start) else None
+
+
+def _bitsets(block: np.ndarray) -> list[int]:
+    """The rows of a boolean matrix as Python-int bitsets (bit j of row i is block[i, j])."""
+    packed = np.packbits(block, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of a bitset, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _digit_matrix(idx: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -212,26 +241,51 @@ def _difference_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return orth, unb
 
 
-def _diff_indices(digits: np.ndarray, base: np.ndarray, k: int) -> np.ndarray:
-    """Candidate indices of the difference digit rows (digits - base) mod k.
+@lru_cache(maxsize=8)
+def _digit_groups(d: int, k: int) -> tuple[tuple[slice, np.ndarray, np.ndarray], ...]:
+    """(digits, weights, lookup) per group of consecutive digits, for `_difference_bits`.
 
-    Digit j contributes ((e_j - base_j) mod k) * k^j, read from a k-entry table
-    per digit, so the rows need no modular arithmetic of their own.
+    A group's digits e are coded as e @ weights, in base 2k.  For two digit
+    rows e and f, code(e) - code(f) + k * sum(weights) has the base-2k digits
+    e_j - f_j + k, all in [1, 2k), with no borrows; `lookup` maps that number
+    to the group's share of the candidate index: the sum over its digit
+    positions j of ((e_j - f_j) mod k) * k^j.
+    Groups are as wide as keeps a lookup within _GROUP_ENTRIES entries.
     """
-    table = (np.arange(k) - base.astype(np.int64)[:, None]) % k * k ** np.arange(len(base))[:, None]
-    idx = np.zeros(len(digits), dtype=np.int64)
-    for j, digit in enumerate(table):
-        idx += digit[digits[:, j]]
-    return idx
+    width = 1
+    while width < d and (2 * k) ** (width + 1) <= _GROUP_ENTRIES:
+        width += 1
+    groups = []
+    for lo in range(0, d, width):
+        size = min(width, d - lo)
+        shifted = _digit_matrix(np.arange((2 * k) ** size), size + 1, 2 * k).astype(np.int64)
+        lookup = (shifted - k) % k @ k ** np.arange(lo, lo + size, dtype=np.int64)
+        weights = (2 * k) ** np.arange(size, dtype=np.int64)
+        weights.setflags(write=False)
+        lookup.setflags(write=False)
+        groups.append((slice(lo, lo + size), weights, lookup))
+    return tuple(groups)
 
 
-def _orth_adjacency(cols: np.ndarray, k: int, orth_diff: np.ndarray) -> np.ndarray:
-    """Dense exact orthogonality matrix between dephased digit rows (diagonal False)."""
-    adj = np.empty((len(cols), len(cols)), dtype=bool)
-    for i, col in enumerate(cols):
-        adj[i] = orth_diff[_diff_indices(cols, col, k)]
-    np.fill_diagonal(adj, False)
-    return adj
+def _difference_bits(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int) -> list[int]:
+    """Per digit row r of `rows`, the bitset over `cols`: bit j is table[index of (cols[j] - r) mod k].
+
+    Per digit group (`_digit_groups`) one subtraction of codes and one gather
+    give that group's share of the index; one gather from `table` then gives
+    the verdicts.  Rows go through in chunks of about _BLOCK pairs, so no
+    block larger than that is ever held.
+    """
+    groups = _digit_groups(rows.shape[1], k)
+    row_codes = [rows[:, digits].astype(np.int64) @ weights for digits, weights, _ in groups]
+    col_codes = [cols[:, digits].astype(np.int64) @ weights + k * int(weights.sum())
+                 for digits, weights, _ in groups]
+    step = max(1, _BLOCK // max(1, len(cols)))
+    out: list[int] = []
+    for lo in range(0, len(rows), step):
+        idx = sum(lookup.take(cc - rc[lo:lo + step, None])
+                  for (_, _, lookup), rc, cc in zip(groups, row_codes, col_codes))
+        out += _bitsets(table.take(idx))
+    return out
 
 
 def _exponent_matrix(cols: np.ndarray) -> np.ndarray:
@@ -380,15 +434,15 @@ def root_hadamard_enumerate(
     orth_diff, _ = _difference_tables(n, k)
     # row 0 is candidate 0, the all-ones first column (all exponents 0): orthogonal to every other row
     cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth_diff))), n, k)
-    adj = _orth_adjacency(cols, k, orth_diff)
+    adj = _difference_bits(orth_diff, cols, cols, k)
 
     def matrices_from(unit: int) -> list[np.ndarray] | None:
         first = unit + 1
-        later = first + 1 + np.nonzero(adj[first, first + 1:])[0]
-        found = cliques(adj[np.ix_(later, later)], n - 2, loop.budget)
+        later = adj[first] >> (first + 1) << (first + 1)
+        found = cliques(adj, n - 2, loop.budget, start=later)
         if found is None:
             return None
-        return [_exponent_matrix(cols[[0, first, *later[rest]]]) for rest in found]
+        return [_exponent_matrix(cols[[0, first, *rest]]) for rest in found]
 
     outcome = loop.run(len(cols) - 1, 1, matrices_from)
     return HadamardEnumeration(
@@ -426,7 +480,8 @@ class _TripletContext:
 
     Every column of H2 (and H3) is unbiased to the all-ones column of H1, so
     candidate columns are kept as positions in that base set: `base` holds
-    the digit rows of its members in increasing candidate order.
+    the digit rows of its members in increasing candidate order, and sets of
+    them are Python-int bitsets over those positions.
     """
 
     n: int
@@ -434,34 +489,28 @@ class _TripletContext:
     orth_diff: np.ndarray
     unb_diff: np.ndarray
     base: np.ndarray
-    row_cache: dict = field(default_factory=dict)
+    unbiased: dict[bytes, int]  # H1 column digits -> bitset of the base set unbiased to it
 
-    def unbiased_row(self, col: np.ndarray) -> np.ndarray:
-        """Packed bits over the base set: unbiased to the dephased digit row `col`."""
-        key = col.tobytes()
-        if key not in self.row_cache:
-            self.row_cache[key] = np.packbits(self.unb_diff[_diff_indices(self.base, col, self.k)])
-        return self.row_cache[key]
+    def candidates_for(self, matrix: np.ndarray) -> int:
+        """Bitset of the base set: the columns unbiased to every column of a dephased H1."""
+        return reduce(and_, (self.unbiased[col.tobytes()] for col in matrix[1:, 1:].T))
 
-    def candidates_for(self, matrix: np.ndarray) -> np.ndarray:
-        """Base-set positions of the columns unbiased to every column of a dephased matrix."""
-        packed = np.packbits(np.ones(len(self.base), dtype=bool))  # column 0: all-ones
-        for col in range(1, self.n):
-            packed = packed & self.unbiased_row(matrix[1:, col])
-        return np.flatnonzero(np.unpackbits(packed, count=len(self.base)))
-
-    def mutually_orthogonal_bases(self, cand: np.ndarray) -> list[np.ndarray]:
+    def mutually_orthogonal_bases(self, cand: list[int]) -> list[np.ndarray]:
         """Exponent matrices of the n-subsets of base positions `cand` that are pairwise exactly orthogonal."""
         cols = self.base[cand]
-        adj = _orth_adjacency(cols, self.k, self.orth_diff)
+        adj = _difference_bits(self.orth_diff, cols, cols, self.k)
         return [_exponent_matrix(cols[members]) for members in cliques(adj, self.n)]
 
 
-def _make_context(n: int, k: int) -> _TripletContext:
+def _make_context(n: int, k: int, matrices: list[np.ndarray]) -> _TripletContext:
+    """The context for H1 running over `matrices`, with the unbiased rows of all their columns."""
     orth_diff, unb_diff = _difference_tables(n, k)
     # a candidate's difference to the all-ones column is itself, so the base set is unb_diff
     base = _digit_matrix(np.flatnonzero(unb_diff), n, k)
-    return _TripletContext(n=n, k=k, orth_diff=orth_diff, unb_diff=unb_diff, base=base)
+    h1 = np.array(matrices, dtype=np.int16).reshape(-1, n, n)
+    cols = np.unique(h1[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, n - 1), axis=0)
+    unbiased = dict(zip(map(bytes, cols), _difference_bits(unb_diff, cols, base, k)))
+    return _TripletContext(n=n, k=k, orth_diff=orth_diff, unb_diff=unb_diff, base=base, unbiased=unbiased)
 
 
 def mub_triplet_search(
@@ -482,11 +531,11 @@ def mub_triplet_search(
     loop = _UnitLoop("triplets", n, k, budget, checkpoint_path, resume_token)
     if hadamards is None:
         hadamards = root_hadamard_enumerate(n, k, budget=None)
-    ctx = _make_context(n, k)
+    ctx = _make_context(n, k, hadamards.matrices)
 
     def triplets_from(hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
         h1 = hadamards.matrices[hi]
-        return [(h1, h2) for h2 in ctx.mutually_orthogonal_bases(ctx.candidates_for(h1))]
+        return [(h1, h2) for h2 in ctx.mutually_orthogonal_bases(_members(ctx.candidates_for(h1)))]
 
     return loop.run(len(hadamards.matrices), ctx.n, triplets_from, prior=hadamards)
 
@@ -509,19 +558,12 @@ def mub_quartet_search(
     loop = _UnitLoop("quartets", n, k, budget, checkpoint_path, resume_token)
     if triplets is None:
         triplets = mub_triplet_search(n, k, budget=None)
-    ctx = _make_context(n, k)
-    cand_cache: dict[bytes, np.ndarray] = {}
+    ctx = _make_context(n, k, [h1 for h1, _ in triplets.results])
 
     def quartets_from(ti: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         h1, h2 = triplets.results[ti]
-        key = h1.tobytes()
-        if key not in cand_cache:
-            cand_cache[key] = ctx.candidates_for(h1)
-        cand = cand_cache[key]
-        sub = ctx.base[cand]
-        keep = np.ones(len(cand), dtype=bool)
-        for col in range(n):
-            keep &= ctx.unb_diff[_diff_indices(sub, h2[1:, col], k)]
-        return [(h1, h2, h3) for h3 in ctx.mutually_orthogonal_bases(cand[keep])]
+        cand = _members(ctx.candidates_for(h1))
+        keep = reduce(and_, _difference_bits(ctx.unb_diff, h2[1:].T, ctx.base[cand], k))
+        return [(h1, h2, h3) for h3 in ctx.mutually_orthogonal_bases([cand[i] for i in _members(keep)])]
 
     return loop.run(len(triplets.results), ctx.n, quartets_from, prior=triplets)

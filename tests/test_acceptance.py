@@ -196,6 +196,7 @@ def test_criterion_6_no_quartets_at_desk_scale():
         and quartets.verdict == "empty"
         and len(partners) == 4
         and circulant_partners == 2
+        and (hadamards.nodes_used, triplets.nodes_used, quartets.nodes_used) == (53089, 66193, 69073)
         and elapsed < 7200
     )
     announce(
@@ -204,7 +205,7 @@ def test_criterion_6_no_quartets_at_desk_scale():
         f"12th-root search: {len(hadamards.matrices)} Hadamards, "
         f"{len(triplets.results)} MUB triplets ({len(partners)} with the Fourier matrix, "
         f"{circulant_partners} circulant), {len(quartets.results)} quartets "
-        f"(completed, {elapsed:.0f}s)",
+        f"(completed, {hadamards.nodes_used}/{triplets.nodes_used}/{quartets.nodes_used} nodes, {elapsed:.0f}s)",
     )
 
 
@@ -218,6 +219,7 @@ def test_no_quartets_at_k24():
     assert len(triplets.results) == 1920
     assert quartets.results == [] and quartets.verdict == "empty"
     assert hadamards.complete and triplets.complete and quartets.complete
+    assert (hadamards.nodes_used, triplets.nodes_used, quartets.nodes_used) == (181669, 227173, 238693)
 
 
 def test_criterion_7_real_dimensions():

@@ -238,6 +238,8 @@ def roots_census_text():
         (["verify", "hadamard", "roots-inf.json"], {}, 3),  # exponent 1e400
         (["verify", "hadamard", "roots-half.json"], {}, 3),  # exponent 0.5
         (["verify", "hadamard", "huge.json"], {}, 3),  # entry 1e308: the defect overflows
+        (["verify", "hadamard", "roots-k2.5.json"], {}, 3),  # was read as k = 2
+        (["verify", "hadamard", "complex-n1.9.json"], {}, 3),  # was read as n = 1
     ],
 )
 def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, capsys):
@@ -254,7 +256,8 @@ def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, c
         mio.dumps(mio.complex_matrix_payload(np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2)))
     (tmp_path / "nan.json").write_text('{"n": 1, "form": "complex", "entries": [[[NaN, 0]]]}')
     (tmp_path / "huge.json").write_text('{"n": 1, "form": "complex", "entries": [[[1e308, 0]]]}')
-    for name, k, exponent in (("k0", "0", "0"), ("inf", "2", "1e400"), ("half", "2", "0.5")):
+    (tmp_path / "complex-n1.9.json").write_text('{"n": 1.9, "form": "complex", "entries": [[[1, 0]]]}')
+    for name, k, exponent in (("k0", "0", "0"), ("inf", "2", "1e400"), ("half", "2", "0.5"), ("k2.5", "2.5", "0")):
         (tmp_path / f"roots-{name}.json").write_text(
             '{"n": 1, "form": "roots", "k": %s, "exponents": [[%s]]}' % (k, exponent))
     assert main(argv) == code

@@ -14,6 +14,7 @@ from mubtools.core import (
     is_complex_hadamard,
     is_unbiased_pair,
     overlap_squares,
+    unitarity_defect,
 )
 
 
@@ -101,6 +102,20 @@ class TestIsComplexHadamard:
     def test_fixture_families(self):
         assert is_complex_hadamard(load_fixture("S"))
         assert is_complex_hadamard(load_fixture("DITA0"))
+
+
+class TestUnitarityDefect:
+    def test_exact_unitary(self):
+        assert unitarity_defect(np.eye(3)) == 0.0
+        assert Basis(fourier(5).matrix).unitarity_defect() < 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [1e308, -1e308, 1e308 + 1e308j])
+    def test_overflow_gives_inf_without_a_warning(self, entry):
+        m = np.eye(2, dtype=complex)
+        m[0, 0] = entry
+        assert not np.isfinite(unitarity_defect(m))
+        assert not np.isfinite(Basis(m).unitarity_defect())
 
 
 class TestDephase:

@@ -40,6 +40,16 @@ def test_malformed_inputs():
         mio.parse_matrix({"n": 3, "form": "complex", "entries": [[[1.0, 0.0]]]})
 
 
+@pytest.mark.parametrize("header", [{"k": 2.5}, {"n": 1.9}, {"n": True}, {"k": True}, {"n": "1"}, {"k": 2.0}])
+def test_header_integers_are_not_truncated(header):
+    payload = {"n": 1, "form": "roots", "k": 2, "exponents": [[0]], **header}
+    with pytest.raises(mio.FileFormatError, match="integer"):
+        mio.parse_matrix(payload)
+    if "n" in header:
+        with pytest.raises(mio.FileFormatError, match="integer"):
+            mio.parse_matrix({"form": "complex", "entries": [[[1.0, 0.0]]], **header})
+
+
 def test_float_formatting_has_17_significant_digits():
     text = mio.dumps({"x": 1 / 3})
     assert "0.33333333333333331" in text

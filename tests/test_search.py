@@ -10,6 +10,8 @@ from mubtools.cyclotomic import RootVector, is_orthogonal, is_unbiased_exact
 from mubtools.io import RootMatrix
 from mubtools.search import (
     EnumerationBudgetError,
+    _bitsets,
+    _difference_bits,
     _difference_tables,
     _digit_matrix,
     _NodeBudget,
@@ -215,6 +217,38 @@ class TestCliques:
         for limit in range(counter.used):
             assert cliques(adj, 4, _NodeBudget(limit)) is None
         assert cliques(adj, 4, _NodeBudget(counter.used)) == full
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitset_rows_with_start_mask_match_induced_subgraph(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        m = 13
+        upper = np.triu(rng.random((m, m)) < 0.6, 1)
+        adj = upper | upper.T
+        rows = _bitsets(adj)
+        assert all(rows[i] >> j & 1 == adj[i, j] for i in range(m) for j in range(m))
+        chosen = np.flatnonzero(rng.random(m) < 0.7)
+        start = sum(1 << int(v) for v in chosen)
+        sub = adj[np.ix_(chosen, chosen)]
+        for size in range(6):
+            expected = [[int(chosen[i]) for i in c] for c in cliques(sub, size)]
+            assert expected == [list(c) for c in combinations(chosen.tolist(), size)
+                                if all(adj[a, b] for a, b in combinations(c, 2))]
+            assert cliques(rows, size, start=start) == expected
+
+
+# (5, 12) and (6, 12) split the digits into two lookup groups (3 + 1 and 3 + 2); the others use one
+@pytest.mark.parametrize("n,k", [(4, 4), (6, 3), (3, 6), (6, 4), (5, 12), (6, 12)])
+def test_difference_bits_match_per_pair_lookup(n, k):
+    orth, unb = _difference_tables(n, k)
+    orth_rows = _digit_matrix(np.flatnonzero(orth), n, k)
+    base = _digit_matrix(np.flatnonzero(unb), n, k)
+    weights = k ** np.arange(n - 1)
+    for table, rows, cols in ((orth, orth_rows, orth_rows), (unb, orth_rows, base), (orth, base, base)):
+        bits = _difference_bits(table, rows, cols, k)
+        assert len(bits) == len(rows)
+        for r, row_bits in zip(rows, bits):
+            expected = table[((cols.astype(int) - r) % k) @ weights]
+            assert row_bits == sum(1 << int(j) for j in np.flatnonzero(expected))
 
 
 @pytest.mark.parametrize("n,k", [(4, 4), (3, 6), (6, 3)])
