@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 
 from .core import InadmissibleParameterError
-from .cyclotomic import RootVector, is_orthogonal
+from .cyclotomic import _norm_sq_is
 from .io import RootMatrix, loads, parse_matrix
 
 FAMILY_ARITY = {
@@ -167,11 +167,13 @@ def load_fixture(name: str) -> np.ndarray:
         raise ValueError(f"fixture {name} is not in root form")
     if parsed.k != _FIXTURE_ROOT_ORDERS[name]:
         raise ValueError(f"fixture {name} has root order {parsed.k}, expected {_FIXTURE_ROOT_ORDERS[name]}")
-    cols = [RootVector(parsed.k, tuple(parsed.exponents[:, j])) for j in range(parsed.n)]
-    for i in range(parsed.n):
-        for j in range(i + 1, parsed.n):
-            if not is_orthogonal(cols[i], cols[j]):
-                raise ValueError(f"fixture {name} failed exact verification: columns {i},{j} not orthogonal")
+    # columns i < j are orthogonal iff 1 + sum_a zeta^(d_a - d_0) = 0 for d = e_j - e_i; all decided exactly
+    i, j = np.triu_indices(parsed.n, 1)
+    diffs = (parsed.exponents[:, j] - parsed.exponents[:, i]).T
+    orthogonal = _norm_sq_is((diffs[:, 1:] - diffs[:, :1]) % parsed.k, parsed.k, 0, np.zeros(len(i)))
+    if not orthogonal.all():
+        bad = np.argmin(orthogonal)
+        raise ValueError(f"fixture {name} failed exact verification: columns {i[bad]},{j[bad]} not orthogonal")
     return parsed.to_complex()
 
 

@@ -608,6 +608,9 @@ def main(argv: list[str] | None = None) -> int:
     except InadmissibleParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'the requested size is too large'}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
 
 
 if __name__ == "__main__":

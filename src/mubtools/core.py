@@ -133,10 +133,12 @@ def haagerup_invariants(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Cou
     """Multiset of quadruple products m_ij conj(m_kj) m_kl conj(m_il) over all index quadruples.
 
     Products are taken on the sqrt(N)-scaled entries, so for a Hadamard they
-    are unimodular.  Values are snapped to a dedupe_tol grid so that
-    multisets from equivalent matrices compare equal; the multiset is
-    invariant under row/column permutations and row/column phase
-    multiplication.
+    are unimodular.  The exact multiset is invariant under row/column
+    permutations and row/column phase multiplication.  Values are snapped to
+    a dedupe_tol grid before counting, which makes this a heuristic screen:
+    rounding errors that put a value near a cell edge can split equal values
+    between neighbouring cells, so equivalent matrices usually, but not
+    always, give equal multisets.
     """
     m = np.asarray(matrix, dtype=complex) * np.sqrt(matrix.shape[0])
     prods = np.einsum("ij,kj,kl,il->ikjl", m, m.conj(), m, m.conj()).ravel()

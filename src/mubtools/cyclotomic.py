@@ -3,61 +3,105 @@
 Elements of Z[zeta_k] are kept as integer coefficient vectors over the
 spanning set zeta_k^0 .. zeta_k^{k-1}.  That representation is redundant
 (the relations of the k-th cyclotomic polynomial identify different
-vectors), so equality and zero tests go through reduction modulo Phi_k:
-a vector represents zero exactly when the remainder of its polynomial
-after division by Phi_k vanishes.  Phi_k is monic with integer
-coefficients, so the division is exact integer arithmetic and the test
-is complete - no floating-point fallback is needed.
+vectors), so equality and zero tests reduce modulo Phi_k by one batched
+long-division remainder (`_phi_remainder`): Phi_k is monic, so it is exact
+integer arithmetic, with no floating-point fallback.  The same remainder
+decides the one batched test |1 + sum_j zeta_k^(e_j)|^2 == t
+(`_norm_sq_is`) behind the searches and the fixture check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 
 import numpy as np
 
+
+def _prime_factors(k: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    return primes + ([k] if k > 1 else [])
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_k, constant term first."""
+    """Integer coefficients of Phi_k, constant term first.
+
+    For the radical r of k, Phi_k(x) = Phi_r(x^(k/r)), and for squarefree r
+    Phi_r = prod_{d | r} (x^d - 1)^mu(r/d).  The mu = +1 factors are multiplied
+    in by shift-and-subtract; each mu = -1 factor is then divided out exactly
+    by one strided cumulative sum, since P / (x^d - 1) = -P (1 + x^d + x^2d + ...).
+    """
     if k < 1:
         raise ValueError("order must be positive")
-    # (x^k - 1) / prod_{d | k, d < k} Phi_d, by exact polynomial division.
-    poly = [-1] + [0] * (k - 1) + [1]
-    for d in range(1, k):
-        if k % d:
-            continue
-        divisor = cyclotomic_polynomial(d)
-        quot = [0] * (len(poly) - len(divisor) + 1)
-        rem = list(poly)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + len(divisor) - 1]
-            quot[i] = c
-            for j, bj in enumerate(divisor):
-                rem[i + j] -= c * bj
-        if any(rem):
-            raise AssertionError(f"Phi_{d} does not divide x^{k}-1")
-        poly = quot
-    return tuple(poly)
+    primes = _prime_factors(k)
+    # every intermediate is Phi_r times at most 2^(w-1) binomials x^d - 1: int64 holds it for w <= 6 primes
+    poly = np.ones(1, dtype=np.int64 if len(primes) <= 6 else object)
+    factors = [(prod(sub), (len(primes) - size) % 2)
+               for size in range(len(primes) + 1) for sub in combinations(primes, size)]
+    for d, odd in sorted(factors, key=lambda f: f[1]):  # mu(r/d) = +1 (even count) first
+        if not odd:
+            pad = np.zeros(d, dtype=poly.dtype)
+            poly = np.concatenate((pad, poly)) - np.concatenate((poly, pad))
+        else:
+            blocks = np.concatenate((poly, np.zeros(-len(poly) % d, dtype=poly.dtype))).reshape(-1, d)
+            poly = -np.cumsum(blocks, axis=0).ravel()[: len(poly) - d]
+    spread = k // prod(primes)
+    out = np.zeros((len(poly) - 1) * spread + 1, dtype=poly.dtype)
+    out[::spread] = poly
+    return tuple(int(c) for c in out)
 
 
-@lru_cache(maxsize=None)
-def reduction_matrix(k: int) -> np.ndarray:
-    """deg(Phi_k) x k integer matrix sending spanning-set vectors to the power basis mod Phi_k."""
-    phi = cyclotomic_polynomial(k)
+def _phi_remainder(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """Rows of coefficients of zeta_k^0 .. zeta_k^(k-1) reduced modulo Phi_k: their power-basis coordinates."""
+    # Phi_k(x) = Phi_r(x^s) for r the radical of k: each class of exponents mod s divides by Phi_r in x^s
+    spread = k // prod(_prime_factors(k))
+    phi = np.asarray(cyclotomic_polynomial(k)[::spread], dtype=np.int64)
     deg = len(phi) - 1
-    mat = np.zeros((deg, k), dtype=np.int64)
-    rep = np.zeros(deg, dtype=np.int64)
-    rep[0] = 1
-    for j in range(k):
-        mat[:, j] = rep
-        lead = rep[deg - 1]
-        rep = np.roll(rep, 1)
-        rep[0] = 0
-        if lead:
-            rep = rep - lead * np.asarray(phi[:deg], dtype=np.int64)
-    mat.setflags(write=False)
-    return mat
+    rem = np.array(coeffs, dtype=np.int64).reshape(-1, k // spread, spread)  # [row, q, j]: x^(q * spread + j)
+    for top in range(rem.shape[1] - 1, deg - 1, -1):
+        rem[:, top - deg:top] -= rem[:, top, None] * phi[:deg, None]
+    return rem[:, :deg].reshape(len(rem), -1)
+
+
+def _row_histogram(values: np.ndarray, k: int) -> np.ndarray:
+    """Per-row histogram over 0..k-1 of an integer matrix (rows x cols)."""
+    rows, cols = values.shape
+    offsets = values + k * np.arange(rows, dtype=np.int64)[:, None]
+    return np.bincount(offsets.ravel(), minlength=rows * k).reshape(rows, k)
+
+
+# A floating sum of n unit roots is accurate to ~1e-14, so a 1e-6 margin can
+# only ever discard candidates whose exact value provably misses the target;
+# every near-hit is then decided exactly.
+_PRESCREEN_MARGIN = 1e-6
+
+
+def _norm_sq_is(exps: np.ndarray, k: int, target: int, approx: np.ndarray) -> np.ndarray:
+    """Rows e of `exps` with |1 + sum_j zeta_k^(e_j)|^2 == target, decided exactly in Z[zeta_k].
+
+    `approx` holds the same squared moduli in floating point; rows farther
+    than _PRESCREEN_MARGIN from the target are misses without further work.
+    s * conj(s) is the histogram of the n^2 pairwise exponent differences of
+    (0, e), reduced modulo Phi_k; it is 0 only for s = 0, so target 0 decides s == 0.
+    """
+    near = np.abs(approx - target) < _PRESCREEN_MARGIN
+    out = np.zeros(len(exps), dtype=bool)
+    if not near.any():
+        return out
+    terms = np.pad(exps[near].astype(np.int64), ((0, 0), (1, 0)))  # the fixed leading entry zeta^0
+    prods = sum(_row_histogram((terms - terms[:, [a]]) % k, k) for a in range(terms.shape[1]))
+    prods[:, 0] -= target
+    out[near] = ~_phi_remainder(prods, k).any(axis=1)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +168,7 @@ class CyclotomicInt:
 
     def reduced(self) -> tuple[int, ...]:
         """Canonical coordinates in the power basis 1, zeta, ..., zeta^{deg(Phi_k)-1}."""
-        vec = reduction_matrix(self.order) @ np.asarray(self.coeffs, dtype=np.int64)
-        return tuple(int(v) for v in vec)
+        return tuple(int(v) for v in _phi_remainder(np.asarray(self.coeffs), self.order)[0])
 
     def is_zero(self) -> bool:
         return not any(self.reduced())

@@ -3,19 +3,20 @@
 All predicates used for pruning are exact: a candidate column is a vector of
 k-th roots of unity, and orthogonality/unbiasedness between two dephased
 columns depends only on their exponent difference.  Difference vectors are
-classified by one exact test, "the sum of the roots has squared modulus t"
-decided in Z[zeta] (t = 0 orthogonal, t = n unbiased), once per permutation
-orbit of their digits (`_orbit_hits`).  A vector is indexed by its exponent
-digits in base k, and the verdicts are two boolean tables over those indices;
-`_digit_matrix` is the one decoder, and each stage decodes only the rows it
-reads.  One chunked kernel (`_difference_bits`) looks up the verdicts of
-many row/column differences at once and returns them as Python-int bitset
-rows; one clique enumerator (`cliques`) walks those rows to pick mutually
-orthogonal columns.  Hadamards are bucketed by the integer histogram of
-their Haagerup exponents (a necessary condition for equivalence, not a
-sufficient one).  The triplet and quartet stages only need columns unbiased
-to the all-ones column (the base set), so they work in positions of that
-set, with the unbiasedness rows of every H1 column as bitsets over it.
+classified by the one batched exact test `cyclotomic._norm_sq_is`, "the sum
+of the roots has squared modulus t" in Z[zeta] (t = 0 orthogonal, t = n
+unbiased), once per permutation orbit of their digits (`_orbit_hits`).  A
+vector is indexed by its exponent digits in base k, and the verdicts are two
+boolean tables over those indices; `_digit_matrix` is the one decoder, and
+each stage decodes only the rows it reads.  One chunked kernel
+(`_difference_bits`) looks up the verdicts of many row/column differences at
+once and returns them as Python-int bitset rows; one clique enumerator
+(`cliques`) walks those rows to pick mutually orthogonal columns.  Hadamards
+are bucketed by the integer histogram of their Haagerup exponents (a
+necessary condition for equivalence, not a sufficient one).  The triplet and
+quartet stages only need columns unbiased to the all-ones column (the base
+set), so they work in positions of that set, with the unbiasedness rows of
+every H1 column as bitsets over it.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop that charges a node budget.
@@ -40,7 +41,7 @@ import numpy as np
 
 from .core import InadmissibleParameterError
 from .core import haagerup_invariants  # noqa: F401  (kept importable here; perfbench/child.py wraps it)
-from .cyclotomic import RootVector, reduction_matrix
+from .cyclotomic import RootVector, _norm_sq_is, _row_histogram
 from .io import FileFormatError
 
 MAX_CANDIDATES = 10**8
@@ -153,13 +154,6 @@ def _digit_matrix(idx: np.ndarray, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _row_histogram(values: np.ndarray, k: int) -> np.ndarray:
-    """Per-row histogram over 0..k-1 of an integer matrix (rows x cols)."""
-    rows, cols = values.shape
-    offsets = values + k * np.arange(rows, dtype=np.int64)[:, None]
-    return np.bincount(offsets.ravel(), minlength=rows * k).reshape(rows, k)
-
-
 @lru_cache(maxsize=8)
 def _unit_roots(k: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(k) / k)
@@ -167,38 +161,11 @@ def _unit_roots(k: int) -> np.ndarray:
     return roots
 
 
-# A floating sum of n unit roots is accurate to ~1e-14, so a 1e-6 margin can
-# only ever discard candidates whose exact value provably misses the target;
-# every near-hit is then decided exactly.
-_PRESCREEN_MARGIN = 1e-6
-
-
-def _norm_sq_is(exps: np.ndarray, k: int, target: int, approx: np.ndarray) -> np.ndarray:
-    """Rows e of `exps` with |1 + sum_j zeta_k^(e_j)|^2 == target, decided exactly in Z[zeta_k].
-
-    `approx` holds the same squared moduli in floating point; rows farther
-    than _PRESCREEN_MARGIN from the target are misses without further work.
-    The exact test expands s * conj(s) over the roots (the cyclic
-    autocorrelation of the root histogram) and reduces it modulo Phi_k.
-    Since s * conj(s) = 0 only for s = 0, target 0 decides s == 0.
-    """
-    near = np.abs(approx - target) < _PRESCREEN_MARGIN
-    out = np.zeros(len(exps), dtype=bool)
-    if not near.any():
-        return out
-    hist = _row_histogram(exps[near], k)
-    hist[:, 0] += 1  # the fixed leading entry zeta^0
-    corr = np.stack([np.sum(hist * np.roll(hist, -s, axis=1), axis=1) for s in range(k)], axis=1)
-    corr[:, 0] -= target
-    out[near] = np.all(corr @ reduction_matrix(k).T == 0, axis=1)
-    return out
-
-
 def _candidate_count(n: int, k: int) -> int:
     if n < 1 or k < 1:
         raise InadmissibleParameterError(f"need n >= 1 and k >= 1, got n = {n}, k = {k}")
     m = k ** (n - 1)
-    if max(m, k * k) > MAX_CANDIDATES:  # the exact test reduces by the phi(k) x k `reduction_matrix(k)`
+    if max(m, k * k) > MAX_CANDIDATES:  # k^2: a k-wide exact product row for each of up to k candidates
         raise EnumerationBudgetError(
             f"k^(n-1) = {m} and k^2 = {k * k} must not exceed the enumeration guard ({MAX_CANDIDATES}); "
             "use the numerical multistart census instead"

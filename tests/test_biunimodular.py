@@ -182,6 +182,12 @@ class TestRootCensus:
         entries = {tuple(np.round(s.as_array(), 9)) for s in census.sequences}
         assert entries == {(1, 1j), (1, -1j)}
 
+    def test_n2_k10000_large_order(self):
+        # a large order: Phi_10000 = Phi_10(x^1000) has degree 4,000
+        census = root_census(2, 10000)
+        entries = {tuple(np.round(s.as_array(), 9)) for s in census.sequences}
+        assert entries == {(1, 1j), (1, -1j)}
+
     def test_n3_matches_newton(self):
         exact = root_census(3, 3)
         newton = newton_census(3, restarts=3000, seed=5)

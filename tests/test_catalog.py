@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,17 @@ class TestFixtures:
     def test_fixtures_are_hadamard(self):
         assert is_complex_hadamard(load_fixture("S"), TOL9)
         assert is_complex_hadamard(load_fixture("DITA0"), TOL9)
+
+    def test_corrupted_fixture_fails_exact_verification(self, tmp_path, monkeypatch):
+        from importlib import resources
+
+        payload = json.loads(resources.files("mubtools").joinpath("fixtures/S.json").read_text())
+        payload["exponents"][3][4] = (payload["exponents"][3][4] + 1) % 3
+        (tmp_path / "fixtures").mkdir()
+        (tmp_path / "fixtures" / "S.json").write_text(json.dumps(payload))
+        monkeypatch.setattr(resources, "files", lambda package: tmp_path)
+        with pytest.raises(ValueError, match="failed exact verification"):
+            load_fixture("S")
 
     def test_unknown_fixture(self):
         with pytest.raises(ValueError, match="unknown fixture"):

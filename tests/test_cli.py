@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mubtools
+from mubtools import cli
 from mubtools import io as mio
 from mubtools.biunimodular import root_census
 from mubtools.cli import build_parser, main
@@ -230,7 +231,7 @@ def roots_census_text():
         (["optimize", "--n", "4", "--m", "3", "--iterations", "-1"], {}, 4),
         (["optimize", "--n", "4", "--m", "3", "--seed", "x"], {}, 4),  # argparse usage error, not exit 2
         (["census", "roots", "--n", "2", "--k", "40000"], {}, 4),  # k^2 guard: digits would overflow int16
-        (["census", "roots", "--n", "2", "--k", "20000"], {}, 4),  # k^2 guard: k x phi(k) reduction table
+        (["census", "roots", "--n", "2", "--k", "20000"], {}, 4),  # k^2 guard: k-wide exact rows for k candidates
         (["search", "hadamards", "--n", "1", "--k", "3"], {}, 4),  # (1) is a Hadamard; no search for it
         (["search", "triplets", "--n", "1", "--k", "2"], {}, 4),
         (["verify", "hadamard", "nan.json"], {}, 3),
@@ -264,6 +265,18 @@ def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, c
     out = capsys.readouterr().out
     if code in (3, 4):
         assert out == ""
+
+
+def test_memory_error_exits_4(monkeypatch, capsys):
+    """An allocation too large for the machine ends in one error line and exit 4, not a traceback."""
+    def out_of_memory(args):
+        raise MemoryError("Unable to allocate 53.6 GiB for an array with shape (60000, 60000)")
+
+    monkeypatch.setattr(cli, "_cmd_gen", out_of_memory)
+    assert main(["gen", "fourier", "--n", "60000"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_import_loads_no_scipy():

@@ -22,6 +22,20 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(24) == (1, 0, 0, 0, -1, 0, 0, 0, 1)
 
 
+def test_cyclotomic_polynomials_multiply_to_x_k_minus_1():
+    """prod_{d | k} Phi_d(x) = x^k - 1, checked by exact integer convolution, not by Phi_k's own recursion."""
+    for k in (*range(1, 201), 9870, 10000):
+        product = np.ones(1, dtype=np.int64)
+        for d in (d for d in range(1, k + 1) if k % d == 0):
+            phi = np.array(cyclotomic_polynomial(d), dtype=np.int64)
+            # no coefficient of the convolution can exceed this bound, so int64 is exact
+            assert int(np.abs(product).sum()) * int(np.abs(phi).max()) < 2**63, (k, d)
+            product = np.convolve(product, phi)
+        expected = np.zeros(k + 1, dtype=np.int64)
+        expected[[0, k]] = -1, 1
+        assert np.array_equal(product, expected), k
+
+
 def test_arithmetic_closure_and_conjugation():
     one = CyclotomicInt.from_int(12, 1)
     z = CyclotomicInt.from_root(12, 1)
@@ -48,7 +62,7 @@ def test_vanishing_sums():
 
 def test_to_complex_matches_reduction():
     rng = np.random.default_rng(9)
-    for k in (3, 4, 6, 8, 12, 24):
+    for k in (3, 4, 6, 8, 12, 24, 30, 105):  # Phi_105 is the first with a coefficient -2
         for _ in range(50):
             coeffs = tuple(int(c) for c in rng.integers(-3, 4, size=k))
             x = CyclotomicInt(k, coeffs)

@@ -6,7 +6,7 @@ import pytest
 from mubtools.catalog import load_fixture
 from mubtools.constructions import prime_mub_set
 from mubtools.core import Basis, Tolerance, haagerup_invariants, is_complex_hadamard, is_unbiased_pair
-from mubtools.cyclotomic import RootVector, is_orthogonal, is_unbiased_exact
+from mubtools.cyclotomic import RootVector, _norm_sq_is, is_orthogonal, is_unbiased_exact
 from mubtools.io import RootMatrix
 from mubtools.search import (
     EnumerationBudgetError,
@@ -15,7 +15,6 @@ from mubtools.search import (
     _difference_tables,
     _digit_matrix,
     _NodeBudget,
-    _norm_sq_is,
     _orbit_hits,
     cliques,
     mub_quartet_search,
@@ -73,6 +72,12 @@ class TestHadamardEnumerate:
         assert enum.complete
         assert len(enum.buckets) == 1
         assert all(is_complex_hadamard(to_complex(m, 2), TOL) for m in enum.matrices)
+
+    def test_n2_k9870_large_squarefree_order(self):
+        # 9870 = 2 * 3 * 5 * 7 * 47: Phi_9870 is dense, of degree 2,256
+        enum = root_hadamard_enumerate(2, 9870)
+        assert enum.complete
+        assert [m.tolist() for m in enum.matrices] == [[[0, 0], [0, 4935]]]
 
     def test_emitted_matrices_pass_float_predicates(self):
         for n, k in ((3, 3), (6, 3), (6, 4), (4, 2)):
@@ -251,7 +256,7 @@ def test_difference_bits_match_per_pair_lookup(n, k):
             assert row_bits == sum(1 << int(j) for j in np.flatnonzero(expected))
 
 
-@pytest.mark.parametrize("n,k", [(4, 4), (3, 6), (6, 3)])
+@pytest.mark.parametrize("n,k", [(4, 4), (3, 6), (6, 3), (3, 30), (2, 210)])
 def test_norm_test_matches_cyclotomic_predicates(n, k):
     digits = _digit_matrix(np.arange(k ** (n - 1)), n, k)
     approx = np.abs(1.0 + np.exp(2j * np.pi * digits / k).sum(axis=1)) ** 2
