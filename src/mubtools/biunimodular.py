@@ -20,6 +20,8 @@ BJORCK = "bjorck"
 
 NEWTON_RESIDUAL_TOL = 1e-12
 NEWTON_MAX_ITERATIONS = 200
+NEWTON_BATCH_SIZE = 512  # Newton starts solved together in one batch
+ASSEMBLY_ORTH_TOL = 1e-8  # census vectors closer to orthogonal than this are adjacent in `assemble_bases`
 
 
 def dft(x: np.ndarray) -> np.ndarray:
@@ -273,7 +275,6 @@ def newton_census(
     restarts: int = 20000,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    batch_size: int = 512,
 ) -> CensusResult:
     """Multistart damped-Newton census of the biunimodular sequences with x_0 = 1.
 
@@ -306,7 +307,7 @@ def newton_census(
     stabilized = False
 
     while used < restarts:
-        take = min(batch_size, restarts - used)
+        take = min(NEWTON_BATCH_SIZE, restarts - used)
         phi = sampler.random(take) * 2 * np.pi
         start_index = used
         used += take
@@ -432,7 +433,7 @@ def _is_circulant_column_set(columns: np.ndarray, tol: float = 1e-6) -> bool:
     return True
 
 
-def assemble_bases(census: CensusResult, tol: Tolerance = DEFAULT_TOL, orth_tol: float = 1e-8) -> CensusResult:
+def assemble_bases(census: CensusResult, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
     """Find every orthonormal basis among the census vectors and attach it to the census.
 
     Census vectors (normalized by 1/sqrt(n)) close under cyclic shift up to
@@ -446,7 +447,7 @@ def assemble_bases(census: CensusResult, tol: Tolerance = DEFAULT_TOL, orth_tol:
     vecs = np.stack([s.as_array() for s in census.sequences]) / np.sqrt(n)
     m = len(vecs)
     gram = np.abs(vecs.conj() @ vecs.T)
-    adj = gram < orth_tol
+    adj = gram < ASSEMBLY_ORTH_TOL
     np.fill_diagonal(adj, False)
 
     std = Basis.standard(n)

@@ -310,7 +310,7 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _root_payload_pair(obj, k: int) -> dict:
+def _result_payload(obj, k: int) -> dict:
     names = ("h1", "h2", "h3")
     if isinstance(obj, np.ndarray):
         return mio.root_matrix_payload(obj, k)
@@ -318,37 +318,26 @@ def _root_payload_pair(obj, k: int) -> dict:
 
 
 def _cmd_search(args) -> int:
-    lines = []
-    checkpoint = args.checkpoint or f"{args.depth}-n{args.n}-k{args.k}.checkpoint.json"
+    if args.write_fixtures and args.depth != "hadamards":
+        raise InadmissibleParameterError("--write-fixtures applies to search hadamards only")
+    run = {"hadamards": search_mod.root_hadamard_enumerate, "triplets": search_mod.mub_triplet_search,
+           "quartets": search_mod.mub_quartet_search}[args.depth]
+    outcome = run(args.n, args.k, budget=args.budget, resume_token=args.resume,
+                  checkpoint_path=args.checkpoint or f"{args.depth}-n{args.n}-k{args.k}.checkpoint.json")
+    lines = [mio.dumps(_result_payload(item, args.k)) for item in outcome.results]
     if args.depth == "hadamards":
-        outcome = search_mod.root_hadamard_enumerate(
-            args.n, args.k, budget=args.budget,
-            checkpoint_path=checkpoint, resume_token=args.resume,
-        )
-        for mat in outcome.matrices:
-            lines.append(mio.dumps(mio.root_matrix_payload(mat, args.k)))
-        summary = {
-            "depth": "hadamards", "n": args.n, "k": args.k,
-            "matrices": len(outcome.matrices), "buckets": len(outcome.buckets),
-            "complete": outcome.complete, "nodes": outcome.nodes_used,
-            "resume_token": outcome.resume_token,
-        }
-        if args.write_fixtures:
-            _write_fixture(outcome, args.n, args.k, args.argv)
+        counts = {"matrices": len(outcome.results), "buckets": len(outcome.buckets)}
     else:
-        func = search_mod.mub_triplet_search if args.depth == "triplets" else search_mod.mub_quartet_search
-        outcome = func(args.n, args.k, budget=args.budget,
-                       checkpoint_path=checkpoint, resume_token=args.resume)
-        for item in outcome.results:
-            lines.append(mio.dumps(_root_payload_pair(item, args.k)))
-        summary = {
-            "depth": args.depth, "n": args.n, "k": args.k,
-            "results": len(outcome.results), "verdict": outcome.verdict,
-            "complete": outcome.complete, "nodes": outcome.nodes_used,
-            "resume_token": outcome.resume_token,
-        }
+        counts = {"results": len(outcome.results), "verdict": outcome.verdict}
+    summary = {
+        "depth": args.depth, "n": args.n, "k": args.k, **counts,
+        "complete": outcome.complete, "nodes": outcome.nodes_used,
+        "resume_token": outcome.resume_token,
+    }
+    if args.write_fixtures:
+        _write_fixture(outcome, args.n, args.k, args.argv)
     lines.append(mio.dumps({"summary": summary}))
-    _write_text(args.output, "\n".join(lines) + ("\n" if lines else ""))
+    _write_text(args.output, "\n".join(lines) + "\n")
     print(f"search {args.depth}: {summary}", file=sys.stderr)
     return EXIT_OK
 
@@ -610,6 +599,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INADMISSIBLE
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'the requested size is too large'}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    except OSError as exc:  # an output, checkpoint or fixture path that cannot be written
+        print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
 
 

@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Basis, InadmissibleParameterError
+from .search import cliques
 
 
 def _is_prime(n: int) -> bool:
@@ -210,8 +211,7 @@ def ks_uncolourable(vectors: np.ndarray, tol: float = 1e-9) -> ColouringResult:
     gram = vecs @ vecs.T
     orth = np.abs(gram) <= tol
 
-    contexts = [quad for quad in combinations(range(nv), 4)
-                if all(orth[a, b] for a, b in combinations(quad, 2))]
+    contexts = [tuple(quad) for quad in cliques(orth, 4)]
     covered = set(i for quad in contexts for i in quad)
     missing = sorted(set(range(nv)) - covered)
     if missing:

@@ -51,6 +51,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 STOP_REASONS = ("target", "gradient", "step-underflow", "iteration-cap")
+INITIAL_STEP = 0.05  # the first trial step size of every ascent
 
 
 @dataclass
@@ -80,7 +81,6 @@ def maximize_spread(
     iterations: int = 4000,
     frozen: list[np.ndarray] | None = None,
     target: float | None = None,
-    initial_step: float = 0.05,
 ) -> SpreadResult:
     """Local ascent of the spread objective over (m-1) unitaries; the first basis stays standard.
 
@@ -110,7 +110,7 @@ def maximize_spread(
     upper = spread_upper_bound(n, m)
     f, grads = spread_and_grads(us)
     trajectory = [f]
-    eps = initial_step
+    eps = INITIAL_STEP
     stop_reason = "iteration-cap"
     trials = 0
 

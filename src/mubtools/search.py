@@ -14,9 +14,12 @@ once and returns them as Python-int bitset rows; one clique enumerator
 (`cliques`) walks those rows to pick mutually orthogonal columns.  Hadamards
 are bucketed by the integer histogram of their Haagerup exponents (a
 necessary condition for equivalence, not a sufficient one).  The triplet and
-quartet stages only need columns unbiased to the all-ones column (the base
-set), so they work in positions of that set, with the unbiasedness rows of
-every H1 column as bitsets over it.
+quartet stages are one extension step (`_extend`): each takes tuples
+(H1, ...) and extends every tuple by the matrices whose columns are unbiased
+to all of its columns and orthogonal to one another.  Those columns are
+unbiased to the all-ones column (the base set), so the step works in
+positions of that set, with the unbiasedness rows of every H1 column as
+bitsets over it; triplets extend (H1,), quartets extend (H1, H2).
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop that charges a node budget.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, combinations_with_replacement
 from math import comb, lcm
@@ -61,11 +64,6 @@ class SearchSpec:
     n: int
     k: int
     depth: str  # hadamards | triplets | quartets
-    budget: int | None = None
-    resume_token: str | None = None
-
-    def key(self) -> dict:
-        return {"n": self.n, "k": self.k, "depth": self.depth}
 
 
 @dataclass
@@ -281,7 +279,7 @@ def unbiased_vector_enumerate(n: int, k: int) -> list[RootVector]:
 
 def _write_checkpoint(path: str, spec: SearchSpec, completed: list[tuple[int, list]]) -> None:
     payload = {
-        "spec": spec.key(),
+        "spec": asdict(spec),
         "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
                       for unit, found in completed],
     }
@@ -299,8 +297,8 @@ def _read_checkpoint(path: str, spec: SearchSpec) -> dict[int, list]:
             payload = json.load(handle)
     except (OSError, ValueError) as exc:
         raise FileFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("spec") != spec.key():
-        raise FileFormatError(f"checkpoint {path} does not belong to the search {spec.key()}")
+    if not isinstance(payload, dict) or payload.get("spec") != asdict(spec):
+        raise FileFormatError(f"checkpoint {path} does not belong to the search {asdict(spec)}")
     if "completed" not in payload:
         raise FileFormatError(f"checkpoint {path} stores no results; rerun the search from the start")
     try:
@@ -329,7 +327,7 @@ class _UnitLoop:
                  checkpoint_path: str | None, resume_token: str | None):
         if n < 2:  # the 1 x 1 matrix (1) is a Hadamard that no stage's column search represents
             raise InadmissibleParameterError(f"the searches need n >= 2, got n = {n}")
-        self.spec = SearchSpec(n=n, k=k, depth=depth, budget=budget, resume_token=resume_token)
+        self.spec = SearchSpec(n=n, k=k, depth=depth)
         self.done = _read_checkpoint(resume_token, self.spec) if resume_token else {}
         self.budget = _NodeBudget(budget)
         self.checkpoint_path = checkpoint_path
@@ -367,15 +365,15 @@ class _UnitLoop:
 
 
 @dataclass
-class HadamardEnumeration:
+class HadamardEnumeration(SearchOutcome):
     """All dephased Hadamards for one (n, k), bucketed by their invariant multisets."""
 
-    spec: SearchSpec
-    matrices: list[np.ndarray]  # n x n exponent matrices
-    buckets: list[list[int]]  # matrix indices grouped by equal Haagerup multiset
-    complete: bool
-    nodes_used: int
-    resume_token: str | None = None
+    buckets: list[list[int]] = field(default_factory=list)  # matrix indices grouped by equal Haagerup multiset
+
+    @property
+    def matrices(self) -> list[np.ndarray]:
+        """The results, n x n exponent matrices."""
+        return self.results
 
 
 def root_hadamard_enumerate(
@@ -412,14 +410,7 @@ def root_hadamard_enumerate(
         return [_exponent_matrix(cols[[0, first, *rest]]) for rest in found]
 
     outcome = loop.run(len(cols) - 1, 1, matrices_from)
-    return HadamardEnumeration(
-        spec=outcome.spec,
-        matrices=outcome.results,
-        buckets=_haagerup_buckets(outcome.results, k),
-        complete=outcome.complete,
-        nodes_used=outcome.nodes_used,
-        resume_token=outcome.resume_token,
-    )
+    return HadamardEnumeration(**vars(outcome), buckets=_haagerup_buckets(outcome.results, k))
 
 
 def _haagerup_buckets(matrices: list[np.ndarray], k: int) -> list[list[int]]:
@@ -441,43 +432,37 @@ def _haagerup_buckets(matrices: list[np.ndarray], k: int) -> list[list[int]]:
     return list(groups.values())
 
 
-@dataclass
-class _TripletContext:
-    """Shared exact tables for the triplet/quartet stages.
+def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> SearchOutcome:
+    """One unit per tuple (H1, ...): the tuple plus each further matrix unbiased to all of it.
 
-    Every column of H2 (and H3) is unbiased to the all-ones column of H1, so
-    candidate columns are kept as positions in that base set: `base` holds
-    the digit rows of its members in increasing candidate order, and sets of
-    them are Python-int bitsets over those positions.
+    The new matrix's columns are exactly unbiased to every column of the
+    tuple and exactly orthogonal to one another.  Each is unbiased to the
+    all-ones column of H1, so candidates are positions in the base set:
+    `base` holds the digit rows of its members in increasing candidate
+    order, and sets of them are Python-int bitsets over those positions.
+    Only the distinct H1 columns get full base-set rows, computed once; the
+    columns of later matrices are checked against each unit's candidates
+    alone, which keeps memory at one row per H1 column.
     """
-
-    n: int
-    k: int
-    orth_diff: np.ndarray
-    unb_diff: np.ndarray
-    base: np.ndarray
-    unbiased: dict[bytes, int]  # H1 column digits -> bitset of the base set unbiased to it
-
-    def candidates_for(self, matrix: np.ndarray) -> int:
-        """Bitset of the base set: the columns unbiased to every column of a dephased H1."""
-        return reduce(and_, (self.unbiased[col.tobytes()] for col in matrix[1:, 1:].T))
-
-    def mutually_orthogonal_bases(self, cand: list[int]) -> list[np.ndarray]:
-        """Exponent matrices of the n-subsets of base positions `cand` that are pairwise exactly orthogonal."""
-        cols = self.base[cand]
-        adj = _difference_bits(self.orth_diff, cols, cols, self.k)
-        return [_exponent_matrix(cols[members]) for members in cliques(adj, self.n)]
-
-
-def _make_context(n: int, k: int, matrices: list[np.ndarray]) -> _TripletContext:
-    """The context for H1 running over `matrices`, with the unbiased rows of all their columns."""
+    n, k = loop.spec.n, loop.spec.k
     orth_diff, unb_diff = _difference_tables(n, k)
     # a candidate's difference to the all-ones column is itself, so the base set is unb_diff
     base = _digit_matrix(np.flatnonzero(unb_diff), n, k)
-    h1 = np.array(matrices, dtype=np.int16).reshape(-1, n, n)
-    cols = np.unique(h1[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, n - 1), axis=0)
-    unbiased = dict(zip(map(bytes, cols), _difference_bits(unb_diff, cols, base, k)))
-    return _TripletContext(n=n, k=k, orth_diff=orth_diff, unb_diff=unb_diff, base=base, unbiased=unbiased)
+    h1 = np.array([t[0] for t in tuples], dtype=np.int16).reshape(-1, n, n)
+    h1_cols = np.unique(h1[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, n - 1), axis=0)
+    unbiased = dict(zip(map(bytes, h1_cols), _difference_bits(unb_diff, h1_cols, base, k)))
+
+    def extensions(unit: int) -> list[tuple]:
+        first, *later = tuples[unit]
+        cand = _members(reduce(and_, (unbiased[col.tobytes()] for col in first[1:, 1:].T)))
+        for mat in later:
+            keep = reduce(and_, _difference_bits(unb_diff, mat[1:].T, base[cand], k))
+            cand = [cand[i] for i in _members(keep)]
+        cols = base[cand]
+        adj = _difference_bits(orth_diff, cols, cols, k)
+        return [(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n)]
+
+    return loop.run(len(tuples), n, extensions, prior=prior)
 
 
 def mub_triplet_search(
@@ -498,13 +483,7 @@ def mub_triplet_search(
     loop = _UnitLoop("triplets", n, k, budget, checkpoint_path, resume_token)
     if hadamards is None:
         hadamards = root_hadamard_enumerate(n, k, budget=None)
-    ctx = _make_context(n, k, hadamards.matrices)
-
-    def triplets_from(hi: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        h1 = hadamards.matrices[hi]
-        return [(h1, h2) for h2 in ctx.mutually_orthogonal_bases(_members(ctx.candidates_for(h1)))]
-
-    return loop.run(len(hadamards.matrices), ctx.n, triplets_from, prior=hadamards)
+    return _extend(loop, hadamards, [(h1,) for h1 in hadamards.matrices])
 
 
 def mub_quartet_search(
@@ -525,12 +504,4 @@ def mub_quartet_search(
     loop = _UnitLoop("quartets", n, k, budget, checkpoint_path, resume_token)
     if triplets is None:
         triplets = mub_triplet_search(n, k, budget=None)
-    ctx = _make_context(n, k, [h1 for h1, _ in triplets.results])
-
-    def quartets_from(ti: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        h1, h2 = triplets.results[ti]
-        cand = _members(ctx.candidates_for(h1))
-        keep = reduce(and_, _difference_bits(ctx.unb_diff, h2[1:].T, ctx.base[cand], k))
-        return [(h1, h2, h3) for h3 in ctx.mutually_orthogonal_bases([cand[i] for i in _members(keep)])]
-
-    return loop.run(len(triplets.results), ctx.n, quartets_from, prior=triplets)
+    return _extend(loop, triplets, triplets.results)

@@ -241,6 +241,9 @@ def roots_census_text():
         (["verify", "hadamard", "huge.json"], {}, 3),  # entry 1e308: the defect overflows
         (["verify", "hadamard", "roots-k2.5.json"], {}, 3),  # was read as k = 2
         (["verify", "hadamard", "complex-n1.9.json"], {}, 3),  # was read as n = 1
+        (["search", "hadamards", "--n", "6", "--k", "3", "--budget", "1", "--checkpoint", "missing/cp.json"], {}, 4),
+        (["search", "triplets", "--n", "3", "--k", "3", "--write-fixtures"], {}, 4),  # fixtures are Hadamards
+        (["search", "quartets", "--n", "3", "--k", "3", "--write-fixtures"], {}, 4),
     ],
 )
 def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, capsys):
@@ -412,7 +415,9 @@ def _generated_cases():
             if isinstance(action, argparse._HelpAction) or action.choices or action.nargs == 0:
                 continue
             assert action.dest in _FILE_ARGS | _OUTPUT_ARGS, (path, action.dest)
-            if action.dest not in _FILE_ARGS:
+            if action.dest in _OUTPUT_ARGS:  # a path in a directory that does not exist
+                argv = [*base, action.option_strings[-1], "missing-dir/out"]
+                cases.append(pytest.param([*path, *argv], id=f"{' '.join(path)} {action.dest}=missing-dir"))
                 continue
             for variant in _BAD_FILES:
                 bad = f"{variant}-{action.dest}.json"

@@ -10,6 +10,7 @@ from mubtools.cyclotomic import RootVector, _norm_sq_is, is_orthogonal, is_unbia
 from mubtools.io import RootMatrix
 from mubtools.search import (
     EnumerationBudgetError,
+    SearchOutcome,
     _bitsets,
     _difference_bits,
     _difference_tables,
@@ -113,6 +114,12 @@ class TestHadamardEnumerate:
             groups.setdefault(frozenset(inv.items()), []).append(i)
         assert enum.buckets == list(groups.values())
 
+    def test_outcome_type(self):
+        enum = root_hadamard_enumerate(4, 4)
+        assert isinstance(enum, SearchOutcome)
+        assert enum.matrices is enum.results
+        assert enum.verdict == "non-empty"
+
     def test_determinism(self):
         a = root_hadamard_enumerate(6, 4)
         b = root_hadamard_enumerate(6, 4)
@@ -196,6 +203,21 @@ class TestQuartetSearch:
         assert not outcome.complete
         assert outcome.verdict == "inconclusive"
         assert outcome.resume_token == token
+
+    @pytest.mark.parametrize("n, k, count", [(3, 3, 2), (3, 6, 2), (4, 4, 6), (5, 5, 72), (4, 8, 6)])
+    def test_quartets_are_the_unbiased_triplet_pairs(self, n, k, count):
+        """A quartet (H1, H2, H3) is two triplets (H1, H2) and (H1, H3) with H2 and H3 unbiased.
+
+        The expected list is built from the triplets alone: for each triplet (H1, H2), in order,
+        every triplet (H1, H2') with the same H1, in triplet order, whose H2' is float-unbiased to H2.
+        """
+        triplets = mub_triplet_search(n, k)
+        outcome = mub_quartet_search(n, k, triplets=triplets)
+        found = [(h1, h2, to_complex(h2, k)) for h1, h2 in triplets.results]
+        expected = [(h1, h2, g2) for h1, h2, u in found for g1, g2, v in found
+                    if np.array_equal(g1, h1) and np.allclose(np.abs(u.conj().T @ v) ** 2, 1 / n, atol=1e-9)]
+        assert outcome.complete and len(outcome.results) == count
+        assert [[m.tobytes() for m in q] for q in outcome.results] == [[m.tobytes() for m in q] for q in expected]
 
 
 class TestCliques:
