@@ -19,7 +19,9 @@ quartet stages are one extension step (`_extend`): each takes tuples
 to all of its columns and orthogonal to one another.  Those columns are
 unbiased to the all-ones column (the base set), so the step works in
 positions of that set, with the unbiasedness rows of every H1 column as
-bitsets over it; triplets extend (H1,), quartets extend (H1, H2).
+bitsets over it; triplets extend (H1,), quartets extend (H1, H2).  A unit
+stops as soon as fewer than n candidates are left, with no further kernel
+call or clique walk, since no n-clique can come of them.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop that charges a node budget.
@@ -48,7 +50,7 @@ from .cyclotomic import RootVector, _norm_sq_is, _row_histogram
 from .io import FileFormatError
 
 MAX_CANDIDATES = 10**8
-_BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 1,296 exponents at n = 6
+_BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 225 exponents at n = 6
 _BLOCK = 1 << 15  # row x column pairs per chunk of `_difference_bits`
 _GROUP_ENTRIES = 1 << 17  # largest lookup of a digit group: (2k)^3 up to k = 25
 
@@ -108,20 +110,22 @@ def cliques(
     the budget is spent the enumeration stops and returns None, never a
     partial list.
     """
+    if size == 0:
+        return [[]]
     rows = _bitsets(adj) if isinstance(adj, np.ndarray) else adj
     out: list[list[int]] = []
 
     def extend(chosen: list[int], mask: int) -> bool:
-        if len(chosen) == size:
-            out.append(chosen)
-            return True
+        leaf = len(chosen) + 1 == size
         while mask:  # the lowest set bit first, so the cliques come out in lexicographic order
             low = mask & -mask
             nxt = low.bit_length() - 1
             mask ^= low  # now only the vertices above nxt
             if budget is not None and not budget.charge():
                 return False
-            if not extend(chosen + [nxt], mask & rows[nxt]):
+            if leaf:
+                out.append(chosen + [nxt])
+            elif mask & rows[nxt] and not extend(chosen + [nxt], mask & rows[nxt]):
                 return False
         return True
 
@@ -285,9 +289,13 @@ def _write_checkpoint(path: str, spec: SearchSpec, completed: list[tuple[int, li
     }
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_checkpoint(path: str, spec: SearchSpec) -> dict[int, list]:
@@ -418,16 +426,23 @@ def _haagerup_buckets(matrices: list[np.ndarray], k: int) -> list[list[int]]:
 
     For an exponent matrix e the Haagerup invariants are the roots
     zeta^(e_ij - e_rj + e_rs - e_is), so each multiset is the histogram over
-    0..k-1 of those n^4 exponents mod k: exact, with no snapping grid.
-    Matrices are processed in chunks to bound the n^4-wide batch.
+    0..k-1 of those n^4 exponents mod k: exact, with no snapping grid.  Swapping
+    i with r, or j with s, negates the exponent, and it is 0 when i = r or
+    j = s; so only the C(n, 2)^2 exponents with i < r and j < s are computed,
+    and the full histogram is 2 (h[x] + h[-x]) plus n^4 - (n(n-1))^2 at x = 0.
+    Matrices are processed in chunks to bound the C(n, 2)^2-wide batch.
     """
     groups: dict[bytes, list[int]] = {}
     for lo in range(0, len(matrices), _BUCKET_CHUNK):
         batch = np.stack(matrices[lo:lo + _BUCKET_CHUNK]).astype(np.int16)
-        # diff[b, i, r, j] = e_ij - e_rj; the invariant exponent is diff[i, r, j] - diff[i, r, s]
-        diff = batch[:, :, None, :] - batch[:, None, :, :]
-        exps = (diff[..., :, None] - diff[..., None, :]) % k
-        for i, hist in enumerate(_row_histogram(exps.reshape(len(batch), -1), k), start=lo):
+        n = batch.shape[1]
+        upper, lower = np.triu_indices(n, 1)
+        # diff[b, p, j] = e_ij - e_rj over the row pairs p = (i, r) with i < r
+        diff = batch[:, upper, :] - batch[:, lower, :]
+        half = _row_histogram(((diff[..., upper] - diff[..., lower]) % k).reshape(len(batch), -1), k)
+        full = 2 * (half + half[:, -np.arange(k) % k])
+        full[:, 0] += n**4 - (n * (n - 1)) ** 2
+        for i, hist in enumerate(full, start=lo):
             groups.setdefault(hist.tobytes(), []).append(i)
     return list(groups.values())
 
@@ -449,15 +464,21 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     # a candidate's difference to the all-ones column is itself, so the base set is unb_diff
     base = _digit_matrix(np.flatnonzero(unb_diff), n, k)
     h1 = np.array([t[0] for t in tuples], dtype=np.int16).reshape(-1, n, n)
-    h1_cols = np.unique(h1[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, n - 1), axis=0)
-    unbiased = dict(zip(map(bytes, h1_cols), _difference_bits(unb_diff, h1_cols, base, k)))
+    h1_cols = h1[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, n - 1)
+    # distinct columns by candidate index; which[u] locates unit u's H1 columns among them
+    _, first_at, which = np.unique(h1_cols @ k ** np.arange(n - 1), return_index=True, return_inverse=True)
+    unbiased = _difference_bits(unb_diff, h1_cols[first_at], base, k)
+    which = which.reshape(len(tuples), n - 1)
 
     def extensions(unit: int) -> list[tuple]:
-        first, *later = tuples[unit]
-        cand = _members(reduce(and_, (unbiased[col.tobytes()] for col in first[1:, 1:].T)))
-        for mat in later:
+        cand = _members(reduce(and_, (unbiased[i] for i in which[unit])))
+        for mat in tuples[unit][1:]:
+            if len(cand) < n:
+                break
             keep = reduce(and_, _difference_bits(unb_diff, mat[1:].T, base[cand], k))
             cand = [cand[i] for i in _members(keep)]
+        if len(cand) < n:  # no n-clique can come of fewer candidates
+            return []
         cols = base[cand]
         adj = _difference_bits(orth_diff, cols, cols, k)
         return [(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n)]

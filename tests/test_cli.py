@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -280,6 +281,20 @@ def test_memory_error_exits_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_failed_checkpoint_write_exits_4(tmp_path, monkeypatch, capsys):
+    """A checkpoint that cannot be written (here: a full disk) ends in one error line, and no temporary file."""
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(json, "dump", no_space)
+    assert main(["search", "hadamards", "--n", "6", "--k", "4", "--budget", "5", "--checkpoint", "cp.json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_loads_no_scipy():

@@ -1,3 +1,6 @@
+import errno
+import json
+import os
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from mubtools.catalog import load_fixture
 from mubtools.constructions import prime_mub_set
 from mubtools.core import Basis, Tolerance, haagerup_invariants, is_complex_hadamard, is_unbiased_pair
-from mubtools.cyclotomic import RootVector, _norm_sq_is, is_orthogonal, is_unbiased_exact
+from mubtools.cyclotomic import RootVector, _norm_sq_is, _row_histogram, is_orthogonal, is_unbiased_exact
 from mubtools.io import RootMatrix
 from mubtools.search import (
     EnumerationBudgetError,
@@ -15,6 +18,7 @@ from mubtools.search import (
     _difference_bits,
     _difference_tables,
     _digit_matrix,
+    _haagerup_buckets,
     _NodeBudget,
     _orbit_hits,
     cliques,
@@ -51,6 +55,19 @@ class TestUnbiasedVectorEnumerate:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError, match="census"):
             unbiased_vector_enumerate(9, 24)
+
+
+def _full_haagerup_buckets(matrices: list[np.ndarray], k: int) -> list[list[int]]:
+    """Oracle for `_haagerup_buckets`: the histogram over all n^4 invariant exponents of each matrix."""
+    groups: dict[bytes, list[int]] = {}
+    for lo in range(0, len(matrices), 512):
+        batch = np.stack(matrices[lo:lo + 512]).astype(np.int16)
+        # diff[b, i, r, j] = e_ij - e_rj; the invariant exponent is diff[i, r, j] - diff[i, r, s]
+        diff = batch[:, :, None, :] - batch[:, None, :, :]
+        exps = (diff[..., :, None] - diff[..., None, :]) % k
+        for i, hist in enumerate(_row_histogram(exps.reshape(len(batch), -1), k), start=lo):
+            groups.setdefault(hist.tobytes(), []).append(i)
+    return list(groups.values())
 
 
 class TestHadamardEnumerate:
@@ -113,6 +130,14 @@ class TestHadamardEnumerate:
             inv = haagerup_invariants(to_complex(m, k), TOL)
             groups.setdefault(frozenset(inv.items()), []).append(i)
         assert enum.buckets == list(groups.values())
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 5), (6, 3), (6, 4), (6, 12), (6, 24)])
+    def test_buckets_match_full_invariant_histograms(self, n, k):
+        matrices = root_hadamard_enumerate(n, k).matrices
+        assert _haagerup_buckets(matrices, k) == _full_haagerup_buckets(matrices, k)
+
+    def test_buckets_of_no_matrices(self):
+        assert _haagerup_buckets([], 12) == _full_haagerup_buckets([], 12) == []
 
     def test_outcome_type(self):
         enum = root_hadamard_enumerate(4, 4)
@@ -263,6 +288,49 @@ class TestCliques:
             assert cliques(rows, size, start=start) == expected
 
 
+    @pytest.mark.parametrize("m, density", [(0, 0.5), (1, 0.5), (2, 1.0), (5, 0.5), (8, 0.9), (13, 0.6),
+                                            (20, 0.35), (30, 0.2), (40, 0.1), (40, 0.2)])
+    def test_matches_recursive_walker_at_every_budget(self, m, density):
+        rng = np.random.default_rng(300 + m + int(100 * density))
+        upper = np.triu(rng.random((m, m)) < density, 1)
+        adj = upper | upper.T
+        rows = _bitsets(adj) if m else []
+        random_start = sum(1 << int(v) for v in np.flatnonzero(rng.random(m) < 0.7))
+        for size in range(6):
+            for graph, start in ((adj, None), (rows, random_start)):
+                counter = _NodeBudget(None)
+                expected = _recursive_cliques(graph, size, counter, start)
+                assert cliques(graph, size, _NodeBudget(None), start) == expected
+                for limit in range(1, counter.used + 2):
+                    ours, theirs = _NodeBudget(limit), _NodeBudget(limit)
+                    found = cliques(graph, size, ours, start)
+                    assert found == _recursive_cliques(graph, size, theirs, start), (size, limit)
+                    assert ours.used == theirs.used, (size, limit)
+                    assert (found is None) == (limit < counter.used), (size, limit)
+
+
+def _recursive_cliques(adj, size, budget=None, start=None):
+    """Reference for `cliques`: the walker that recurses into every vertex, leaves and empty masks too."""
+    rows = _bitsets(adj) if isinstance(adj, np.ndarray) else adj
+    out: list[list[int]] = []
+
+    def extend(chosen: list[int], mask: int) -> bool:
+        if len(chosen) == size:
+            out.append(chosen)
+            return True
+        while mask:  # the lowest set bit first, so the cliques come out in lexicographic order
+            low = mask & -mask
+            nxt = low.bit_length() - 1
+            mask ^= low  # now only the vertices above nxt
+            if budget is not None and not budget.charge():
+                return False
+            if not extend(chosen + [nxt], mask & rows[nxt]):
+                return False
+        return True
+
+    return out if extend([], (1 << len(rows)) - 1 if start is None else start) else None
+
+
 # (5, 12) and (6, 12) split the digits into two lookup groups (3 + 1 and 3 + 2); the others use one
 @pytest.mark.parametrize("n,k", [(4, 4), (6, 3), (3, 6), (6, 4), (5, 12), (6, 12)])
 def test_difference_bits_match_per_pair_lookup(n, k):
@@ -368,4 +436,15 @@ def test_library_writes_no_checkpoint_unless_asked(tmp_path, monkeypatch):
         mub_quartet_search(5, 5, budget=8),
     ]
     assert all(not o.complete and o.resume_token is None for o in outcomes)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing", ["dump", "replace"])
+def test_failed_checkpoint_write_leaves_no_temporary_file(failing, tmp_path, monkeypatch):
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(json if failing == "dump" else os, failing, no_space)
+    with pytest.raises(OSError):
+        root_hadamard_enumerate(6, 4, budget=5, checkpoint_path=str(tmp_path / "run.checkpoint.json"))
     assert list(tmp_path.iterdir()) == []
