@@ -125,7 +125,7 @@ def cliques(
                 return False
             if leaf:
                 out.append(chosen + [nxt])
-            elif mask & rows[nxt] and not extend(chosen + [nxt], mask & rows[nxt]):
+            elif (sub := mask & rows[nxt]) and not extend(chosen + [nxt], sub):
                 return False
         return True
 
