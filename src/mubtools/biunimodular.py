@@ -20,7 +20,8 @@ BJORCK = "bjorck"
 
 NEWTON_RESIDUAL_TOL = 1e-12
 NEWTON_MAX_ITERATIONS = 200
-NEWTON_BATCH_SIZE = 512  # Newton starts solved together in one batch
+NEWTON_BATCH_SIZE = 512  # Newton starts per batch after the first, and the most rows per kernel product
+ARMIJO_CHUNKS = (1, 1, 2, 4, 8, 24)  # halvings per line-search residual call; 40 in all
 ASSEMBLY_ORTH_TOL = 1e-8  # census vectors closer to orthogonal than this are adjacent in `assemble_bases`
 
 
@@ -214,9 +215,11 @@ def _new_solutions(sols: np.ndarray, pool: np.ndarray, tol: float) -> list[int]:
     """Rows of sols, in order, that lie within tol of neither the pool nor an earlier new row."""
     fresh = np.nonzero(~_within(sols, pool, tol).any(axis=1))[0]
     new: list[int] = []
-    for i in fresh:
-        if not _within(sols[i : i + 1], sols[new], tol).any():
-            new.append(int(i))
+    while len(fresh):
+        # the first fresh row is new; one sweep drops every later fresh row within tol of it
+        new.append(int(fresh[0]))
+        rest = fresh[1:]
+        fresh = rest[~_within(sols[rest], sols[fresh[:1]], tol)[:, 0]]
     return new
 
 
@@ -257,17 +260,104 @@ class _ScrambledHalton:
         return points
 
 
+def _fourier_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary DFT matrix q^{ab}/sqrt(n) and the powers q^{ja} (j, a = 1..n-1), q = e^{2 pi i/n}."""
+    q = np.exp(2j * np.pi / n)
+    a = np.arange(n)
+    return q ** np.outer(a, a) / np.sqrt(n), q ** np.outer(a[1:], a[1:])
+
+
 def _phase_residual_system(phi: np.ndarray, dft_matrix: np.ndarray, n: int):
-    """Residuals |x~_a|^2 - 1 (a = 1..n-1) and analytic Jacobian, batched over rows of phi."""
+    """Residuals |x~_a|^2 - 1 (a = 1..n-1), the sequences x and their transforms x~, batched over rows of phi.
+
+    The product runs on even row slices of at most NEWTON_BATCH_SIZE rows.  A
+    2,048-row product crosses OpenBLAS's threading threshold, and on 2 vCPUs
+    that doubled the CPU time of a census for no gain in wall time.  No slice
+    holds a single row unless phi does: numpy's one-row product takes another
+    BLAS path, with other rounding.
+    """
     x = np.concatenate([np.ones((len(phi), 1), dtype=complex), np.exp(1j * phi)], axis=1)
-    xt = x @ dft_matrix
+    xt = np.concatenate([part @ dft_matrix for part in np.array_split(x, _row_parts(len(x)))])
     r = np.abs(xt[:, 1:]) ** 2 - 1.0
     return r, x, xt
 
 
+def _row_parts(rows: int) -> int:
+    """How many even row slices of at most NEWTON_BATCH_SIZE rows the batched kernels use."""
+    return max(1, -(-rows // NEWTON_BATCH_SIZE))
+
+
 def _phase_jacobian(x: np.ndarray, xt: np.ndarray, q_table: np.ndarray, n: int) -> np.ndarray:
-    # d|x~_a|^2 / dphi_j = -(2/sqrt(n)) Im(conj(x~_a) x_j q^{ja})
-    return -(2.0 / np.sqrt(n)) * np.imag(np.conj(xt[:, 1:, None]) * x[:, None, 1:] * q_table[None, :, :])
+    # d|x~_a|^2 / dphi_j = -(2/sqrt(n)) Im(conj(x~_a) x_j q^{ja}); row slices bound the (rows, n-1, n-1) temporaries
+    parts = _row_parts(len(x))
+    return np.concatenate([
+        -(2.0 / np.sqrt(n)) * np.imag(np.conj(xts[:, 1:, None]) * xs[:, None, 1:] * q_table[None, :, :])
+        for xs, xts in zip(np.array_split(x, parts), np.array_split(xt, parts))
+    ])
+
+
+def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per-row solutions of jac @ step = rhs; least squares only for the rows whose solve fails."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.empty_like(rhs)
+        for i in range(len(jac)):
+            try:
+                steps[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                steps[i] = np.linalg.lstsq(jac[i], rhs[i], rcond=None)[0]
+        return steps
+
+
+def _armijo_step_sizes(phi: np.ndarray, step: np.ndarray, f0: np.ndarray, dft_matrix: np.ndarray, n: int):
+    """Per row, the first t of 1, 1/2, ..., 2^-39 with f(phi + t step) <= f0 (1 - t/2); 0 where none passes.
+
+    The halvings are evaluated in chunks of ARMIJO_CHUNKS, one residual call
+    per chunk for every row still searching.  A row takes the first passing
+    t of the first chunk that has one, which is the t that one call per
+    halving would accept: the trial points are the same floats either way.
+    """
+    t = np.zeros(len(phi))
+    trial = np.arange(len(phi))
+    first = 0
+    for size in ARMIJO_CHUNKS:
+        if len(trial) == 0:
+            break
+        ts = np.ldexp(1.0, -np.arange(first, first + size))
+        first += size
+        points = phi[trial, None, :] + ts[None, :, None] * step[trial, None, :]
+        r_new, _, _ = _phase_residual_system(points.reshape(-1, n - 1), dft_matrix, n)
+        f_new = (0.5 * np.sum(r_new * r_new, axis=1)).reshape(len(trial), size)
+        ok = f_new <= f0[trial, None] * (1.0 - 0.5 * ts)
+        hit = ok.any(axis=1)
+        t[trial[hit]] = ts[ok[hit].argmax(axis=1)]
+        trial = trial[~hit]
+    return t
+
+
+def _newton_solve(phi: np.ndarray, dft_matrix: np.ndarray, q_table: np.ndarray, n: int) -> None:
+    """Damped Newton on every row of phi, in place, until it converges, stalls or hits the iteration cap."""
+    active = np.ones(len(phi), dtype=bool)
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        r, x, xt = _phase_residual_system(phi[idx], dft_matrix, n)
+        done = np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL
+        if done.any():
+            active[idx[done]] = False
+            keep = ~done
+            idx, r, x, xt = idx[keep], r[keep], x[keep], xt[keep]
+        if len(idx) == 0:
+            continue
+        step = _newton_steps(_phase_jacobian(x, xt, q_table, n), -r)
+        f0 = 0.5 * np.sum(r * r, axis=1)
+        t = _armijo_step_sizes(phi[idx], step, f0, dft_matrix, n)
+        move = t > 0  # a row whose line search found no step has stalled
+        phi[idx[move]] = (phi[idx[move]] + t[move, None] * step[move]) % (2 * np.pi)
+        active[idx[~move]] = False
+    # anything still active hit the iteration cap; the caller's residual check discards it
 
 
 def newton_census(
@@ -285,6 +375,12 @@ def newton_census(
     dedupe_tol (componentwise circular phase distance) and the run stops
     early once the latter half of the restarts used produced nothing new.
 
+    The stop rule is not tried before min(restarts, 2048) starts, so the
+    first batch holds that many (a run that stabilizes there is one batch)
+    and later batches hold NEWTON_BATCH_SIZE.  The line search evaluates its
+    halvings in ARMIJO_CHUNKS, and each residual product runs on row slices
+    of at most NEWTON_BATCH_SIZE rows; neither changes an accepted step.
+
     Rank-deficient Jacobians at solutions mark the result 'not
     zero-dimensional'; exhausting the restart budget before the count
     stabilizes marks it 'unconverged census'.
@@ -294,11 +390,7 @@ def newton_census(
     if restarts < 1:
         raise InadmissibleParameterError("need at least one restart")
 
-    q = np.exp(2j * np.pi / n)
-    a = np.arange(n)
-    dft_matrix = q ** np.outer(a, a) / np.sqrt(n)
-    q_table = q ** np.outer(np.arange(1, n), np.arange(1, n))
-
+    dft_matrix, q_table = _fourier_tables(n)
     sampler = _ScrambledHalton(n - 1, seed)
     pool = np.empty((0, n - 1))
     last_new = -1
@@ -306,51 +398,14 @@ def newton_census(
     rank_deficient = 0
     stabilized = False
 
+    floor = min(restarts, 2048)  # never stabilize off a tiny sample
     while used < restarts:
-        take = min(NEWTON_BATCH_SIZE, restarts - used)
+        # the stop rule cannot fire before `floor` starts, so they are solved as one batch
+        take = min(NEWTON_BATCH_SIZE if used else floor, restarts - used)
         phi = sampler.random(take) * 2 * np.pi
         start_index = used
         used += take
-
-        active = np.ones(take, dtype=bool)
-        for _ in range(NEWTON_MAX_ITERATIONS):
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            r, x, xt = _phase_residual_system(phi[idx], dft_matrix, n)
-            done = np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL
-            if done.any():
-                active[idx[done]] = False
-                keep = ~done
-                idx, r, x, xt = idx[keep], r[keep], x[keep], xt[keep]
-            if len(idx) == 0:
-                continue
-            jac = _phase_jacobian(x, xt, q_table, n)
-            try:
-                step = np.linalg.solve(jac, -r[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                step = np.stack(
-                    [np.linalg.lstsq(jac[i], -r[i], rcond=None)[0] for i in range(len(idx))]
-                )
-            f0 = 0.5 * np.sum(r * r, axis=1)
-            t = np.ones(len(idx))
-            accepted = np.zeros(len(idx), dtype=bool)
-            for _ in range(40):
-                trial = np.nonzero(~accepted)[0]
-                if len(trial) == 0:
-                    break
-                r_new, _, _ = _phase_residual_system(
-                    phi[idx[trial]] + t[trial, None] * step[trial], dft_matrix, n
-                )
-                f_new = 0.5 * np.sum(r_new * r_new, axis=1)
-                ok = f_new <= f0[trial] * (1.0 - 0.5 * t[trial])
-                accepted[trial[ok]] = True
-                t[trial[~ok]] *= 0.5
-            dead = ~accepted | (t < 1e-12)
-            move = accepted & ~dead
-            phi[idx[move]] = (phi[idx[move]] + t[move, None] * step[move]) % (2 * np.pi)
-            active[idx[dead]] = False
-        # anything still active hit the iteration cap: discard
+        _newton_solve(phi, dft_matrix, q_table, n)
 
         r, x, xt = _phase_residual_system(phi, dft_matrix, n)
         rows = np.nonzero(np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL)[0]
@@ -361,7 +416,6 @@ def newton_census(
         if new:
             pool = np.concatenate([pool, sols[new]])
             last_new = start_index + int(rows[new[-1]])
-        floor = min(restarts, 2048)  # never stabilize off a tiny sample
         if len(pool) and used >= floor and used >= 2 * (last_new + 1):
             stabilized = True
             break

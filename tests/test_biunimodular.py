@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
+from mubtools import biunimodular as bu
+from mubtools import io as mio
 from mubtools.biunimodular import (
     BJORCK,
     GAUSSIAN,
+    BiuniSequence,
     CensusResult,
+    _fourier_tables,
     _new_solutions,
+    _newton_solve,
     _ScrambledHalton,
     assemble_bases,
     autocorrelation,
     census_distance_report,
+    classify_sequence,
     dft,
+    entry_structure,
     is_biunimodular,
     newton_census,
     root_census,
@@ -152,6 +159,17 @@ class TestScrambledHalton:
         assert not np.array_equal(a, _ScrambledHalton(5, 1).random(2048))
 
 
+def _pairwise_new_solutions(sols, pool, tol):
+    """The one-by-one scan: a row is new when it is farther than tol from the pool and every earlier new row."""
+    kept = np.asarray(pool)
+    expected = []
+    for i, sol in enumerate(sols):
+        if (np.abs((sol - kept + np.pi) % (2 * np.pi) - np.pi).max(axis=1) > tol).all():
+            kept = np.vstack([kept, sol])
+            expected.append(i)
+    return expected
+
+
 def test_new_solutions_matches_pairwise_loop():
     """The batched dedupe keeps exactly the rows a one-by-one scan would keep."""
     rng = np.random.default_rng(5)
@@ -162,13 +180,200 @@ def test_new_solutions_matches_pairwise_loop():
         picks = rng.integers(0, len(centres), 60)
         sols = (centres[picks] + rng.uniform(-2e-7, 2e-7, (60, 5))) % (2 * np.pi)
         pool = sols[:0] if trial % 2 else centres[:3]
-        kept = list(pool)
-        expected = []
-        for i, sol in enumerate(sols):
-            if all(np.abs((sol - k + np.pi) % (2 * np.pi) - np.pi).max() > tol for k in kept):
-                kept.append(sol)
-                expected.append(i)
+        assert _new_solutions(sols, pool, tol) == _pairwise_new_solutions(sols, pool, tol)
+
+    # a chain: a-b and b-c within tol, a-c not; the scan keeps a and c, merging clusters would keep a alone
+    chain = np.full((3, 5), 1.0)
+    chain[:, 2] += np.array([0.0, 0.8, 1.6]) * tol
+    assert _pairwise_new_solutions(chain, chain[:0], tol) == [0, 2]
+    assert _new_solutions(chain, chain[:0], tol) == [0, 2]
+    assert _new_solutions(chain, chain[1:2], tol) == []
+
+    # 2,000 rows, about the census's first batch, in clusters whose spread straddles tol
+    centres = rng.uniform(0, 2 * np.pi, (48, 5))
+    sols = (centres[rng.integers(0, 48, 2000)] + rng.uniform(-1e-6, 1e-6, (2000, 5))) % (2 * np.pi)
+    for pool in (sols[:0], centres[::4]):
+        expected = _pairwise_new_solutions(sols, pool, tol)
+        assert len(expected) > len(centres) - len(pool)  # some clusters keep more than one row
         assert _new_solutions(sols, pool, tol) == expected
+
+
+def _parent_newton_census(n, restarts, seed, tol=bu.DEFAULT_TOL):
+    """Reference census, batch by batch: 512-row batches, one unsliced residual call per Armijo
+    halving, one `_within` call per fresh row, lstsq for the whole batch when one solve fails.
+    `newton_census` must reproduce its bytes."""
+    batch_size = 512
+
+    def residual_system(phi, dft_matrix, n):
+        x = np.concatenate([np.ones((len(phi), 1), dtype=complex), np.exp(1j * phi)], axis=1)
+        xt = x @ dft_matrix
+        r = np.abs(xt[:, 1:]) ** 2 - 1.0
+        return r, x, xt
+
+    def phase_jacobian(x, xt, q_table, n):
+        return -(2.0 / np.sqrt(n)) * np.imag(np.conj(xt[:, 1:, None]) * x[:, None, 1:] * q_table[None, :, :])
+
+    def new_solutions(sols, pool, tol):
+        fresh = np.nonzero(~bu._within(sols, pool, tol).any(axis=1))[0]
+        new = []
+        for i in fresh:
+            if not bu._within(sols[i : i + 1], sols[new], tol).any():
+                new.append(int(i))
+        return new
+
+    q = np.exp(2j * np.pi / n)
+    a = np.arange(n)
+    dft_matrix = q ** np.outer(a, a) / np.sqrt(n)
+    q_table = q ** np.outer(np.arange(1, n), np.arange(1, n))
+
+    sampler = _ScrambledHalton(n - 1, seed)
+    pool = np.empty((0, n - 1))
+    last_new = -1
+    used = 0
+    rank_deficient = 0
+    stabilized = False
+
+    while used < restarts:
+        take = min(batch_size, restarts - used)
+        phi = sampler.random(take) * 2 * np.pi
+        start_index = used
+        used += take
+
+        active = np.ones(take, dtype=bool)
+        for _ in range(bu.NEWTON_MAX_ITERATIONS):
+            if not active.any():
+                break
+            idx = np.nonzero(active)[0]
+            r, x, xt = residual_system(phi[idx], dft_matrix, n)
+            done = np.abs(r).max(axis=1) <= bu.NEWTON_RESIDUAL_TOL
+            if done.any():
+                active[idx[done]] = False
+                keep = ~done
+                idx, r, x, xt = idx[keep], r[keep], x[keep], xt[keep]
+            if len(idx) == 0:
+                continue
+            jac = phase_jacobian(x, xt, q_table, n)
+            try:
+                step = np.linalg.solve(jac, -r[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                step = np.stack(
+                    [np.linalg.lstsq(jac[i], -r[i], rcond=None)[0] for i in range(len(idx))]
+                )
+            f0 = 0.5 * np.sum(r * r, axis=1)
+            t = np.ones(len(idx))
+            accepted = np.zeros(len(idx), dtype=bool)
+            for _ in range(40):
+                trial = np.nonzero(~accepted)[0]
+                if len(trial) == 0:
+                    break
+                r_new, _, _ = residual_system(
+                    phi[idx[trial]] + t[trial, None] * step[trial], dft_matrix, n
+                )
+                f_new = 0.5 * np.sum(r_new * r_new, axis=1)
+                ok = f_new <= f0[trial] * (1.0 - 0.5 * t[trial])
+                accepted[trial[ok]] = True
+                t[trial[~ok]] *= 0.5
+            dead = ~accepted | (t < 1e-12)
+            move = accepted & ~dead
+            phi[idx[move]] = (phi[idx[move]] + t[move, None] * step[move]) % (2 * np.pi)
+            active[idx[dead]] = False
+        # anything still active hit the iteration cap: discard
+
+        r, x, xt = residual_system(phi, dft_matrix, n)
+        rows = np.nonzero(np.abs(r).max(axis=1) <= bu.NEWTON_RESIDUAL_TOL)[0]
+        jac = phase_jacobian(x[rows], xt[rows], q_table, n)
+        rank_deficient += int(np.sum(np.linalg.svd(jac, compute_uv=False)[:, -1] < 1e-6))
+        sols = phi[rows] % (2 * np.pi)
+        new = new_solutions(sols, pool, tol.dedupe_tol)
+        if new:
+            pool = np.concatenate([pool, sols[new]])
+            last_new = start_index + int(rows[new[-1]])
+        floor = min(restarts, 2048)  # never stabilize off a tiny sample
+        if len(pool) and used >= floor and used >= 2 * (last_new + 1):
+            stabilized = True
+            break
+
+    if len(pool) and not stabilized:
+        stabilized = used >= 2 * (last_new + 1)
+
+    order = sorted(range(len(pool)), key=lambda i: tuple(pool[i]))
+    sequences = []
+    for i in order:
+        entries = np.concatenate([[1.0 + 0j], np.exp(1j * pool[i])])
+        sequences.append(BiuniSequence(entries=tuple(entries), kind=classify_sequence(entries)))
+
+    status = "ok"
+    if rank_deficient:
+        status = "not zero-dimensional"
+    elif not stabilized:
+        status = "unconverged census"
+    structure = {}
+    for seq in sequences:
+        if seq.kind == BJORCK:
+            for tag in entry_structure(seq.as_array()):
+                structure[tag] = structure.get(tag, 0) + 1
+    metadata = {
+        "n": n,
+        "method": "newton",
+        "seed": seed,
+        "restart_budget": restarts,
+        "restarts_used": used,
+        "newton_residual_tol": bu.NEWTON_RESIDUAL_TOL,
+        "max_iterations": bu.NEWTON_MAX_ITERATIONS,
+        "dedupe_tol": tol.dedupe_tol,
+        "rank_deficient_solutions": rank_deficient,
+        "last_new_solution_at_restart": last_new,
+        "bjorck_entry_tags": structure,
+        "status": status,
+    }
+    result = CensusResult(n=n, sequences=tuple(sequences), bases=(), metadata=metadata)
+    metadata["counts_under_quotients"] = result.quotient_counts(tol.dedupe_tol)
+    return result
+
+
+class TestNewtonLoop:
+    @pytest.mark.parametrize(
+        "n, restarts, seed",
+        [(6, 20000, 0), (6, 20000, 1), (6, 20000, 2), (6, 20000, 6), (3, 3000, 5), (5, 4000, 1)],
+    )
+    def test_bytes_match_the_batch_by_batch_loop(self, n, restarts, seed):
+        expected = mio.dumps(_parent_newton_census(n, restarts, seed).to_dict())
+        assert mio.dumps(newton_census(n, restarts, seed).to_dict()) == expected
+
+    @pytest.mark.parametrize("batch_size", [256, 1024])
+    def test_batch_size_does_not_move_the_bytes(self, monkeypatch, batch_size):
+        expected = mio.dumps(newton_census(6, 20000, 0).to_dict())
+        monkeypatch.setattr(bu, "NEWTON_BATCH_SIZE", batch_size)
+        census = newton_census(6, 20000, 0)
+        assert census.metadata["restarts_used"] == 2048
+        assert mio.dumps(census.to_dict()) == expected
+
+    def test_singular_jacobian_leaves_other_rows_alone(self, monkeypatch):
+        """A start whose Jacobian is exactly singular does not change the steps of the rest of its batch.
+
+        At phi = 0 every x~_a (a >= 1) is a rounding error of about 1e-16, not
+        exactly 0, so its solve succeeds; the wrapper zeroes that row's Jacobian
+        to make it exactly singular.
+        """
+        n = 6
+        dft_matrix, q_table = _fourier_tables(n)
+        jacobian = bu._phase_jacobian
+
+        def zero_at_origin(x, xt, q_table, n):
+            jac = jacobian(x, xt, q_table, n)
+            jac[(x == 1).all(axis=1)] = 0.0
+            return jac
+
+        monkeypatch.setattr(bu, "_phase_jacobian", zero_at_origin)
+        starts = _ScrambledHalton(n - 1, 0).random(64) * 2 * np.pi
+        alone = starts.copy()
+        _newton_solve(alone, dft_matrix, q_table, n)
+        mixed = np.concatenate([np.zeros((1, n - 1)), starts])
+        _newton_solve(mixed, dft_matrix, q_table, n)
+        assert mixed[0].tolist() == [0.0] * (n - 1)  # a zero step cannot pass the line search
+        assert mixed[1:].tobytes() == alone.tobytes()
+        r, _, _ = bu._phase_residual_system(alone, dft_matrix, n)
+        assert (np.abs(r).max(axis=1) <= bu.NEWTON_RESIDUAL_TOL).sum() > 32
 
 
 class TestRootCensus:
