@@ -113,14 +113,17 @@ def chordal_distance_sq(p1: np.ndarray, p2: np.ndarray) -> float:
 
 
 def gram_deviations(unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram blocks G_ij = U_i^dag U_j of a stack (m, N, N) of unitaries, and |G_ij|^2 - 1/N.
+    """Gram matrix G = X^dag X of a stack (m, N, N) of unitaries laid side by side as
+    X = [U_0 | ... | U_{m-1}], and |G|^2 - 1/N; both are (mN, mN).
 
-    Every squared chordal distance in the package is N-1 minus the sum of
-    squares of one deviation block.
+    Block (i, j) of G is U_i^dag U_j.  Every squared chordal distance in the
+    package is N-1 minus the sum of squares of one deviation block.
     """
     us = np.asarray(unitaries)
-    g = np.einsum("iba,jbc->ijac", us.conj(), us)
-    return g, np.abs(g) ** 2 - 1.0 / us.shape[-1]
+    m, n, _ = us.shape
+    x = us.transpose(1, 0, 2).reshape(n, m * n)
+    g = x.conj().T @ x
+    return g, np.abs(g) ** 2 - 1.0 / n
 
 
 def chordal_distance_sq_overlap(a: Basis, b: Basis, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -137,9 +140,11 @@ def distance_table(bases: list[Basis], tol: Tolerance = DEFAULT_TOL) -> np.ndarr
         raise ValueError(f"bases of mixed dimensions: {sorted(dims)}")
     for b in bases:
         b.require_unitary(tol)
+    m, n = len(bases), bases[0].dim
     _, dev = gram_deviations(np.stack([b.matrix for b in bases]))
+    blocks = dev.reshape(m, n, m, n)
     # entry (i, j) is taken from G_ij with i < j; the mirror makes the table exactly symmetric
-    table = np.triu(bases[0].dim - 1 - np.einsum("ijab,ijab->ij", dev, dev), 1)
+    table = np.triu(n - 1 - np.einsum("iajb,iajb->ij", blocks, blocks), 1)
     return table + table.T
 
 

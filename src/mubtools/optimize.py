@@ -4,6 +4,7 @@ and parameter scans over the catalog families."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,36 +19,78 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+@lru_cache(maxsize=None)
+def _off_diagonal_blocks(m: int, n: int) -> np.ndarray:
+    """Read-only (mn, mn) mask: 0 on the m diagonal n x n blocks, 1 elsewhere."""
+    mask = 1.0 - np.kron(np.eye(m), np.ones((n, n)))
+    mask.setflags(write=False)
+    return mask
+
+
+def _spread(us: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective F = sum_{i<j} D2_c of a stack (m, n, n), with the Gram matrix G of
+    `gram_deviations` and its deviation |G|^2 - 1/n zeroed on the diagonal blocks.
+
+    The off-diagonal blocks hold each unordered pair twice, hence the factor 1/2.
+    """
+    m, n, _ = us.shape
+    g, dev = gram_deviations(us)
+    dev *= _off_diagonal_blocks(m, n)
+    flat = dev.ravel()
+    return spread_upper_bound(n, m) - 0.5 * float(flat @ flat), g, dev
+
+
 def spread_and_grads(unitaries: np.ndarray) -> tuple[float, np.ndarray]:
     """Objective F = sum_{i<j} D2_c and its Euclidean gradient for each basis matrix.
 
-    Uses the overlap form of the distance; the gradient of the pair term for
-    the first slot is -4 U_j K^T with K = (|G|^2 - 1/n) * conj(G) and
-    G = U_i^dag U_j, which by symmetry covers both slots when summed over
-    ordered pairs.
+    Uses the overlap form of the distance on the flat Gram matrix G = X^dag X,
+    X = [U_0 | ... | U_{m-1}]: with K = (|G|^2 - 1/n) * conj(G), zeroed on the
+    diagonal blocks, the gradient for slot i is block column i of -4 X K^T.
     """
     us = np.asarray(unitaries)
     m, n, _ = us.shape
-    g, dev = gram_deviations(us)
-    f = m * (m - 1) / 2 * (n - 1) - 0.5 * float(np.einsum("ijab,ijab->", dev, dev))
-    # remove the diagonal pair terms from both the objective and the gradient
-    diag = np.einsum("iiab,iiab->", dev, dev)
-    f += 0.5 * float(diag)
-    k = dev * g.conj()
-    for i in range(m):
-        k[i, i] = 0.0
-    grads = -4.0 * np.einsum("jab,ijcb->iac", us, k)
-    return f, grads
+    f, g, dev = _spread(us)
+    x = us.transpose(1, 0, 2).reshape(n, m * n)
+    grads = -4.0 * (x @ (dev * g.conj()).T)
+    return f, grads.reshape(n, m, n).transpose(1, 0, 2)
+
+
+def _ascent_skews(g: np.ndarray, dev: np.ndarray, n: int, lo: int) -> np.ndarray:
+    """Skew-Hermitian parts of U_i^dag grad_i for the slots i >= lo, from the output of `_spread`.
+
+    U_i^dag grad_i is diagonal block i of -4 G K^T, so only the rows of G and
+    K = dev * conj(G) that belong to those slots are multiplied, slot by slot.
+    """
+    width = g.shape[1]
+    k = dev[lo * n:] * g[lo * n:].conj()
+    blocks = g[lo * n:].reshape(-1, n, width) @ k.reshape(-1, n, width).swapaxes(1, 2)
+    # blocks = -(1/4) U_i^dag grad_i, whose skew-Hermitian part is then 2 (blocks^dag - blocks)
+    return 2.0 * (blocks.conj().swapaxes(1, 2) - blocks)
+
+
+def _exp_skew(w: np.ndarray, v: np.ndarray, eps: float) -> np.ndarray:
+    """exp(eps A) for skew-Hermitian A with -iA = V diag(w) V^dag: V diag(exp(i eps w)) V^dag."""
+    return (v * np.exp(1j * eps * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """exp of each skew-Hermitian matrix in a stack (..., n, n), unitary up to rounding.
 
     -iA is Hermitian with eigendecomposition V diag(w) V^dag, so
-    exp(A) = V diag(exp(iw)) V^dag.
+    exp(A) = V diag(exp(iw)) V^dag; the ascent's retraction uses the same formula.
     """
     w, v = np.linalg.eigh(-1j * a)
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return _exp_skew(w, v, 1.0)
+
+
+def _ascent_direction(
+    g: np.ndarray, dev: np.ndarray, n: int, lo: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Squared norm |A|^2 of the skews A of the slots i >= lo, and the eigendecomposition
+    (w, v) of -iA, which every trial step from this state reuses; |A|^2 = sum w^2."""
+    w, v = np.linalg.eigh(-1j * _ascent_skews(g, dev, n, lo))
+    flat = w.ravel()
+    return float(flat @ flat), w, v
 
 
 STOP_REASONS = ("target", "gradient", "step-underflow", "iteration-cap")
@@ -87,7 +130,11 @@ def maximize_spread(
     Optional `frozen` matrices occupy the slots after the standard basis and
     are never moved.  Steps follow the Riemannian gradient, U <- U exp(eps A)
     with A the skew-Hermitian projection of U^dag grad, and eps adapted by
-    backtracking; accepted steps never decrease the objective.  `target`
+    backtracking.  A step is accepted only if it raises the objective strictly
+    above f + 1e-4 eps |A|^2, so the trajectory is strictly increasing and a
+    plateau ends in a step underflow.  Each accepted state is diagonalized
+    once, -iA = V diag(w) V^dag, and every trial from it, rejected ones
+    included, retracts with exp(eps A) = V diag(exp(i eps w)) V^dag.  `target`
     stops the run early once reached (useful for extension scans).
     """
     if n < 2 or m < 2:
@@ -108,7 +155,8 @@ def maximize_spread(
         us[i] = haar_unitary(n, rng)
 
     upper = spread_upper_bound(n, m)
-    f, grads = spread_and_grads(us)
+    f, *gram = _spread(us)
+    gnorm_sq, w, v = _ascent_direction(*gram, n, lo)
     trajectory = [f]
     eps = INITIAL_STEP
     stop_reason = "iteration-cap"
@@ -119,17 +167,14 @@ def maximize_spread(
         if target is not None and f >= target:
             stop_reason = "target"
             break
-        g = us[lo:].conj().swapaxes(1, 2) @ grads[lo:]
-        skews = 0.5 * (g - g.conj().swapaxes(1, 2))
-        gnorm_sq = float(np.sum(np.abs(skews) ** 2))
         if gnorm_sq < 1e-20:
             stop_reason = "gradient"
             break
-        trial_us = us.copy()
-        trial_us[lo:] = us[lo:] @ expm(eps * skews)
-        f_trial, grads_trial = spread_and_grads(trial_us)
-        if f_trial >= f + 1e-4 * eps * gnorm_sq:
-            us, f, grads = trial_us, f_trial, grads_trial
+        trial_us = np.concatenate((us[:lo], us[lo:] @ _exp_skew(w, v, eps)))
+        f_trial, *gram = _spread(trial_us)
+        if f_trial > f + 1e-4 * eps * gnorm_sq:
+            us, f = trial_us, f_trial
+            gnorm_sq, w, v = _ascent_direction(*gram, n, lo)
             trajectory.append(f)
             eps = min(eps * 1.3, 2.0)
         else:

@@ -1,11 +1,35 @@
 import numpy as np
 import pytest
 
+from mubtools import optimize
 from mubtools.catalog import h4
 from mubtools.constructions import fourier
 from mubtools.core import Basis, InadmissibleParameterError
-from mubtools.grassmann import spread_objective, spread_upper_bound
+from mubtools.grassmann import gram_deviations, spread_objective, spread_upper_bound
 from mubtools.optimize import STOP_REASONS, expm, haar_unitary, maximize_spread, scan_family, spread_and_grads
+
+
+def _einsum_gram_deviations(unitaries):
+    """The 4-index form of the Gram blocks, kept as a reference for the flat kernel."""
+    us = np.asarray(unitaries)
+    g = np.einsum("iba,jbc->ijac", us.conj(), us)
+    return g, np.abs(g) ** 2 - 1.0 / us.shape[-1]
+
+
+def _einsum_spread_and_grads(unitaries):
+    """The 4-index objective and Euclidean gradient, kept as a reference for the flat kernel."""
+    us = np.asarray(unitaries)
+    m, n, _ = us.shape
+    g, dev = _einsum_gram_deviations(us)
+    f = m * (m - 1) / 2 * (n - 1) - 0.5 * float(np.einsum("ijab,ijab->", dev, dev))
+    # remove the diagonal pair terms from both the objective and the gradient
+    diag = np.einsum("iiab,iiab->", dev, dev)
+    f += 0.5 * float(diag)
+    k = dev * g.conj()
+    for i in range(m):
+        k[i, i] = 0.0
+    grads = -4.0 * np.einsum("jab,ijcb->iac", us, k)
+    return f, grads
 
 
 class TestSpreadAndGrads:
@@ -46,6 +70,35 @@ class TestSpreadAndGrads:
             w = haar_unitary(n, rng)
             f1, _ = spread_and_grads(np.einsum("ab,ibc->iac", w, us))
             assert abs(f0 - f1) < 1e-9
+
+
+class TestFlatKernel:
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (5, 4), (4, 6)])
+    def test_matches_einsum_reference(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        us = np.stack([np.eye(n, dtype=complex)] + [haar_unitary(n, rng) for _ in range(m - 1)])
+        g, dev = gram_deviations(us)
+        g_ref, dev_ref = _einsum_gram_deviations(us)
+        assert np.abs(g.reshape(m, n, m, n).transpose(0, 2, 1, 3) - g_ref).max() <= 1e-12
+        assert np.abs(dev.reshape(m, n, m, n).transpose(0, 2, 1, 3) - dev_ref).max() <= 1e-12
+        f, grads = spread_and_grads(us)
+        f_ref, grads_ref = _einsum_spread_and_grads(us)
+        assert abs(f - f_ref) <= 1e-12
+        assert np.abs(grads - grads_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (5, 4), (4, 6)])
+    def test_loop_skews_match_projected_gradient(self, m, n):
+        """With and without frozen slots, the skews from (G, K) are skew(U_i^dag grad_i) of the free slots."""
+        rng = np.random.default_rng(20 * m + n)
+        us = np.stack([np.eye(n, dtype=complex)] + [haar_unitary(n, rng) for _ in range(m - 1)])
+        f_ref, grads_ref = _einsum_spread_and_grads(us)
+        f, *gram = optimize._spread(us)
+        assert abs(f - f_ref) <= 1e-12
+        for lo in range(1, m + 1):  # slots 1 .. lo-1 frozen; lo = m leaves nothing free
+            skews = optimize._ascent_skews(*gram, n, lo)
+            p = us[lo:].conj().swapaxes(1, 2) @ grads_ref[lo:]
+            assert skews.shape == (m - lo, n, n)
+            assert np.abs(skews - 0.5 * (p - p.conj().swapaxes(1, 2))).max(initial=0.0) <= 1e-12
 
 
 class TestExpm:
@@ -103,8 +156,29 @@ class TestMaximizeSpread:
 
     def test_monotone_trajectory(self):
         result = maximize_spread(4, 3, seed=3, iterations=500)
-        diffs = np.diff(result.trajectory)
-        assert diffs.min() >= -1e-12
+        assert len(result.trajectory) > 1
+        assert np.all(np.diff(result.trajectory) > 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monotone_trajectory_frozen_h4_half_pi(self, seed):
+        """On the plateau below the bound, every accepted step must still raise the objective."""
+        result = maximize_spread(4, 5, seed=seed, frozen=[h4(np.pi / 2)], iterations=3000, target=30 - 1e-7)
+        assert len(result.trajectory) > 1
+        assert np.all(np.diff(result.trajectory) > 0)
+
+    def test_four_point_h4_scan_never_hits_the_cap(self, monkeypatch):
+        """The 4-point extension scan of H4 ends every ascent at its target or in a step underflow."""
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(maximize_spread(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(optimize, "maximize_spread", recording)
+        grid = np.linspace(0.0, 2 * np.pi, 4, endpoint=False).reshape(-1, 1)
+        scan_family("H4", grid, [Basis.standard(4)], extension_m=5, seeds=(0, 1, 2), iterations=3000)
+        assert len(results) == 8
+        assert {r.stop_reason for r in results} == {"target", "step-underflow"}
 
     def test_upper_bound_never_exceeded(self):
         for seed in range(5):
