@@ -13,7 +13,7 @@ from . import search as search_mod
 from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance
 from .constructions import _is_prime, fourier
 from .grassmann import distance_table
-from .io import FileFormatError
+from .io import FileFormatError, complex_entries, parse_complex_entries
 
 GAUSSIAN = "gaussian"
 BJORCK = "bjorck"
@@ -160,16 +160,9 @@ class CensusResult:
             "format": "census",
             "n": self.n,
             "metadata": self.metadata,
-            "sequences": [
-                {"kind": s.kind, "entries": [[z.real, z.imag] for z in s.entries]} for s in self.sequences
-            ],
+            "sequences": [{"kind": s.kind, "entries": complex_entries(s.entries)} for s in self.sequences],
             "bases": [
-                {
-                    "label": b.label,
-                    "n": b.dim,
-                    "entries": [[[z.real, z.imag] for z in row] for row in np.asarray(b.matrix)],
-                }
-                for b in self.bases
+                {"label": b.label, "n": b.dim, "entries": complex_entries(b.matrix)} for b in self.bases
             ],
         }
 
@@ -180,18 +173,14 @@ class CensusResult:
             raise FileFormatError("not a census payload")
         try:
             n = int(payload["n"])
+            items = payload["sequences"]
+            # the sequences are the rows of one grid
+            rows = parse_complex_entries([item["entries"] for item in items])
             sequences = tuple(
-                BiuniSequence(
-                    entries=tuple(complex(re, im) for re, im in item["entries"]),
-                    kind=item["kind"],
-                )
-                for item in payload["sequences"]
+                BiuniSequence(entries=tuple(row), kind=item["kind"]) for row, item in zip(rows, items)
             )
             bases = tuple(
-                Basis(
-                    np.array([[complex(re, im) for re, im in row] for row in item["entries"]]),
-                    label=item.get("label", ""),
-                )
+                Basis(parse_complex_entries(item["entries"]), label=item.get("label", ""))
                 for item in payload.get("bases", [])
             )
             metadata = dict(payload["metadata"])
@@ -458,7 +447,7 @@ def newton_census(
     return result
 
 
-def root_census(n: int, k: int, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
+def root_census(n: int, k: int) -> CensusResult:
     """Exact enumeration of biunimodular sequences whose entries are k-th roots of unity."""
     vectors = search_mod.unbiased_vector_enumerate(n, k)
     sequences = []
@@ -487,7 +476,7 @@ def _is_circulant_column_set(columns: np.ndarray, tol: float = 1e-6) -> bool:
     return True
 
 
-def assemble_bases(census: CensusResult, tol: Tolerance = DEFAULT_TOL) -> CensusResult:
+def assemble_bases(census: CensusResult) -> CensusResult:
     """Find every orthonormal basis among the census vectors and attach it to the census.
 
     Census vectors (normalized by 1/sqrt(n)) close under cyclic shift up to

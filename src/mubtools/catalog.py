@@ -149,20 +149,15 @@ _FIXTURE_ROOT_ORDERS = {"S": 3, "DITA0": 4}
 def load_fixture(name: str) -> np.ndarray:
     """Load and exactly re-verify a stored root-of-unity Hadamard (names: S, DITA0).
 
-    The fixture files are produced by the exhaustive root-restricted search;
-    on load every column pair is re-checked for orthogonality in exact
-    cyclotomic arithmetic before the normalized complex matrix is returned.
+    The fixture files hold the lexicographically least exponent matrix of the
+    exhaustive root-restricted search at (n, k) = (6, 3) and (6, 4); a test
+    recomputes both.  On load every column pair is re-checked for
+    orthogonality in exact cyclotomic arithmetic before the normalized
+    complex matrix is returned.
     """
     if name not in _FIXTURE_ROOT_ORDERS:
         raise ValueError(f"unknown fixture {name!r}; known: {sorted(_FIXTURE_ROOT_ORDERS)}")
-    ref = resources.files("mubtools").joinpath(f"fixtures/{name}.json")
-    try:
-        parsed = parse_matrix(loads(ref.read_text()))
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(
-            f"fixture {name} missing; regenerate with "
-            f"`mubtools search hadamards --n 6 --k {_FIXTURE_ROOT_ORDERS[name]} --write-fixtures`"
-        ) from exc
+    parsed = parse_matrix(loads(resources.files("mubtools").joinpath(f"fixtures/{name}.json").read_text()))
     if not isinstance(parsed, RootMatrix):
         raise ValueError(f"fixture {name} is not in root form")
     if parsed.k != _FIXTURE_ROOT_ORDERS[name]:

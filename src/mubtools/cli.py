@@ -13,11 +13,10 @@ import math
 import os
 import secrets
 import sys
-from importlib import resources
 
 import numpy as np
 
-from . import __version__, biunimodular, catalog, constructions, io as mio, optimize as opt, search as search_mod
+from . import biunimodular, catalog, constructions, io as mio, optimize as opt, search as search_mod
 from .core import (
     DEFAULT_DEDUPE_TOL,
     DEFAULT_EQ_TOL,
@@ -123,28 +122,8 @@ def _checked_bases(bases: list[Basis], tol: Tolerance) -> list[Basis]:
 
 
 def _load_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
-    bases: list[Basis] = []
-    for path in paths:
-        payload = mio.loads(_read_text(path))
-        if payload.get("format") == "basis-list":
-            items = payload.get("bases")
-            if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-                raise mio.FileFormatError(f"{path}: basis-list needs a list of basis objects")
-            for item in items:
-                bases.append(Basis(mio.as_complex_matrix(item.get("matrix")), label=item.get("label", path)))
-        else:
-            bases.append(Basis(mio.as_complex_matrix(payload), label=path))
+    bases = [basis for path in paths for basis in mio.parse_bases(mio.loads(_read_text(path)), path)]
     return _checked_bases(bases, tol)
-
-
-def _basis_list_payload(bases: list[Basis], n: int) -> dict:
-    return {
-        "format": "basis-list",
-        "n": n,
-        "bases": [
-            {"label": b.label, "matrix": mio.complex_matrix_payload(b.matrix)} for b in bases
-        ],
-    }
 
 
 def _resolve_seed(seed: int | None) -> tuple[int, str]:
@@ -167,13 +146,13 @@ def _cmd_gen(args) -> int:
         payload = {
             "format": "weyl-pair",
             "n": args.n,
-            "q": [q.real, q.imag],
+            "q": mio.complex_entries(q),
             "X": mio.complex_matrix_payload(x),
             "Z": mio.complex_matrix_payload(z),
         }
     elif kind == "prime-mubs":
         mubs = constructions.prime_mub_set(args.p)
-        payload = _basis_list_payload(list(mubs.bases), mubs.dim)
+        payload = mio.basis_list_payload(list(mubs.bases), mubs.dim)
     elif kind == "h4":
         payload = mio.complex_matrix_payload(catalog.h4(args.phi))
     elif kind == "f6":
@@ -186,11 +165,11 @@ def _cmd_gen(args) -> int:
         payload = mio.complex_matrix_payload(
             mat,
             provenance={"family": "BN", "theta": args.theta, "branch": args.branch,
-                        "x": [x.real, x.imag], "z": [z.real, z.imag], "t": [t.real, t.imag]},
+                        "x": mio.complex_entries(x), "z": mio.complex_entries(z), "t": mio.complex_entries(t)},
         )
     elif kind == "real4":
         result = constructions.real_mub_set_dim4()
-        payload = _basis_list_payload(list(result.bases), 4)
+        payload = mio.basis_list_payload(list(result.bases), 4)
         payload["vertices"] = [[float(v) for v in row] for row in result.vertices]
     else:
         raise AssertionError(kind)
@@ -262,13 +241,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    tol = _tolerance()
     if args.method == "newton":
         seed, origin = _resolve_seed(args.seed)
-        census = biunimodular.newton_census(args.n, restarts=args.restarts, seed=seed, tol=tol)
+        census = biunimodular.newton_census(args.n, restarts=args.restarts, seed=seed, tol=_tolerance())
         census.metadata["seed_origin"] = origin
     else:
-        census = biunimodular.root_census(args.n, args.k, tol=tol)
+        census = biunimodular.root_census(args.n, args.k)
     _write_text(args.output, mio.dumps(census.to_dict()))
     counts = census.count_by_kind()
     print(
@@ -279,10 +257,9 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    tol = _tolerance()
     census = biunimodular.CensusResult.from_dict(mio.loads(_read_text(args.census)))
     try:
-        census = biunimodular.assemble_bases(census, tol=tol)
+        census = biunimodular.assemble_bases(census)
     except ValueError as exc:  # an empty census, or a basis that is not unbiased to standard and Fourier
         raise mio.FileFormatError(str(exc)) from None
     _write_text(args.output, mio.dumps(census.to_dict()))
@@ -295,16 +272,13 @@ def _cmd_report(args) -> int:
     census = biunimodular.CensusResult.from_dict(mio.loads(_read_text(args.census)))
     try:
         if not census.bases:
-            census = biunimodular.assemble_bases(census, tol=tol)
+            census = biunimodular.assemble_bases(census)
         report = biunimodular.census_distance_report(census, tol=tol)
     except ValueError as exc:  # an empty census, non-unitary bases, or not the full census structure
         raise mio.FileFormatError(str(exc)) from None
     if args.csv:
         _write_text(args.csv, mio.distance_csv(list(report.labels), report.table))
-    stats = dict(report.stats)
-    stats["gaussian_vs_nongaussian"] = list(stats["gaussian_vs_nongaussian"])
-    stats["sixplet_cross"] = list(stats["sixplet_cross"])
-    _write_text(None, mio.dumps({"summary": report.summary_lines(), "stats": stats}))
+    _write_text(None, mio.dumps({"summary": report.summary_lines(), "stats": report.stats}))
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     return EXIT_OK
@@ -318,8 +292,6 @@ def _result_payload(obj, k: int) -> dict:
 
 
 def _cmd_search(args) -> int:
-    if args.write_fixtures and args.depth != "hadamards":
-        raise InadmissibleParameterError("--write-fixtures applies to search hadamards only")
     run = {"hadamards": search_mod.root_hadamard_enumerate, "triplets": search_mod.mub_triplet_search,
            "quartets": search_mod.mub_quartet_search}[args.depth]
     outcome = run(args.n, args.k, budget=args.budget, resume_token=args.resume,
@@ -334,41 +306,10 @@ def _cmd_search(args) -> int:
         "complete": outcome.complete, "nodes": outcome.nodes_used,
         "resume_token": outcome.resume_token,
     }
-    if args.write_fixtures:
-        _write_fixture(outcome, args.n, args.k, args.argv)
     lines.append(mio.dumps({"summary": summary}))
     _write_text(args.output, "\n".join(lines) + "\n")
     print(f"search {args.depth}: {summary}", file=sys.stderr)
     return EXIT_OK
-
-
-def _write_fixture(outcome, n: int, k: int, argv: list[str]) -> None:
-    known = {(6, 3): "S", (6, 4): "DITA0"}
-    name = known.get((n, k))
-    if name is None:
-        raise InadmissibleParameterError("fixtures are defined for (n, k) in {(6, 3), (6, 4)} only")
-    if not outcome.complete:
-        raise InadmissibleParameterError("refusing to write a fixture from an incomplete search")
-    best = min(outcome.matrices, key=lambda m: tuple(m.ravel()))
-    payload = mio.root_matrix_payload(
-        best, k,
-        provenance={
-            "generator": f"mubtools search hadamards --n {n} --k {k} --write-fixtures",
-            "argv": argv,
-            "versions": {"mubtools": __version__, "numpy": np.__version__},
-            "search": {
-                "n": n, "k": k,
-                "matrices_found": len(outcome.matrices),
-                "equivalence_buckets": len(outcome.buckets),
-                "selection": "lexicographically least exponent matrix",
-            },
-        },
-    )
-    target = resources.files("mubtools").joinpath(f"fixtures/{name}.json")
-    with resources.as_file(target) as path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(mio.dumps(payload) + "\n")
-    print(f"fixture {name} written to {target}", file=sys.stderr)
 
 
 def _cmd_optimize(args) -> int:
@@ -399,9 +340,7 @@ def _cmd_optimize(args) -> int:
             }
             for r in runs
         ],
-        "best_bases": [
-            {"label": b.label, "matrix": mio.complex_matrix_payload(b.matrix)} for b in best.bases
-        ],
+        "best_bases": mio.basis_list_payload(best.bases, args.n)["bases"],
     }
     _write_text(args.output, mio.dumps(payload))
     print(f"best F = {best.objective:.9f} of bound {best.upper_bound}", file=sys.stderr)
@@ -554,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--resume", help="checkpoint token from an interrupted run")
     sea.add_argument("--checkpoint", help="where to write the checkpoint on budget exhaustion "
                      "(default <depth>-n<n>-k<k>.checkpoint.json)")
-    sea.add_argument("--write-fixtures", action="store_true",
-                     help="store the canonical matrix as a package fixture (hadamards only)")
     sea.add_argument("-o", "--output")
     sea.set_defaults(func=_cmd_search)
 
@@ -589,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.argv = sys.argv[1:] if argv is None else list(argv)
         return args.func(args)
     except mio.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -600,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'the requested size is too large'}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    except OSError as exc:  # an output, checkpoint or fixture path that cannot be written
+    except OSError as exc:  # an output or checkpoint path that cannot be written
         print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
 

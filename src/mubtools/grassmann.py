@@ -143,8 +143,9 @@ def distance_table(bases: list[Basis], tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     m, n = len(bases), bases[0].dim
     _, dev = gram_deviations(np.stack([b.matrix for b in bases]))
     blocks = dev.reshape(m, n, m, n)
-    # entry (i, j) is taken from G_ij with i < j; the mirror makes the table exactly symmetric
-    table = np.triu(n - 1 - np.einsum("iajb,iajb->ij", blocks, blocks), 1)
+    # entry (i, j) is taken from G_ij with i < j; the mirror makes the table exactly symmetric.
+    # Rounding can put a distance just below 0 (never above n - 1), so it is clamped there.
+    table = np.triu(np.maximum(n - 1 - np.einsum("iajb,iajb->ij", blocks, blocks), 0.0), 1)
     return table + table.T
 
 

@@ -1,4 +1,5 @@
-"""File formats: matrix JSON (complex and root forms), census JSON, distance CSV.
+"""File formats: matrix JSON (complex and root forms), basis lists, the
+complex entries of census JSON, distance CSV.
 
 Writers are deterministic (sorted keys, fixed separators) and emit floats
 with 17 significant digits so that write -> read -> write round-trips are
@@ -11,6 +12,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import Basis
 
 
 class FileFormatError(ValueError):
@@ -49,13 +52,24 @@ def dumps(obj) -> str:
     return _dump(obj)
 
 
+def complex_entries(values) -> list:
+    """[re, im] pairs in the shape of a complex scalar, vector or matrix."""
+    a = np.asarray(values, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def parse_complex_entries(grid) -> np.ndarray:
+    """Inverse of complex_entries for a matrix grid.
+
+    Each pair goes through complex(re, im), so strings, bare numbers and
+    ragged rows raise TypeError or ValueError.
+    """
+    return np.array([[complex(re, im) for re, im in row] for row in grid])
+
+
 def complex_matrix_payload(matrix: np.ndarray, provenance: dict | None = None) -> dict:
     m = np.asarray(matrix, dtype=complex)
-    payload = {
-        "n": int(m.shape[0]),
-        "form": "complex",
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in m],
-    }
+    payload = {"n": int(m.shape[0]), "form": "complex", "entries": complex_entries(m)}
     if provenance:
         payload["provenance"] = provenance
     return payload
@@ -99,8 +113,7 @@ def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:
         form = payload["form"]
         n = _header_int(payload, "n")
         if form == "complex":
-            entries = payload["entries"]
-            m = np.array([[complex(re, im) for re, im in row] for row in entries])
+            m = parse_complex_entries(payload["entries"])
             if m.shape != (n, n):
                 raise FileFormatError(f"entry grid is {m.shape}, header says n = {n}")
             if not np.isfinite(m).all():
@@ -126,6 +139,24 @@ def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:
 def as_complex_matrix(payload: dict) -> np.ndarray:
     parsed = parse_matrix(payload)
     return parsed.to_complex() if isinstance(parsed, RootMatrix) else parsed
+
+
+def basis_list_payload(bases: list[Basis], n: int) -> dict:
+    return {
+        "format": "basis-list",
+        "n": n,
+        "bases": [{"label": b.label, "matrix": complex_matrix_payload(b.matrix)} for b in bases],
+    }
+
+
+def parse_bases(payload: dict, label: str) -> list[Basis]:
+    """The bases of a basis-list payload, or the one basis of a matrix payload; label names unlabelled ones."""
+    if payload.get("format") != "basis-list":
+        return [Basis(as_complex_matrix(payload), label=label)]
+    items = payload.get("bases")
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise FileFormatError(f"{label}: basis-list needs a list of basis objects")
+    return [Basis(as_complex_matrix(item.get("matrix")), label=item.get("label", label)) for item in items]
 
 
 def loads(text: str) -> dict:

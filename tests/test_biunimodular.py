@@ -457,14 +457,15 @@ class TestDistanceReport:
 
 class TestSerialization:
     def test_roundtrip(self, assembled6):
-        payload = assembled6.to_dict()
-        back = CensusResult.from_dict(payload)
+        text = mio.dumps(assembled6.to_dict())
+        back = CensusResult.from_dict(mio.loads(text))
+        assert mio.dumps(back.to_dict()) == text
         assert back.n == assembled6.n
         assert back.count == assembled6.count
         for a, b in zip(back.sequences, assembled6.sequences):
             assert a.kind == b.kind
-            assert np.allclose(a.as_array(), b.as_array())
+            assert np.array_equal(a.as_array(), b.as_array())
         assert len(back.bases) == len(assembled6.bases)
         for a, b in zip(back.bases, assembled6.bases):
             assert a.label == b.label
-            assert np.allclose(a.matrix, b.matrix)
+            assert np.array_equal(a.matrix, b.matrix)

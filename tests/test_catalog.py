@@ -17,6 +17,7 @@ from mubtools.catalog import (
 )
 from mubtools.constructions import fourier
 from mubtools.core import InadmissibleParameterError, Tolerance, haagerup_invariants, is_complex_hadamard
+from mubtools.search import root_hadamard_enumerate
 
 TOL9 = Tolerance(eq_tol=1e-9, dedupe_tol=1e-6)
 
@@ -143,6 +144,20 @@ class TestFixtures:
     def test_fixtures_are_hadamard(self):
         assert is_complex_hadamard(load_fixture("S"), TOL9)
         assert is_complex_hadamard(load_fixture("DITA0"), TOL9)
+
+    @pytest.mark.parametrize("name, k, count", [("S", 3, 12), ("DITA0", 4, 72)])
+    def test_fixture_is_least_search_matrix(self, name, k, count):
+        """Each shipped fixture is the lexicographically least matrix of the complete (6, k) search."""
+        from importlib import resources
+
+        payload = json.loads(resources.files("mubtools").joinpath(f"fixtures/{name}.json").read_text())
+        outcome = root_hadamard_enumerate(6, k)
+        assert outcome.complete and len(outcome.matrices) == count
+        least = min(outcome.matrices, key=lambda m: tuple(m.ravel()))
+        assert payload["k"] == k
+        assert payload["exponents"] == least.tolist()
+        search = payload["provenance"]["search"]
+        assert (search["matrices_found"], search["haagerup_buckets"]) == (count, len(outcome.buckets))
 
     def test_corrupted_fixture_fails_exact_verification(self, tmp_path, monkeypatch):
         from importlib import resources

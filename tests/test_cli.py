@@ -166,7 +166,6 @@ class TestSearchCli:
         (["hadamards", "--n", "3", "--k", "3", "--resume", "no-results.json"], 3),
         (["hadamards", "--n", "3", "--k", "3", "--resume", "garbage.json"], 3),
         (["hadamards", "--n", "3", "--k", "3", "--resume", "hadamards.json"], 0),
-        (["hadamards", "--n", "6", "--k", "3", "--budget", "1", "--write-fixtures"], 4),  # incomplete
     ],
 )
 def test_search_exit_codes(argv, code, tmp_path, monkeypatch, capsys):
@@ -243,8 +242,7 @@ def roots_census_text():
         (["verify", "hadamard", "roots-k2.5.json"], {}, 3),  # was read as k = 2
         (["verify", "hadamard", "complex-n1.9.json"], {}, 3),  # was read as n = 1
         (["search", "hadamards", "--n", "6", "--k", "3", "--budget", "1", "--checkpoint", "missing/cp.json"], {}, 4),
-        (["search", "triplets", "--n", "3", "--k", "3", "--write-fixtures"], {}, 4),  # fixtures are Hadamards
-        (["search", "quartets", "--n", "3", "--k", "3", "--write-fixtures"], {}, 4),
+        (["search", "hadamards", "--n", "6", "--k", "3", "--write-fixtures"], {}, 4),  # removed option: usage error, exit 4
     ],
 )
 def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, capsys):
@@ -302,21 +300,6 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_fixture_provenance(tmp_path, monkeypatch, capsys):
-    """A written fixture records the versions and argv that made it, not a fixed date."""
-    from importlib import resources
-
-    monkeypatch.setattr(resources, "files", lambda package: tmp_path)
-    argv = ["search", "hadamards", "--n", "6", "--k", "3", "--checkpoint", str(tmp_path / "c.json"),
-            "-o", str(tmp_path / "h.jsonl"), "--write-fixtures"]
-    assert main(argv) == 0
-    provenance = json.loads((tmp_path / "fixtures" / "S.json").read_text())["provenance"]
-    assert "date" not in provenance
-    assert provenance["argv"] == argv
-    assert provenance["versions"] == {"mubtools": mubtools.__version__, "numpy": np.__version__}
-    assert provenance["search"]["matrices_found"] == 12
 
 
 class TestOptimizeAndScan:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mubtools.catalog import f6
 from mubtools.constructions import fourier, prime_mub_set
 from mubtools.core import Basis
 from mubtools.grassmann import (
@@ -140,7 +141,12 @@ class TestChordalDistance:
             assert mub_d == pytest.approx(n - 1, abs=1e-10)
             for _ in range(20):
                 d = chordal_distance_sq_overlap(Basis(haar(n, rng)), Basis(haar(n, rng)))
-                assert -1e-12 <= d <= n - 1 + 1e-12
+                assert 0 <= d <= n - 1
+            # a column-permuted, rephased copy spans the same plane; rounding once put D2 below 0 here
+            copy = Basis(fourier(n).matrix[:, rng.permutation(n)] * np.exp(2j * np.pi * rng.random(n)))
+            assert 0 <= chordal_distance_sq_overlap(fourier(n), copy) < 1e-12
+        # F6(pi, pi) has the columns of the Fourier matrix, up to order and phases
+        assert 0 <= chordal_distance_sq_overlap(fourier(6), Basis(f6(np.pi, np.pi))) < 1e-12
 
     def test_left_invariance(self):
         rng = np.random.default_rng(7)

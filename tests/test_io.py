@@ -2,15 +2,27 @@ import numpy as np
 import pytest
 
 from mubtools import io as mio
+from mubtools.biunimodular import CensusResult
 from mubtools.catalog import bjorck_c
-from mubtools.constructions import fourier
+from mubtools.constructions import fourier, prime_mub_set
 
 
-def test_complex_roundtrip_byte_identical():
-    payload = mio.complex_matrix_payload(fourier(6).matrix)
-    text = mio.dumps(payload)
-    reparsed = mio.loads(text)
-    assert mio.dumps(mio.complex_matrix_payload(mio.as_complex_matrix(reparsed))) == text
+@pytest.mark.parametrize("case", ["matrix", "basis-list", "census"])
+def test_complex_roundtrip_byte_identical(case, request):
+    """write -> read -> write gives the same text."""
+    if case == "matrix":
+        obj, write, read = fourier(6).matrix, mio.complex_matrix_payload, mio.as_complex_matrix
+    elif case == "basis-list":
+        obj = list(prime_mub_set(5).bases)
+        write, read = (lambda bases: mio.basis_list_payload(bases, 5)), (lambda payload: mio.parse_bases(payload, "f"))
+    else:
+        obj, write, read = request.getfixturevalue("assembled6"), CensusResult.to_dict, CensusResult.from_dict
+    text = mio.dumps(write(obj))
+    back = read(mio.loads(text))
+    assert mio.dumps(write(back)) == text
+    if case == "basis-list":  # labels and matrices come back exactly
+        assert [b.label for b in back] == [b.label for b in obj]
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(back, obj, strict=True))
 
 
 def test_complex_roundtrip_preserves_values():
