@@ -13,7 +13,7 @@ from . import search as search_mod
 from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance
 from .constructions import _is_prime, fourier
 from .grassmann import distance_table
-from .io import FileFormatError, complex_entries, parse_complex_entries
+from .io import FileFormatError, _header_int, _label, complex_entries, parse_complex_entries
 
 GAUSSIAN = "gaussian"
 BJORCK = "bjorck"
@@ -172,15 +172,17 @@ class CensusResult:
         if payload.get("format") != "census":
             raise FileFormatError("not a census payload")
         try:
-            n = int(payload["n"])
+            n = _header_int(payload, "n")
             items = payload["sequences"]
+            kinds = [item["kind"] for item in items]
+            bad = [kind for kind in kinds if kind not in (GAUSSIAN, BJORCK)]
+            if bad:
+                raise FileFormatError(f"sequence kind must be {GAUSSIAN!r} or {BJORCK!r}, got {bad[0]!r}")
             # the sequences are the rows of one grid
             rows = parse_complex_entries([item["entries"] for item in items])
-            sequences = tuple(
-                BiuniSequence(entries=tuple(row), kind=item["kind"]) for row, item in zip(rows, items)
-            )
+            sequences = tuple(BiuniSequence(entries=tuple(row), kind=kind) for row, kind in zip(rows, kinds))
             bases = tuple(
-                Basis(parse_complex_entries(item["entries"]), label=item.get("label", ""))
+                Basis(parse_complex_entries(item["entries"]), label=_label(item, ""))
                 for item in payload.get("bases", [])
             )
             metadata = dict(payload["metadata"])

@@ -84,16 +84,6 @@ def _tolerance() -> Tolerance:
     )
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path) as handle:
-            return handle.read()
-    except OSError as exc:
-        raise mio.FileFormatError(f"cannot read {path}: {exc}") from exc
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -102,10 +92,6 @@ def _write_text(path: str | None, text: str) -> None:
         return
     with open(path, "w") as handle:
         handle.write(text)
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    return mio.as_complex_matrix(mio.loads(_read_text(path)))
 
 
 def _checked_bases(bases: list[Basis], tol: Tolerance) -> list[Basis]:
@@ -122,8 +108,15 @@ def _checked_bases(bases: list[Basis], tol: Tolerance) -> list[Basis]:
 
 
 def _load_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
-    bases = [basis for path in paths for basis in mio.parse_bases(mio.loads(_read_text(path)), path)]
+    bases = [basis for path in paths for basis in mio.parse_bases(mio.loads(mio.read_text(path)), path)]
     return _checked_bases(bases, tol)
+
+
+def _two_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
+    bases = _load_bases(paths, tol)
+    if len(bases) != 2:
+        raise mio.FileFormatError(f"expected exactly two bases, the files hold {len(bases)}")
+    return bases
 
 
 def _resolve_seed(seed: int | None) -> tuple[int, str]:
@@ -183,7 +176,7 @@ def _cmd_verify(args) -> int:
     reports = []
     if args.what == "hadamard":
         for path in args.files:
-            mat = _load_matrix(path)
+            mat = mio.as_complex_matrix(mio.loads(mio.read_text(path)))
             defect = hadamard_defect(mat)
             if not math.isfinite(defect):  # entries near the float limit overflow the products
                 raise mio.FileFormatError(f"{path}: hadamard defect {defect} is not finite")
@@ -192,9 +185,7 @@ def _cmd_verify(args) -> int:
             failures += 0 if ok else 1
             print(f"{path}: hadamard defect {defect:.3e} -> {'pass' if ok else 'FAIL'}", file=sys.stderr)
     elif args.what == "unbiased":
-        if len(args.files) != 2:
-            raise mio.FileFormatError("verify unbiased needs exactly two files")
-        a, b = _checked_bases([Basis(_load_matrix(p), label=p) for p in args.files], tol)
+        a, b = _two_bases(args.files, tol)
         ok, dev = is_unbiased_pair(a, b, tol)
         reports.append({"files": list(args.files), "check": "unbiased", "pass": ok, "deviation": dev})
         failures += 0 if ok else 1
@@ -223,7 +214,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_distance(args) -> int:
     tol = _tolerance()
-    a, b = _checked_bases([Basis(_load_matrix(p), label=p) for p in args.files], tol)
+    a, b = _two_bases(args.files, tol)
     value = chordal_distance_sq_overlap(a, b, tol)
     _write_text(None, mio.dumps({"n": a.dim, "chordal_distance_sq": value}))
     return EXIT_OK
@@ -257,7 +248,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    census = biunimodular.CensusResult.from_dict(mio.loads(_read_text(args.census)))
+    census = biunimodular.CensusResult.from_dict(mio.loads(mio.read_text(args.census)))
     try:
         census = biunimodular.assemble_bases(census)
     except ValueError as exc:  # an empty census, or a basis that is not unbiased to standard and Fourier
@@ -269,7 +260,7 @@ def _cmd_assemble(args) -> int:
 
 def _cmd_report(args) -> int:
     tol = _tolerance()
-    census = biunimodular.CensusResult.from_dict(mio.loads(_read_text(args.census)))
+    census = biunimodular.CensusResult.from_dict(mio.loads(mio.read_text(args.census)))
     try:
         if not census.bases:
             census = biunimodular.assemble_bases(census)
@@ -284,19 +275,12 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _result_payload(obj, k: int) -> dict:
-    names = ("h1", "h2", "h3")
-    if isinstance(obj, np.ndarray):
-        return mio.root_matrix_payload(obj, k)
-    return {name: mio.root_matrix_payload(mat, k) for name, mat in zip(names, obj)}
-
-
 def _cmd_search(args) -> int:
     run = {"hadamards": search_mod.root_hadamard_enumerate, "triplets": search_mod.mub_triplet_search,
            "quartets": search_mod.mub_quartet_search}[args.depth]
     outcome = run(args.n, args.k, budget=args.budget, resume_token=args.resume,
                   checkpoint_path=args.checkpoint or f"{args.depth}-n{args.n}-k{args.k}.checkpoint.json")
-    lines = [mio.dumps(_result_payload(item, args.k)) for item in outcome.results]
+    lines = [mio.dumps(mio.search_result_payload(item, args.k)) for item in outcome.results]
     if args.depth == "hadamards":
         counts = {"matrices": len(outcome.results), "buckets": len(outcome.buckets)}
     else:

@@ -1,14 +1,17 @@
 """File formats: matrix JSON (complex and root forms), basis lists, the
-complex entries of census JSON, distance CSV.
+complex entries and header rules of census JSON, search result lines and
+checkpoints, distance CSV.
 
 Writers are deterministic (sorted keys, fixed separators) and emit floats
 with 17 significant digits so that write -> read -> write round-trips are
-byte-identical.
+byte-identical.  Readers check every field they return and raise
+FileFormatError for anything else; this is the only module that parses JSON.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +110,28 @@ def _header_int(payload: dict, name: str) -> int:
     return value
 
 
+def _label(item: dict, default: str) -> str:
+    """The label of a basis entry, `default` if it has none."""
+    label = item.get("label", default)
+    if not isinstance(label, str):
+        raise FileFormatError(f"basis label must be a string, got {label!r}")
+    return label
+
+
+def _exponent_grid(value, n: int, k: int | None = None) -> np.ndarray:
+    """An n x n grid of Python-int exponents; given k, each must lie in [0, k) and the grid is int16."""
+    if not isinstance(value, list) or len(value) != n or not all(
+            isinstance(row, list) and len(row) == n for row in value):
+        raise FileFormatError(f"exponent grid must be {n} x {n}")
+    if not all(type(e) is int for row in value for e in row):
+        raise FileFormatError("exponents must be integers")
+    if k is None:
+        return np.array(value, dtype=int)
+    if not all(0 <= e < k for row in value for e in row):
+        raise FileFormatError(f"exponents must lie in [0, {k})")
+    return np.array(value, dtype=np.int16)
+
+
 def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:
     """Parse a matrix payload; complex form yields an ndarray, root form a RootMatrix."""
     try:
@@ -123,12 +148,7 @@ def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:
             k = _header_int(payload, "k")
             if k < 1:
                 raise FileFormatError(f"root order k must be >= 1, got {k}")
-            if not all(type(e) is int for row in payload["exponents"] for e in row):
-                raise FileFormatError("exponents must be integers")
-            exps = np.asarray(payload["exponents"], dtype=int)
-            if exps.shape != (n, n):
-                raise FileFormatError(f"exponent grid is {exps.shape}, header says n = {n}")
-            return RootMatrix(n=n, k=k, exponents=exps)
+            return RootMatrix(n=n, k=k, exponents=_exponent_grid(payload["exponents"], n))
     except FileFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -156,7 +176,73 @@ def parse_bases(payload: dict, label: str) -> list[Basis]:
     items = payload.get("bases")
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise FileFormatError(f"{label}: basis-list needs a list of basis objects")
-    return [Basis(as_complex_matrix(item.get("matrix")), label=item.get("label", label)) for item in items]
+    return [Basis(as_complex_matrix(item.get("matrix")), label=_label(item, label)) for item in items]
+
+
+_STAGE_MATRICES = {"hadamards": 1, "triplets": 2, "quartets": 3}  # exponent matrices per search result
+
+
+def search_result_payload(result, k: int) -> dict:
+    """One `search` output line: a root-form matrix, or {"h1": ..., "h2": ...[, "h3": ...]} for a tuple."""
+    if isinstance(result, np.ndarray):
+        return root_matrix_payload(result, k)
+    return {name: root_matrix_payload(mat, k) for name, mat in zip(("h1", "h2", "h3"), result)}
+
+
+def checkpoint_text(spec: dict, completed: list[tuple[int, list]]) -> str:
+    """A search checkpoint: the spec (n, k, depth) and each completed unit with its results as exponent grids."""
+    return dumps({
+        "spec": spec,
+        "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
+                      for unit, found in completed],
+    })
+
+
+def read_checkpoint(path: str, spec: dict) -> dict[int, list]:
+    """Completed unit -> its results, from a checkpoint written for the search `spec`.
+
+    A result is one n x n exponent grid (hadamards) or a list of 2 (triplets)
+    or 3 (quartets), every exponent a Python int in [0, k); the grids come
+    back as int16 arrays, as a fresh run gives them.
+    """
+    try:
+        with open(path) as handle:
+            payload = loads(handle.read())
+    except (OSError, ValueError) as exc:
+        raise FileFormatError(f"cannot read checkpoint {path}: {exc}") from exc
+    if payload.get("spec") != spec:
+        raise FileFormatError(f"checkpoint {path} does not belong to the search {spec}")
+    if "completed" not in payload:
+        raise FileFormatError(f"checkpoint {path} stores no results; rerun the search from the start")
+    n, k, count = spec["n"], spec["k"], _STAGE_MATRICES[spec["depth"]]
+
+    def result(value):
+        grids = [value] if count == 1 else value
+        if not isinstance(grids, list) or len(grids) != count:
+            raise FileFormatError(f"a {spec['depth']} result must hold {count} exponent matrices")
+        mats = tuple(_exponent_grid(grid, n, k) for grid in grids)
+        return mats[0] if count == 1 else mats
+
+    try:
+        done = {}
+        for item in payload["completed"]:
+            if type(item["unit"]) is not int:
+                raise FileFormatError(f"unit index must be an integer, got {item['unit']!r}")
+            done[item["unit"]] = [result(r) for r in item["results"]]
+        return done
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed checkpoint {path}: {exc}") from exc
+
+
+def read_text(path: str) -> str:
+    """The text of a file, or of stdin for "-"; input that cannot be read or decoded is a FileFormatError."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def loads(text: str) -> dict:

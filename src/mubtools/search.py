@@ -28,12 +28,14 @@ independent units and run them through one loop that charges a node budget.
 When the budget runs out the search stops after the last whole unit; if a
 `checkpoint_path` is given, the completed units and their results are written
 there, and passing that path back as `resume_token` skips those units and
-returns the full answer of an uninterrupted run.
+returns the full answer of an uninterrupted run.  The checkpoint format, and
+the checks a checkpoint must pass before it is resumed, are in `io`
+(`checkpoint_text`, `read_checkpoint`); this module only writes the file, by
+an atomic replace.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
@@ -47,7 +49,7 @@ import numpy as np
 from .core import InadmissibleParameterError
 from .core import haagerup_invariants  # noqa: F401  (kept importable here; perfbench/child.py wraps it)
 from .cyclotomic import RootVector, _norm_sq_is, _row_histogram
-from .io import FileFormatError
+from .io import checkpoint_text, read_checkpoint
 
 MAX_CANDIDATES = 10**8
 _BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 225 exponents at n = 6
@@ -281,45 +283,20 @@ def unbiased_vector_enumerate(n: int, k: int) -> list[RootVector]:
     return [RootVector(k, (0,) + tuple(int(e) for e in row)) for row in _digit_matrix(alive, n, k)]
 
 
-def _write_checkpoint(path: str, spec: SearchSpec, completed: list[tuple[int, list]]) -> None:
-    payload = {
-        "spec": asdict(spec),
-        "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
-                      for unit, found in completed],
-    }
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through a temporary file in the same directory, so no partial file is left."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _read_checkpoint(path: str, spec: SearchSpec) -> dict[int, list]:
-    """Completed unit -> its results, from a checkpoint written for the same search."""
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise FileFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("spec") != asdict(spec):
-        raise FileFormatError(f"checkpoint {path} does not belong to the search {asdict(spec)}")
-    if "completed" not in payload:
-        raise FileFormatError(f"checkpoint {path} stores no results; rerun the search from the start")
-    try:
-        return {int(item["unit"]): [_decode_result(r) for r in item["results"]]
-                for item in payload["completed"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"malformed checkpoint {path}: {exc}") from exc
-
-
-def _decode_result(value) -> np.ndarray | tuple[np.ndarray, ...]:
-    """An exponent matrix (Hadamard stage) or a tuple of them (triplet and quartet stages)."""
-    arr = np.array(value, dtype=np.int16)
-    return arr if arr.ndim == 2 else tuple(arr)
 
 
 class _UnitLoop:
@@ -336,7 +313,7 @@ class _UnitLoop:
         if n < 2:  # the 1 x 1 matrix (1) is a Hadamard that no stage's column search represents
             raise InadmissibleParameterError(f"the searches need n >= 2, got n = {n}")
         self.spec = SearchSpec(n=n, k=k, depth=depth)
-        self.done = _read_checkpoint(resume_token, self.spec) if resume_token else {}
+        self.done = read_checkpoint(resume_token, asdict(self.spec)) if resume_token else {}
         self.budget = _NodeBudget(budget)
         self.checkpoint_path = checkpoint_path
 
@@ -361,7 +338,7 @@ class _UnitLoop:
             completed.append((unit, found))
         token = None
         if not complete and self.checkpoint_path:
-            _write_checkpoint(self.checkpoint_path, self.spec, completed)
+            _write_atomic(self.checkpoint_path, checkpoint_text(asdict(self.spec), completed))
             token = self.checkpoint_path
         return SearchOutcome(
             spec=self.spec,

@@ -14,6 +14,8 @@ from mubtools import cli
 from mubtools import io as mio
 from mubtools.biunimodular import root_census
 from mubtools.cli import build_parser, main
+from mubtools.constructions import prime_mub_set
+from mubtools.core import Basis
 
 
 # child processes import the mubtools this process imported, installed or from a checkout's src/
@@ -243,9 +245,22 @@ def roots_census_text():
         (["verify", "hadamard", "complex-n1.9.json"], {}, 3),  # was read as n = 1
         (["search", "hadamards", "--n", "6", "--k", "3", "--budget", "1", "--checkpoint", "missing/cp.json"], {}, 4),
         (["search", "hadamards", "--n", "6", "--k", "3", "--write-fixtures"], {}, 4),  # removed option: usage error, exit 4
+        (["assemble", "census-n6.7.json"], {}, 3),  # was read as n = 6
+        (["assemble", "census-kind7.json"], {}, 3),
+        (["report", "census-kind7.json"], {}, 3),
+        (["report", "census-label5.json"], {}, 3),
+        (["report", "census.json"], {}, 0),  # the unedited full census
+        (["table", "mubs-label5.json"], {}, 3),
+        (["table", "mubs-labelnull.json"], {}, 3),
+        (["verify", "mubset", "mubs-label5.json"], {}, 3),
+        (["distance", "mubs.json", "fourier.json"], {}, 3),  # five bases, not two
+        (["verify", "unbiased", "mubs.json", "fourier.json"], {}, 3),
+        (["verify", "unbiased", "eye.json", "fourier.json", "fourier.json"], {}, 3),
+        (["verify", "unbiased", "pair.json"], {}, 0),  # one basis list of two bases
+        (["verify", "hadamard", "not-utf8.json"], {}, 3),
     ],
 )
-def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, capsys):
+def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, monkeypatch, capsys):
     """Bad files exit 3 and bad parameters exit 4, with nothing on stdout and no traceback."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "stub-census.json").write_text('{"format": "census", "n": 6}')
@@ -263,10 +278,25 @@ def test_exit_codes(argv, env, code, roots_census_text, tmp_path, monkeypatch, c
     for name, k, exponent in (("k0", "0", "0"), ("inf", "2", "1e400"), ("half", "2", "0.5"), ("k2.5", "2.5", "0")):
         (tmp_path / f"roots-{name}.json").write_text(
             '{"n": 1, "form": "roots", "k": %s, "exponents": [[%s]]}' % (k, exponent))
+    census = json.loads(mio.dumps(assembled6.to_dict()))
+    (tmp_path / "census.json").write_text(json.dumps(census))
+    for name, edit in (("n6.7", {"n": 6.7}),
+                       ("kind7", {"sequences": [{**census["sequences"][0], "kind": 7}, *census["sequences"][1:]]}),
+                       ("label5", {"bases": [{**census["bases"][0], "label": 5}, *census["bases"][1:]]})):
+        (tmp_path / f"census-{name}.json").write_text(json.dumps({**census, **edit}))
+    mubs = mio.basis_list_payload(list(prime_mub_set(3).bases), 3)
+    for name, label in (("label5", 5), ("labelnull", None)):
+        (tmp_path / f"mubs-{name}.json").write_text(
+            json.dumps({**mubs, "bases": [{**mubs["bases"][0], "label": label}, *mubs["bases"][1:]]}))
+    (tmp_path / "mubs.json").write_text(mio.dumps(mubs))
+    (tmp_path / "pair.json").write_text(mio.dumps(mio.basis_list_payload(
+        [Basis(np.eye(4), label="eye"), Basis(np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2)], 4)))
+    (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
     assert main(argv) == code
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     if code in (3, 4):
         assert out == ""
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
 
 
 def test_memory_error_exits_4(monkeypatch, capsys):
@@ -287,12 +317,37 @@ def test_failed_checkpoint_write_exits_4(tmp_path, monkeypatch, capsys):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(json, "dump", no_space)
+    monkeypatch.setattr(os, "write", no_space)
     assert main(["search", "hadamards", "--n", "6", "--k", "4", "--budget", "5", "--checkpoint", "cp.json"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("depth, budget", [("hadamards", 10), ("triplets", 100), ("quartets", 200)])
+def test_spaced_checkpoint_resumes_like_uninterrupted_run(depth, budget, tmp_path, monkeypatch, capsys):
+    """Checkpoints written by json.dump(sort_keys=True), with spaces after separators, still resume.
+
+    The written checkpoint differs from that text only in whitespace; resumed
+    from it, the search prints what an uninterrupted run prints (its node count
+    aside), and some stored unit holds results.
+    """
+    monkeypatch.chdir(tmp_path)
+
+    def run(*extra):
+        assert main(["search", depth, "--n", "5", "--k", "5", *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return lines[:-1], {**json.loads(lines[-1])["summary"], "nodes": None}
+
+    full = run()
+    assert not run("--budget", str(budget), "--checkpoint", "cp.json")[1]["complete"]
+    text = (tmp_path / "cp.json").read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert any(item["results"] for item in payload["completed"])
+    (tmp_path / "cp.json").write_text(json.dumps(payload, sort_keys=True))
+    assert run("--resume", "cp.json") == full
 
 
 def test_import_loads_no_scipy():
@@ -368,17 +423,54 @@ _BASE_ARGV = {  # cheap, valid invocations; numeric options are replaced or appe
        for family in ("h4", "f6", "bn")},
     ("ks-check",): [],
 }
-_BAD_FILES = {
+_F3 = [[0, 0, 0], [0, 1, 2], [0, 2, 1]]  # exponents of the 3 x 3 Fourier matrix
+
+
+def _checkpoint(exponent=1, grid=None, extra=0, unit=0):
+    """Checkpoint text of a (3, 3) search at a given depth: unit `unit` holds one result.
+
+    The result holds as many exponent grids as the depth's results do, plus
+    `extra`; each grid is `grid`, by default `_F3` with `exponent` at (1, 1).
+    Unedited, it resumes (`test_checkpoint_control_resumes`).
+    """
+    if grid is None:
+        grid = [_F3[0], [0, exponent, 2], _F3[2]]
+
+    def text(depth):
+        count = {"hadamards": 1, "triplets": 2, "quartets": 3}[depth] + extra
+        return json.dumps({"spec": {"n": 3, "k": 3, "depth": depth},
+                           "completed": [{"unit": unit, "results": [grid if count == 1 else [grid] * count]}]},
+                          sort_keys=True)
+
+    return text
+
+
+_BASIS_LABEL_5 = {"label": 5, "matrix": mio.complex_matrix_payload(np.eye(2))}
+_BAD_FILES = {  # variant -> content, or content per input-file dest; a callable takes the search depth
     "missing": None,
     "empty": "",
+    "not-utf8": b"\xff\xfe",
     "not-json": "{oops",
     "wrong-format": '{"format": "nonsense", "form": "nonsense", "n": 4}',
     "nan": {
         "files": '{"n": 2, "form": "complex", "entries": [[[NaN, 0], [1, 0]], [[1, 0], [NaN, 0]]]}',
         "census": '{"format": "census", "n": 2, "metadata": {}, '
                   '"sequences": [{"kind": "gaussian", "entries": [[NaN, 0], [1, 0]]}]}',
-        "resume": '{"spec": {"n": 3, "k": 3, "depth": "%s"}, "completed": [{"unit": 0, "results": [[NaN]]}]}',
+        "resume": _checkpoint(float("nan")),
     },
+    "label": {
+        "files": json.dumps({"format": "basis-list", "n": 2, "bases": [_BASIS_LABEL_5, _BASIS_LABEL_5]}),
+        "census": json.dumps({"format": "census", "n": 2, "metadata": {},
+                              "sequences": [{"kind": "gaussian", "entries": [[1, 0], [1, 0]]}],
+                              "bases": [{"label": 5, "n": 2, "entries": mio.complex_entries(np.eye(2))}]}),
+    },
+    "float-exponent": {"resume": _checkpoint(1.7)},
+    "exponent-k": {"resume": _checkpoint(3)},
+    "negative-exponent": {"resume": _checkpoint(-1)},
+    "exponent-70000": {"resume": _checkpoint(70000)},
+    "grid-shape": {"resume": _checkpoint(grid=[[0, 0], [0, 1]])},
+    "matrix-count": {"resume": _checkpoint(extra=1)},
+    "unit-index": {"resume": _checkpoint(unit=0.5)},
 }
 
 
@@ -398,7 +490,7 @@ def _generated_cases():
     cases = []
     for path, parser in _leaf_commands(build_parser()):
         base = _BASE_ARGV[path]
-        cases.append(pytest.param([*path, *base], id=" ".join(path)))
+        cases.append(pytest.param([*path, *base], None, id=" ".join(path)))
         for action in parser._actions:
             if action.type is not None:  # every typed option is numeric
                 opt = action.option_strings[-1]
@@ -408,22 +500,25 @@ def _generated_cases():
                         argv[argv.index(opt) + 1] = value
                     else:
                         argv += [opt, value]
-                    cases.append(pytest.param([*path, *argv], id=f"{' '.join(path)} {opt}={value}"))
+                    cases.append(pytest.param([*path, *argv], None, id=f"{' '.join(path)} {opt}={value}"))
                 continue
             if isinstance(action, argparse._HelpAction) or action.choices or action.nargs == 0:
                 continue
             assert action.dest in _FILE_ARGS | _OUTPUT_ARGS, (path, action.dest)
             if action.dest in _OUTPUT_ARGS:  # a path in a directory that does not exist
                 argv = [*base, action.option_strings[-1], "missing-dir/out"]
-                cases.append(pytest.param([*path, *argv], id=f"{' '.join(path)} {action.dest}=missing-dir"))
+                cases.append(pytest.param([*path, *argv], None, id=f"{' '.join(path)} {action.dest}=missing-dir"))
                 continue
-            for variant in _BAD_FILES:
+            for variant, content in _BAD_FILES.items():
+                if isinstance(content, dict) and action.dest not in content:
+                    continue
                 bad = f"{variant}-{action.dest}.json"
                 if action.option_strings:
                     argv = [*base, action.option_strings[-1], bad]
                 else:
                     argv = [bad if token.endswith(".json") else token for token in base]
-                cases.append(pytest.param([*path, *argv], id=f"{' '.join(path)} {action.dest}={variant}"))
+                cases.append(pytest.param([*path, *argv], (variant, action.dest),
+                                          id=f"{' '.join(path)} {action.dest}={variant}"))
     return cases
 
 
@@ -449,21 +544,26 @@ def _assert_finite_output(text: str) -> None:
         walk(value)
 
 
-@pytest.mark.parametrize("argv", _generated_cases())
-def test_generated_exit_codes(argv, roots_census_text, tmp_path, monkeypatch, capsys):
-    """Any option value or input file exits 0, 2, 3 or 4, never with a traceback or a non-finite output."""
+@pytest.mark.parametrize("argv, bad_file", _generated_cases())
+def test_generated_exit_codes(argv, bad_file, roots_census_text, tmp_path, monkeypatch, capsys):
+    """Any option value or input file exits 0, 2, 3 or 4, never with a traceback or a non-finite output.
+
+    An input file replaced by a bad variant exits 3, with one error line and nothing on stdout.
+    """
     monkeypatch.chdir(tmp_path)
     (tmp_path / "eye.json").write_text(mio.dumps(mio.complex_matrix_payload(np.eye(4))))
     (tmp_path / "fourier.json").write_text(
         mio.dumps(mio.complex_matrix_payload(np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2)))
     assert main(["gen", "prime-mubs", "--p", "3", "-o", "mubs.json"]) == 0
     (tmp_path / "census.json").write_text(roots_census_text)
-    depth = argv[1] if argv[0] == "search" else ""
-    for variant, text in _BAD_FILES.items():
-        for dest in _FILE_ARGS:
-            content = text.get(dest) if isinstance(text, dict) else text
-            if content is not None:
-                (tmp_path / f"{variant}-{dest}.json").write_text(content.replace("%s", depth))
+    if bad_file is not None:
+        variant, dest = bad_file
+        content = _BAD_FILES[variant]
+        content = content[dest] if isinstance(content, dict) else content
+        content = content(argv[1]) if callable(content) else content
+        if content is not None:
+            path = tmp_path / f"{variant}-{dest}.json"
+            path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
     capsys.readouterr()
     code = main(argv)
     out, err = capsys.readouterr()
@@ -471,3 +571,16 @@ def test_generated_exit_codes(argv, roots_census_text, tmp_path, monkeypatch, ca
     assert "Traceback" not in err
     if code == 0:
         _assert_finite_output(out)
+    if bad_file is not None:
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("depth", ["hadamards", "triplets", "quartets"])
+def test_checkpoint_control_resumes(depth, tmp_path, monkeypatch, capsys):
+    """The unedited `_checkpoint` resumes, so each bad checkpoint variant fails by its edit alone."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cp.json").write_text(_checkpoint()(depth))
+    assert main(["search", depth, "--n", "3", "--k", "3", "--resume", "cp.json"]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+    assert summary["complete"]

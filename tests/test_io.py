@@ -62,6 +62,18 @@ def test_header_integers_are_not_truncated(header):
             mio.parse_matrix({"form": "complex", "entries": [[[1.0, 0.0]]], **header})
 
 
+@pytest.mark.parametrize("exponents, match", [
+    ([[0, 0], [0, 1]], "3 x 3"),
+    ([[0, 0, 0], [0, 1, 2]], "3 x 3"),
+    ([[0, 0, 0], [0, 1, 2], [0, 2]], "3 x 3"),
+    ([[0, 0, 0], [0, True, 2], [0, 2, 1]], "integers"),
+    ([[0, 0, 0], [0, 1.0, 2], [0, 2, 1]], "integers"),
+])
+def test_root_exponent_grid_is_checked(exponents, match):
+    with pytest.raises(mio.FileFormatError, match=match):
+        mio.parse_matrix({"n": 3, "form": "roots", "k": 3, "exponents": exponents})
+
+
 def test_float_formatting_has_17_significant_digits():
     text = mio.dumps({"x": 1 / 3})
     assert "0.33333333333333331" in text

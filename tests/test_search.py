@@ -1,5 +1,4 @@
 import errno
-import json
 import os
 from itertools import combinations
 
@@ -439,12 +438,12 @@ def test_library_writes_no_checkpoint_unless_asked(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("failing", ["dump", "replace"])
+@pytest.mark.parametrize("failing", ["write", "replace"])
 def test_failed_checkpoint_write_leaves_no_temporary_file(failing, tmp_path, monkeypatch):
     def no_space(*args, **kwargs):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(json if failing == "dump" else os, failing, no_space)
+    monkeypatch.setattr(os, failing, no_space)
     with pytest.raises(OSError):
         root_hadamard_enumerate(6, 4, budget=5, checkpoint_path=str(tmp_path / "run.checkpoint.json"))
     assert list(tmp_path.iterdir()) == []
