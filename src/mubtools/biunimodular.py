@@ -23,6 +23,7 @@ NEWTON_MAX_ITERATIONS = 200
 NEWTON_BATCH_SIZE = 512  # Newton starts per batch after the first, and the most rows per kernel product
 ARMIJO_CHUNKS = (1, 1, 2, 4, 8, 24)  # halvings per line-search residual call; 40 in all
 ASSEMBLY_ORTH_TOL = 1e-8  # census vectors closer to orthogonal than this are adjacent in `assemble_bases`
+CIRCULANT_TOL = 1e-6  # shift images match census members within this in `assemble_bases`
 
 
 def dft(x: np.ndarray) -> np.ndarray:
@@ -119,40 +120,15 @@ class CensusResult:
 
         The headline count fixes x_0 = 1 and nothing else; these supplementary
         counts show how it collapses under the natural symmetries (a shifted
-        sequence is renormalized back to x_0 = 1 before comparison).
+        sequence is renormalized back to x_0 = 1).  An image is matched to a
+        census member within tol, by the census's own dedupe test.
         """
-        arrays = [s.as_array() for s in self.sequences]
-
-        def canon(x):
-            return tuple(np.round(np.angle(x[1:]) % (2 * np.pi), 6))
-
-        index = {canon(x): i for i, x in enumerate(arrays)}
-
-        def orbit_count(ops) -> int:
-            seen: set[int] = set()
-            orbits = 0
-            for i, x in enumerate(arrays):
-                if i in seen:
-                    continue
-                orbits += 1
-                stack = [x]
-                while stack:
-                    y = stack.pop()
-                    j = index.get(canon(y))
-                    if j is None or j in seen:
-                        continue
-                    seen.add(j)
-                    for op in ops:
-                        stack.append(op(y))
-            return orbits
-
-        shift = lambda y: np.roll(y, -1) / np.roll(y, -1)[0]
-        conj = lambda y: np.conj(y)
+        shift, conj = _image_maps(self, tol)
         return {
-            "fixed_first_entry": len(arrays),
-            "up_to_shift": orbit_count([shift]),
-            "up_to_conjugation": orbit_count([conj]),
-            "up_to_shift_and_conjugation": orbit_count([shift, conj]),
+            "fixed_first_entry": self.count,
+            "up_to_shift": _orbit_count(self.count, shift),
+            "up_to_conjugation": _orbit_count(self.count, conj),
+            "up_to_shift_and_conjugation": _orbit_count(self.count, shift, conj),
         }
 
     def to_dict(self) -> dict:
@@ -212,6 +188,35 @@ def _new_solutions(sols: np.ndarray, pool: np.ndarray, tol: float) -> list[int]:
         rest = fresh[1:]
         fresh = rest[~_within(sols[rest], sols[fresh[:1]], tol)[:, 0]]
     return new
+
+
+def _image_maps(census: CensusResult, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per sequence, the index of its shift image roll(x, -1) / x_1 and of its conjugate among
+    the census sequences, or -1 where the image is absent; images match at `_within` tol."""
+    if not census.count:  # e.g. root_census(6, 5)
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    phases = np.array([s.phases() for s in census.sequences]).reshape(census.count, census.n - 1)
+    shifted = np.concatenate([phases[:, 1:] - phases[:, :1], -phases[:, :1]], axis=1)
+    match = _within(np.concatenate([shifted, -phases]), phases, tol)
+    image = np.where(match.any(axis=1), match.argmax(axis=1), -1)
+    return image[: len(phases)], image[len(phases) :]
+
+
+def _orbit_count(count: int, *maps: np.ndarray) -> int:
+    """Connected components of 0..count-1 joined by every edge i -> maps[k][i] (-1: no edge)."""
+    root = list(range(count))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for image in maps:
+        for i, j in enumerate(image):
+            if j >= 0:
+                root[find(i)] = find(int(j))
+    return sum(find(i) == i for i in range(count))
 
 
 class _ScrambledHalton:
@@ -467,17 +472,6 @@ def root_census(n: int, k: int) -> CensusResult:
     return CensusResult(n=n, sequences=tuple(sequences), bases=(), metadata=metadata)
 
 
-def _is_circulant_column_set(columns: np.ndarray, tol: float = 1e-6) -> bool:
-    """Whether the column set is closed (projectively) under the cyclic shift."""
-    n = columns.shape[0]
-    for j in range(columns.shape[1]):
-        shifted = np.roll(columns[:, j], 1)
-        overlaps = np.abs(shifted.conj() @ columns)
-        if not np.any(np.abs(overlaps - 1.0) < tol):
-            return False
-    return True
-
-
 def assemble_bases(census: CensusResult) -> CensusResult:
     """Find every orthonormal basis among the census vectors and attach it to the census.
 
@@ -497,12 +491,13 @@ def assemble_bases(census: CensusResult) -> CensusResult:
 
     std = Basis.standard(n)
     fb = fourier(n)
+    shift, _ = _image_maps(census, CIRCULANT_TOL)
     bases = []
     membership = np.zeros(m, dtype=int)
     for bi, clique in enumerate(search_mod.cliques(adj, n)):
         cols = np.stack([vecs[i] for i in clique], axis=1)
         kind = GAUSSIAN if all(census.sequences[i].kind == GAUSSIAN for i in clique) else BJORCK
-        circulant = _is_circulant_column_set(cols)
+        circulant = set(shift[list(clique)]) <= set(clique)  # closed under the cyclic shift
         label = f"census-basis-{bi:02d}:{kind}:{'circulant' if circulant else 'enphased'}"
         basis = Basis(cols, label=label)
         for other in (std, fb):

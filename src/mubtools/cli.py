@@ -24,7 +24,6 @@ from .core import (
     InadmissibleParameterError,
     Tolerance,
     hadamard_defect,
-    is_complex_hadamard,
     is_unbiased_pair,
 )
 from .grassmann import chordal_distance_sq_overlap, distance_table
@@ -176,14 +175,21 @@ def _cmd_verify(args) -> int:
     reports = []
     if args.what == "hadamard":
         for path in args.files:
-            mat = mio.as_complex_matrix(mio.loads(mio.read_text(path)))
-            defect = hadamard_defect(mat)
-            if not math.isfinite(defect):  # entries near the float limit overflow the products
-                raise mio.FileFormatError(f"{path}: hadamard defect {defect} is not finite")
-            ok = is_complex_hadamard(mat, tol)
-            reports.append({"file": path, "check": "hadamard", "pass": ok, "defect": defect})
-            failures += 0 if ok else 1
-            print(f"{path}: hadamard defect {defect:.3e} -> {'pass' if ok else 'FAIL'}", file=sys.stderr)
+            payload = mio.loads(mio.read_text(path))
+            listed = payload.get("format") == "basis-list"
+            # one verdict per basis; not `_load_bases`, whose unitarity check would turn a FAIL into exit 3
+            for basis in mio.parse_bases(payload, path):
+                defect = hadamard_defect(basis.matrix)
+                name = f"{path} [{basis.label}]" if listed else path
+                if not math.isfinite(defect):  # entries near the float limit overflow the products
+                    raise mio.FileFormatError(f"{name}: hadamard defect {defect} is not finite")
+                ok = defect <= tol.eq_tol
+                report = {"file": path, "check": "hadamard", "pass": ok, "defect": defect}
+                if listed:
+                    report["basis"] = basis.label
+                reports.append(report)
+                failures += 0 if ok else 1
+                print(f"{name}: hadamard defect {defect:.3e} -> {'pass' if ok else 'FAIL'}", file=sys.stderr)
     elif args.what == "unbiased":
         a, b = _two_bases(args.files, tol)
         ok, dev = is_unbiased_pair(a, b, tol)

@@ -220,46 +220,22 @@ def ks_uncolourable(vectors: np.ndarray, tol: float = 1e-9) -> ColouringResult:
             "input is not closed under the required structure"
         )
 
-    by_vector: list[list[int]] = [[] for _ in range(nv)]
-    for ci, quad in enumerate(contexts):
-        for i in quad:
-            by_vector[i].append(ci)
+    # a colouring is an exact cover of the contexts by the 1-coloured vectors' context sets
+    masks = [sum(1 << ci for ci, quad in enumerate(contexts) if i in quad) for i in range(nv)]
+    full = (1 << len(contexts)) - 1
 
-    colour = [-1] * nv
-    ones = [0] * len(contexts)
-    assigned = [0] * len(contexts)
+    def cover(done: int) -> list[int] | None:
+        if done == full:
+            return []
+        ci = (~done & (done + 1)).bit_length() - 1  # the lowest uncovered context
+        for i in contexts[ci]:
+            if masks[i] & done == 0:
+                rest = cover(done | masks[i])
+                if rest is not None:
+                    return [i, *rest]
+        return None
 
-    def feasible(ci: int) -> bool:
-        if ones[ci] > 1:
-            return False
-        return not (assigned[ci] == 4 and ones[ci] != 1)
-
-    def assign(i: int, value: int) -> bool:
-        colour[i] = value
-        ok = True
-        for ci in by_vector[i]:
-            assigned[ci] += 1
-            ones[ci] += value
-            if not feasible(ci):
-                ok = False
-        return ok
-
-    def unassign(i: int, value: int) -> None:
-        colour[i] = -1
-        for ci in by_vector[i]:
-            assigned[ci] -= 1
-            ones[ci] -= value
-
-    def solve(i: int) -> bool:
-        if i == nv:
-            return True
-        for value in (0, 1):
-            ok = assign(i, value)
-            if ok and solve(i + 1):
-                return True
-            unassign(i, value)
-        return False
-
-    if solve(0):
-        return ColouringResult(False, tuple(contexts), tuple(colour))
-    return ColouringResult(True, tuple(contexts), None)
+    ones = cover(0)
+    if ones is None:
+        return ColouringResult(True, tuple(contexts), None)
+    return ColouringResult(False, tuple(contexts), tuple(int(i in ones) for i in range(nv)))

@@ -105,10 +105,7 @@ def is_complex_hadamard(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> boo
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if np.abs(np.abs(m) - 1.0 / np.sqrt(n)).max() > tol.eq_tol:
-        return False
-    return unitarity_defect(m) <= tol.eq_tol
+    return hadamard_defect(m) <= tol.eq_tol
 
 
 def hadamard_defect(matrix: np.ndarray) -> float:

@@ -78,17 +78,14 @@ def complex_matrix_payload(matrix: np.ndarray, provenance: dict | None = None) -
     return payload
 
 
-def root_matrix_payload(exponents: np.ndarray, k: int, provenance: dict | None = None) -> dict:
+def root_matrix_payload(exponents: np.ndarray, k: int) -> dict:
     e = np.asarray(exponents, dtype=int)
-    payload = {
+    return {
         "n": int(e.shape[0]),
         "form": "roots",
         "k": int(k),
         "exponents": [[int(v) for v in row] for row in e],
     }
-    if provenance:
-        payload["provenance"] = provenance
-    return payload
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,54 @@ class TestNewtonCensus:
         assert tags.get("d-times-root12", 0) > 0
 
 
+def _sequence(*phases):
+    """A hand-built census member with x_0 = 1 and the given phases."""
+    return BiuniSequence(entries=(1.0 + 0j, *np.exp(1j * np.array(phases))), kind=BJORCK)
+
+
+def _census_of(*sequences):
+    return CensusResult(n=len(sequences[0].entries), sequences=sequences, bases=(), metadata={})
+
+
+class TestQuotientCounts:
+    @pytest.mark.parametrize(
+        "n, seed, counts",
+        [(6, 0, (48, 8, 24, 5)), (6, 1, (48, 8, 24, 5)), (6, 2, (48, 8, 24, 5)), (6, 6, (48, 8, 24, 5))]
+        + [(3, seed, (6, 2, 3, 1)) for seed in range(5)]
+        + [(5, seed, (20, 4, 10, 2)) for seed in range(5)],
+    )
+    def test_counts_do_not_depend_on_the_seed(self, n, seed, counts):
+        census = newton_census(n, 20000, seed)
+        recorded = census.metadata["counts_under_quotients"]
+        assert tuple(recorded.values()) == counts
+        assert list(recorded) == ["fixed_first_entry", "up_to_shift", "up_to_conjugation",
+                                  "up_to_shift_and_conjugation"]
+
+    def test_shift_image_across_the_phase_wrap(self):
+        # x = (1, e^{i}, e^{i(1 + 1e-15)}) shifts to (1, e^{i 1e-15}, e^{-i}); the stored
+        # member holds that first phase at 2 pi - 1e-15
+        x = _sequence(1.0, 1.0 + 1e-15)
+        y = _sequence(-1e-15, -1.0)
+        assert y.phases()[0] > 2 * np.pi - 1e-14
+        counts = _census_of(x, y).quotient_counts()
+        assert counts == {"fixed_first_entry": 2, "up_to_shift": 1, "up_to_conjugation": 2,
+                          "up_to_shift_and_conjugation": 1}
+
+    def test_tol_decides_the_match(self):
+        # the shift image of x is (1, e^{0.8i}, e^{-0.3i}); the member sits 1e-7 from it
+        census = _census_of(_sequence(0.3, 1.1), _sequence(0.8 + 1e-7, -0.3))
+        assert census.quotient_counts(1e-6)["up_to_shift"] == 1
+        assert census.quotient_counts(1e-9)["up_to_shift"] == 2
+
+    def test_empty_census(self):
+        assert set(root_census(6, 5).quotient_counts().values()) == {0}
+
+    def test_closed_orbits_of_a_full_census(self, census6):
+        # every shift and conjugation image of the 48 is itself a census member
+        shift, conj = bu._image_maps(census6, 1e-6)
+        assert sorted(shift) == list(range(48)) and sorted(conj) == list(range(48))
+
+
 class TestScrambledHalton:
     @pytest.mark.parametrize("d", [2, 4, 5, 6])
     def test_matches_scipy_bit_for_bit(self, d):
@@ -416,6 +464,12 @@ class TestAssembleBases:
         gauss_circ = [b for b in circ if f":{GAUSSIAN}:" in b.label]
         assert len(circ) == 8
         assert len(gauss_circ) == 2
+
+    def test_circulant_label_is_a_shift_closed_column_set(self, assembled6):
+        for basis in assembled6.bases:
+            cols = basis.matrix
+            closed = all(np.abs(np.abs(np.roll(cols[:, j], 1).conj() @ cols) - 1).min() < 1e-9 for j in range(6))
+            assert basis.label.endswith(":circulant") == closed
 
     def test_all_unbiased_to_standard_and_fourier(self, assembled6):
         std, fb = Basis.standard(6), fourier(6)

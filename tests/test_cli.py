@@ -47,6 +47,23 @@ class TestGenAndVerify:
         ver = run_cli(["verify", "hadamard", str(path)])
         assert ver.returncode == 2
 
+    def test_verify_hadamard_reports_each_basis_of_a_list(self, tmp_path):
+        path = tmp_path / "mubs7.json"
+        assert main(["gen", "prime-mubs", "--p", "7", "-o", str(path)]) == 0
+        ver = run_cli(["verify", "hadamard", str(path)])
+        assert ver.returncode == 2
+        payload = json.loads(ver.stdout)
+        assert payload["failures"] == 1
+        assert [(r["basis"], r["pass"]) for r in payload["reports"]] == (
+            [("standard", False)] + [(f"weyl-eigenbasis(p=7,k={k})", True) for k in range(7)])
+        assert {r["file"] for r in payload["reports"]} == {str(path)}
+
+    def test_verify_hadamard_single_matrix_report(self, tmp_path):
+        path = tmp_path / "f6.json"
+        assert main(["gen", "fourier", "--n", "6", "-o", str(path)]) == 0
+        (report,) = json.loads(run_cli(["verify", "hadamard", str(path)]).stdout)["reports"]
+        assert sorted(report) == ["check", "defect", "file", "pass"] and report["pass"]
+
     def test_verify_unbiased_pair(self, tmp_path):
         f = tmp_path / "f.json"
         e = tmp_path / "e.json"
@@ -258,6 +275,8 @@ def roots_census_text():
         (["verify", "unbiased", "eye.json", "fourier.json", "fourier.json"], {}, 3),
         (["verify", "unbiased", "pair.json"], {}, 0),  # one basis list of two bases
         (["verify", "hadamard", "not-utf8.json"], {}, 3),
+        (["verify", "hadamard", "mubs.json"], {}, 2),  # a basis list: the standard basis is no Hadamard
+        (["verify", "hadamard", "hadamards.json"], {}, 0),  # a basis list of Hadamards only
     ],
 )
 def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, monkeypatch, capsys):
@@ -291,6 +310,9 @@ def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, mo
     (tmp_path / "mubs.json").write_text(mio.dumps(mubs))
     (tmp_path / "pair.json").write_text(mio.dumps(mio.basis_list_payload(
         [Basis(np.eye(4), label="eye"), Basis(np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2)], 4)))
+    f4 = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2
+    (tmp_path / "hadamards.json").write_text(mio.dumps(mio.basis_list_payload(
+        [Basis(f4, label="f4"), Basis(f4.conj(), label="conj-f4")], 4)))
     (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
     assert main(argv) == code
     out, err = capsys.readouterr()

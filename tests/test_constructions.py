@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,43 @@ class TestKochenSpecker:
         result = ks_uncolourable(vectors)
         assert not result.uncolourable
         assert len(result.contexts) == 2
+
+    def test_matches_brute_force_colouring_on_ray_subsets(self):
+        """The verdict, contexts and colouring against all 2^m colourings of subsets of the Peres rays.
+
+        A subset is some random rays, pruned until each lies in a context of the
+        subset; uncolourable ones need 19 or more rays, so up to 20 are kept.
+        """
+        rays = peres_rays()
+        all_contexts = ks_uncolourable(rays).contexts
+        rng = np.random.default_rng(3)
+        wanted = {False: 20, True: 2}
+        for _ in range(2000):
+            keep = set(rng.choice(len(rays), int(rng.integers(8, 22)), replace=False).tolist())
+            while keep != (inside := {i for c in all_contexts if set(c) <= keep for i in c}):
+                keep = inside
+            if not keep or len(keep) > 20:
+                continue
+            vecs = rays[sorted(keep)]
+            result = ks_uncolourable(vecs)
+            if not wanted[result.uncolourable]:
+                continue
+            wanted[result.uncolourable] -= 1
+            m = len(vecs)
+            orth = np.abs(vecs @ vecs.T) < 1e-9
+            contexts = [q for q in combinations(range(m), 4) if all(orth[i, j] for i, j in combinations(q, 2))]
+            colourings = np.arange(2**m, dtype=np.uint32)
+            valid = np.ones(2**m, dtype=bool)
+            for q in contexts:
+                ones = colourings & np.uint32(sum(1 << i for i in q))
+                valid &= (ones != 0) & (ones & (ones - 1) == 0)  # exactly one ray of the context is 1
+            assert sorted(result.contexts) == contexts
+            assert result.uncolourable == (not valid.any())
+            if result.colouring is not None:
+                assert valid[sum(c << i for i, c in enumerate(result.colouring))]
+            if not any(wanted.values()):
+                break
+        assert wanted == {False: 0, True: 0}
 
     def test_uncovered_vector_rejected(self):
         vectors = np.vstack([np.eye(4), [[0.3, 0.5, 0.2, 0.7]]])
