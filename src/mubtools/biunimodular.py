@@ -173,9 +173,17 @@ class CensusResult:
 
 
 def _within(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """(len(a), len(b)) mask: phase rows within tol of each other in every component."""
-    gap = np.abs((a[:, None, :] - b[None, :, :] + np.pi) % (2 * np.pi) - np.pi)
-    return gap.max(axis=2) <= tol
+    """(len(a), len(b)) mask: phase rows within tol of each other in every component.
+
+    The rows of `a` go through in blocks whose gap tensor has about search._BLOCK
+    entries, so one block is all that is held besides the mask.
+    """
+    out = np.empty((len(a), len(b)), dtype=bool)
+    step = max(1, search_mod._BLOCK // max(1, b.size))
+    for lo in range(0, len(a), step):
+        gap = np.abs((a[lo : lo + step, None, :] - b[None, :, :] + np.pi) % (2 * np.pi) - np.pi)
+        out[lo : lo + step] = gap.max(axis=2) <= tol
+    return out
 
 
 def _new_solutions(sols: np.ndarray, pool: np.ndarray, tol: float) -> list[int]:

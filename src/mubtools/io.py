@@ -187,12 +187,17 @@ def search_result_payload(result, k: int) -> dict:
 
 
 def checkpoint_text(spec: dict, completed: list[tuple[int, list]]) -> str:
-    """A search checkpoint: the spec (n, k, depth) and each completed unit with its results as exponent grids."""
-    return dumps({
+    """A search checkpoint: the spec (n, k, depth) and each completed unit with its results as exponent grids.
+
+    The payload holds only integers and strings, for which the standard encoder
+    (numpy integers through int) writes the same bytes as `dumps`, several times faster.
+    """
+    payload = {
         "spec": spec,
         "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
                       for unit, found in completed],
-    })
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=int)
 
 
 def read_checkpoint(path: str, spec: dict) -> dict[int, list]:

@@ -5,7 +5,9 @@ k-th roots of unity, and orthogonality/unbiasedness between two dephased
 columns depends only on their exponent difference.  Difference vectors are
 classified by the one batched exact test `cyclotomic._norm_sq_is`, "the sum
 of the roots has squared modulus t" in Z[zeta] (t = 0 orthogonal, t = n
-unbiased), once per permutation orbit of their digits (`_orbit_hits`).  A
+unbiased), once per permutation orbit of their digits (`_orbit_hits`).  That
+kernel streams the orbit representatives in fixed blocks of _BLOCK, so it
+holds one block and the hits, never all C(k+n-2, n-1) representatives.  A
 vector is indexed by its exponent digits in base k, and the verdicts are two
 boolean tables over those indices; `_digit_matrix` is the one decoder, and
 each stage decodes only the rows it reads.  One chunked kernel
@@ -40,7 +42,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
 from math import comb, lcm
 from operator import and_
 
@@ -53,7 +55,7 @@ from .io import checkpoint_text, read_checkpoint
 
 MAX_CANDIDATES = 10**8
 _BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 225 exponents at n = 6
-_BLOCK = 1 << 15  # row x column pairs per chunk of `_difference_bits`
+_BLOCK = 1 << 15  # digit multisets per block of `_orbit_hits`; row x column pairs per chunk of `_difference_bits`
 _GROUP_ENTRIES = 1 << 17  # largest lookup of a digit group: (2k)^3 up to k = 25
 
 
@@ -177,23 +179,44 @@ def _candidate_count(n: int, k: int) -> int:
     return m
 
 
+def _approx_norm_sq(exps: np.ndarray, k: int) -> np.ndarray:
+    """|1 + sum_j zeta_k^(e_j)|^2 per row e of `exps`, in floating point, one column at a time."""
+    roots = _unit_roots(k)
+    approx = np.ones(len(exps), dtype=complex)
+    for column in exps.T:
+        approx += roots[column]
+    return np.abs(approx) ** 2
+
+
 def _orbit_hits(n: int, k: int, target: int) -> np.ndarray:
     """Sorted indices of the digit vectors e in [0, k)^(n-1) with |1 + sum_j zeta_k^(e_j)|^2 == target.
 
     `_norm_sq_is` decides one non-decreasing representative per digit multiset; each hit is
     expanded over the digits it has left, one position at a time, in time linear in the hits.
+    The representatives stream through in blocks of _BLOCK, so besides the hits the kernel
+    holds one block and its float prescreen, never all C(k+n-2, n-1) of them.
     """
-    reps = np.fromiter(chain.from_iterable(combinations_with_replacement(range(k), n - 1)), dtype=np.int16)
-    reps = reps.reshape(comb(k + n - 2, n - 1), n - 1)
-    hits = reps[_norm_sq_is(reps, k, target, np.abs(1.0 + _unit_roots(k)[reps].sum(axis=1)) ** 2)]
-    left = _row_histogram(hits, k)  # digits each partial arrangement has still to place
-    idx = np.zeros(len(hits), dtype=np.int64)
-    for j in range(n - 1):
-        rows, digit = np.nonzero(left)
-        idx = idx[rows] + digit * k**j
-        left = left[rows]
-        left[np.arange(len(rows)), digit] -= 1
-    return np.sort(idx)
+    d = n - 1
+    count_dtype = np.min_scalar_type(d)  # no digit value is left to place more than n - 1 times
+    tuples = combinations_with_replacement(range(k), d)
+    total = comb(k + d - 1, d)
+    found = []
+    for lo in range(0, total, _BLOCK):
+        size = min(_BLOCK, total - lo)
+        reps = np.fromiter(chain.from_iterable(islice(tuples, size)), dtype=np.int16, count=size * d)
+        reps = reps.reshape(size, d)
+        hits = reps[_norm_sq_is(reps, k, target, _approx_norm_sq(reps, k))]
+        left = np.zeros((len(hits), k), dtype=count_dtype)  # digits each partial arrangement has still to place
+        for column in hits.T:
+            left[np.arange(len(hits)), column] += 1
+        idx = np.zeros(len(hits), dtype=np.int64)
+        for j in range(d):
+            rows, digit = np.nonzero(left)
+            idx = idx[rows] + digit * k**j
+            left = left[rows]
+            left[np.arange(len(rows)), digit] -= 1
+        found.append(idx)
+    return np.sort(np.concatenate(found))
 
 
 @lru_cache(maxsize=3)
@@ -279,7 +302,7 @@ def unbiased_vector_enumerate(n: int, k: int) -> list[RootVector]:
     alive = _orbit_hits(n, k, n)
     for b in range(1, n):
         phases = (_digit_matrix(alive, n, k).astype(np.int64) * (kk // k) + b * (kk // n) * np.arange(1, n)) % kk
-        alive = alive[_norm_sq_is(phases, kk, n, np.abs(1.0 + _unit_roots(kk)[phases].sum(axis=1)) ** 2)]
+        alive = alive[_norm_sq_is(phases, kk, n, _approx_norm_sq(phases, kk))]
     return [RootVector(k, (0,) + tuple(int(e) for e in row)) for row in _digit_matrix(alive, n, k)]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,40 @@ class TestScrambledHalton:
         a = _ScrambledHalton(5, 0).random(2048)
         assert a.min() >= 0.0 and a.max() < 1.0
         assert not np.array_equal(a, _ScrambledHalton(5, 1).random(2048))
+
+
+def _one_shot_within(a, b, tol):
+    """The whole (len(a), len(b), n - 1) gap tensor at once, as `_within` built it before it went in blocks."""
+    return np.abs((a[:, None, :] - b[None, :, :] + np.pi) % (2 * np.pi) - np.pi).max(axis=2) <= tol
+
+
+@pytest.mark.parametrize("block", [1, 7, 50, bu.search_mod._BLOCK])
+def test_within_in_blocks_matches_one_shot_mask(block, monkeypatch):
+    monkeypatch.setattr(bu.search_mod, "_BLOCK", block)
+    rng = np.random.default_rng(3)
+    tol = 1e-6
+    b = rng.uniform(0, 2 * np.pi, (40, 5))
+    b[0, 0] = 2 * np.pi - 1e-8  # a match across the 2 pi wrap
+    a = (b[rng.integers(0, 40, 90)] + rng.uniform(-2e-6, 2e-6, (90, 5))) % (2 * np.pi)
+    expected = _one_shot_within(a, b, tol)
+    assert expected.any() and not expected.all()
+    assert np.array_equal(bu._within(a, b, tol), expected)
+    for rows, cols in ((a[:0], b), (a, b[:0]), (a[:0], b[:0])):
+        mask = bu._within(rows, cols, tol)
+        assert mask.shape == (len(rows), len(cols)) and mask.dtype == bool
+
+
+def test_within_memory_is_one_block():
+    """The n = 7 image-map shape: 2 x 531 images against 531 sequences of 6 phases (a 27 MB tensor at once)."""
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(0, 2 * np.pi, (1062, 6)), rng.uniform(0, 2 * np.pi, (531, 6))
+    tracemalloc.start()
+    try:
+        bu._within(a, b, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def _pairwise_new_solutions(sols, pool, tol):
@@ -440,6 +476,18 @@ class TestRootCensus:
         census = root_census(2, 10000)
         entries = {tuple(np.round(s.as_array(), 9)) for s in census.sequences}
         assert entries == {(1, 1j), (1, -1j)}
+
+    def test_n6_k36_memory_is_one_block(self):
+        """The k = 36 census streams its 658,008 digit multisets; holding them all took 66 MB."""
+        root_census(6, 36)  # warm the caches (unit roots, cyclotomic remainders)
+        tracemalloc.start()
+        try:
+            census = root_census(6, 36)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert census.count == 12
+        assert peak < 8e6
 
     def test_n3_matches_newton(self):
         exact = root_census(3, 3)

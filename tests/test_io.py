@@ -84,6 +84,18 @@ def test_nonfinite_rejected():
         mio.dumps({"x": float("nan")})
 
 
+@pytest.mark.parametrize("depth", ["hadamards", "triplets", "quartets"])
+def test_checkpoint_text_is_dumps_text(depth):
+    """The standard encoder behind `checkpoint_text` writes what `dumps` writes, numpy spec integers included."""
+    grids = [(np.arange(36, dtype=np.int16).reshape(6, 6) * shift) % 12 for shift in (1, 5, 7)]
+    result = grids[0] if depth == "hadamards" else tuple(grids[: mio._STAGE_MATRICES[depth]])
+    spec = {"n": np.int64(6), "k": 12, "depth": depth}
+    completed = [(0, []), (1, [result]), (2, [result, result])]
+    payload = {"spec": spec, "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
+                                           for unit, found in completed]}
+    assert mio.checkpoint_text(spec, completed) == mio.dumps(payload)
+
+
 def test_distance_csv_shape():
     table = np.array([[0.0, 2.0], [2.0, 0.0]])
     csv = mio.distance_csv(["a", "b"], table)

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mubtools import search as search_mod
 from mubtools.catalog import load_fixture
 from mubtools.constructions import prime_mub_set
 from mubtools.core import Basis, Tolerance, haagerup_invariants, is_complex_hadamard, is_unbiased_pair
@@ -379,12 +380,17 @@ _ORBIT_HIT_COUNTS = {(7, 12, 0): 15540, (13, 3, 13): 72072, (20, 2, 0): 92378}
 @pytest.mark.parametrize(
     "n,k", [(2, 4), (3, 6), (4, 4), (4, 12), (5, 5), (6, 6), (6, 12), (7, 12), (13, 3), (20, 2)]
 )
-def test_orbit_hits_match_full_scan(n, k):
+def test_orbit_hits_match_full_scan(n, k, monkeypatch):
     for target in (0, n):
         hits = _orbit_hits(n, k, target)
-        assert np.array_equal(hits, _scan_hits(n, k, target))
+        expected = _scan_hits(n, k, target)
+        assert np.array_equal(hits, expected)
         if (n, k, target) in _ORBIT_HIT_COUNTS:
             assert len(hits) == _ORBIT_HIT_COUNTS[n, k, target]
+        # seven representatives per block: the hits never depend on where a block ends
+        with monkeypatch.context() as patch:
+            patch.setattr(search_mod, "_BLOCK", 7)
+            assert np.array_equal(_orbit_hits(n, k, target), expected)
 
 
 @pytest.mark.parametrize("n,k", [(6, 12), (6, 24)])
