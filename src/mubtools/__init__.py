@@ -26,7 +26,6 @@ from .constructions import (
     weyl_pair,
 )
 from .catalog import (
-    FamilyPoint,
     beauchamp_nicoara,
     bjorck_c,
     bjorck_d,

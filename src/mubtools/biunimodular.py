@@ -182,7 +182,7 @@ def _within(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     step = max(1, search_mod._BLOCK // max(1, b.size))
     for lo in range(0, len(a), step):
         gap = np.abs((a[lo : lo + step, None, :] - b[None, :, :] + np.pi) % (2 * np.pi) - np.pi)
-        out[lo : lo + step] = gap.max(axis=2) <= tol
+        out[lo : lo + step] = gap.max(axis=2, initial=0.0) <= tol  # zero-width rows (n = 1) are equal
     return out
 
 
@@ -271,7 +271,7 @@ def _fourier_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return q ** np.outer(a, a) / np.sqrt(n), q ** np.outer(a[1:], a[1:])
 
 
-def _phase_residual_system(phi: np.ndarray, dft_matrix: np.ndarray, n: int):
+def _phase_residual_system(phi: np.ndarray, dft_matrix: np.ndarray):
     """Residuals |x~_a|^2 - 1 (a = 1..n-1), the sequences x and their transforms x~, batched over rows of phi.
 
     The product runs on even row slices of at most NEWTON_BATCH_SIZE rows.  A
@@ -331,7 +331,7 @@ def _armijo_step_sizes(phi: np.ndarray, step: np.ndarray, f0: np.ndarray, dft_ma
         ts = np.ldexp(1.0, -np.arange(first, first + size))
         first += size
         points = phi[trial, None, :] + ts[None, :, None] * step[trial, None, :]
-        r_new, _, _ = _phase_residual_system(points.reshape(-1, n - 1), dft_matrix, n)
+        r_new, _, _ = _phase_residual_system(points.reshape(-1, n - 1), dft_matrix)
         f_new = (0.5 * np.sum(r_new * r_new, axis=1)).reshape(len(trial), size)
         ok = f_new <= f0[trial, None] * (1.0 - 0.5 * ts)
         hit = ok.any(axis=1)
@@ -347,7 +347,7 @@ def _newton_solve(phi: np.ndarray, dft_matrix: np.ndarray, q_table: np.ndarray, 
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        r, x, xt = _phase_residual_system(phi[idx], dft_matrix, n)
+        r, x, xt = _phase_residual_system(phi[idx], dft_matrix)
         done = np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL
         if done.any():
             active[idx[done]] = False
@@ -411,7 +411,7 @@ def newton_census(
         used += take
         _newton_solve(phi, dft_matrix, q_table, n)
 
-        r, x, xt = _phase_residual_system(phi, dft_matrix, n)
+        r, x, xt = _phase_residual_system(phi, dft_matrix)
         rows = np.nonzero(np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL)[0]
         jac = _phase_jacobian(x[rows], xt[rows], q_table, n)
         rank_deficient += int(np.sum(np.linalg.svd(jac, compute_uv=False)[:, -1] < 1e-6))

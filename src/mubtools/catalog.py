@@ -2,40 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+from functools import lru_cache
 
 import numpy as np
 
 from .core import InadmissibleParameterError
-from .cyclotomic import _norm_sq_is
-from .io import RootMatrix, loads, parse_matrix
-
-FAMILY_ARITY = {
-    "H4": 1,
-    "F6": 2,
-    "F6_transpose": 2,
-    "DITA": 1,
-    "S": 0,
-    "BJORCK_C": 0,
-    "BN": 1,
-}
-
-
-@dataclass(frozen=True)
-class FamilyPoint:
-    """A catalog family together with its parameter values (phases in radians)."""
-
-    family: str
-    params: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.family not in FAMILY_ARITY:
-            raise ValueError(f"unknown family {self.family!r}; known: {sorted(FAMILY_ARITY)}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        arity = FAMILY_ARITY[self.family]
-        if len(self.params) != arity:
-            raise ValueError(f"family {self.family} takes {arity} parameter(s), got {len(self.params)}")
+from .io import RootMatrix
+from .search import root_hadamard_enumerate
 
 
 def h4(phi: float) -> np.ndarray:
@@ -146,52 +119,50 @@ def bn_admissible(y: complex) -> bool:
 _FIXTURE_ROOT_ORDERS = {"S": 3, "DITA0": 4}
 
 
-def load_fixture(name: str) -> np.ndarray:
-    """Load and exactly re-verify a stored root-of-unity Hadamard (names: S, DITA0).
+@lru_cache(maxsize=None)
+def _least_root_hadamard(k: int) -> np.ndarray:
+    """The lexicographically least exponent matrix of the complete (6, k) root search."""
+    return min(root_hadamard_enumerate(6, k).matrices, key=lambda m: tuple(m.ravel()))
 
-    The fixture files hold the lexicographically least exponent matrix of the
-    exhaustive root-restricted search at (n, k) = (6, 3) and (6, 4); a test
-    recomputes both.  On load every column pair is re-checked for
-    orthogonality in exact cyclotomic arithmetic before the normalized
-    complex matrix is returned.
+
+def load_fixture(name: str) -> np.ndarray:
+    """A named root-of-unity Hadamard (names: S, DITA0), normalized to unitary.
+
+    S and DITA0 are the lexicographically least exponent matrices of the
+    exhaustive root-restricted search at (n, k) = (6, 3) and (6, 4), so their
+    columns are orthogonal in exact cyclotomic arithmetic by construction.
     """
     if name not in _FIXTURE_ROOT_ORDERS:
         raise ValueError(f"unknown fixture {name!r}; known: {sorted(_FIXTURE_ROOT_ORDERS)}")
-    parsed = parse_matrix(loads(resources.files("mubtools").joinpath(f"fixtures/{name}.json").read_text()))
-    if not isinstance(parsed, RootMatrix):
-        raise ValueError(f"fixture {name} is not in root form")
-    if parsed.k != _FIXTURE_ROOT_ORDERS[name]:
-        raise ValueError(f"fixture {name} has root order {parsed.k}, expected {_FIXTURE_ROOT_ORDERS[name]}")
-    # columns i < j are orthogonal iff 1 + sum_a zeta^(d_a - d_0) = 0 for d = e_j - e_i; all decided exactly
-    i, j = np.triu_indices(parsed.n, 1)
-    diffs = (parsed.exponents[:, j] - parsed.exponents[:, i]).T
-    orthogonal = _norm_sq_is((diffs[:, 1:] - diffs[:, :1]) % parsed.k, parsed.k, 0, np.zeros(len(i)))
-    if not orthogonal.all():
-        bad = np.argmin(orthogonal)
-        raise ValueError(f"fixture {name} failed exact verification: columns {i[bad]},{j[bad]} not orthogonal")
-    return parsed.to_complex()
+    k = _FIXTURE_ROOT_ORDERS[name]
+    return RootMatrix(6, k, _least_root_hadamard(k)).to_complex()
 
 
-def family_matrix(point: FamilyPoint) -> np.ndarray:
+def _dita(phi: float) -> np.ndarray:
+    # Only the zero-phase point is available: the family's free-phase entry
+    # placement is not published, so there is nothing to evaluate away from zero.
+    if abs(phi) > 1e-12:
+        raise InadmissibleParameterError("DITA family is only available at zero phase (fixture DITA0)")
+    return load_fixture("DITA0")
+
+
+# name -> (dimension, parameter names, generator taking the parameters as phases in radians)
+FAMILIES = {
+    "H4": (4, ("phi",), h4),
+    "F6": (6, ("phi1", "phi2"), f6),
+    "F6_transpose": (6, ("phi1", "phi2"), f6_transpose),
+    "DITA": (6, ("phi",), _dita),
+    "S": (6, (), lambda: load_fixture("S")),
+    "BJORCK_C": (6, (), bjorck_c),
+    "BN": (6, ("theta",), lambda theta: beauchamp_nicoara(np.exp(1j * theta))[0]),
+}
+
+
+def family_matrix(family: str, params: tuple[float, ...] = ()) -> np.ndarray:
     """Evaluate a catalog family at a parameter point."""
-    fam, params = point.family, point.params
-    if fam == "H4":
-        return h4(params[0])
-    if fam == "F6":
-        return f6(params[0], params[1])
-    if fam == "F6_transpose":
-        return f6_transpose(params[0], params[1])
-    if fam == "S":
-        return load_fixture("S")
-    if fam == "BJORCK_C":
-        return bjorck_c()
-    if fam == "BN":
-        return beauchamp_nicoara(np.exp(1j * params[0]))[0]
-    if fam == "DITA":
-        # Only the zero-phase point is available: the family's free-phase
-        # entry placement is not published, so there is nothing to evaluate
-        # away from zero.
-        if abs(params[0]) > 1e-12:
-            raise InadmissibleParameterError("DITA family is only available at zero phase (fixture DITA0)")
-        return load_fixture("DITA0")
-    raise AssertionError(fam)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    _, names, generator = FAMILIES[family]
+    if len(params) != len(names):
+        raise ValueError(f"family {family} takes {len(names)} parameter(s), got {len(params)}")
+    return generator(*(float(p) for p in params))

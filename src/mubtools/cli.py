@@ -9,6 +9,7 @@ included).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import secrets
@@ -346,15 +347,10 @@ def _downsample(traj: np.ndarray, limit: int = 200) -> np.ndarray:
 
 def _cmd_scan(args) -> int:
     tol = _tolerance()
-    family = {"h4": "H4", "f6": "F6", "bn": "BN"}[args.family]
-    n = 4 if family == "H4" else 6
-    if family == "F6":
-        axis = np.linspace(0.0, 2 * np.pi, args.points, endpoint=False)
-        grid = np.array([[a, b] for a in axis for b in axis])
-        names = ["phi1", "phi2"]
-    else:
-        grid = np.linspace(0.0, 2 * np.pi, args.points, endpoint=False).reshape(-1, 1)
-        names = ["phi"] if family == "H4" else ["theta"]
+    family = args.family.upper()
+    n, names, _ = catalog.FAMILIES[family]
+    axis = np.linspace(0.0, 2 * np.pi, args.points, endpoint=False)
+    grid = np.array(list(itertools.product(axis, repeat=len(names))))
     against = [Basis.standard(n)]
     if args.with_fourier:
         against.append(constructions.fourier(n))
@@ -365,7 +361,7 @@ def _cmd_scan(args) -> int:
         iterations=args.iterations,
         tol=tol,
     )
-    csv = mio.scan_csv(names, [b.label for b in against], rows)
+    csv = mio.scan_csv(list(names), [b.label for b in against], rows)
     _write_text(args.csv, csv)
     return EXIT_OK
 

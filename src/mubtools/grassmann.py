@@ -78,18 +78,9 @@ def basis_frame(basis: Basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def basis_projector(basis: Basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Rank-(N-1) projector onto the Bloch plane of a basis.
-
-    Accumulated as ((N-1)/N) sum_a e_a e_a^T rather than through the
-    explicit frame matrix.
-    """
-    basis.require_unitary(tol)
-    n = basis.dim
-    p = np.zeros((n * n - 1, n * n - 1))
-    for j in range(n):
-        e = bloch_embed(basis.matrix[:, j])
-        p += np.outer(e, e)
-    return (n - 1.0) / n * p
+    """Rank-(N-1) projector F F^T onto the Bloch plane of a basis, F = basis_frame(basis)."""
+    frame = basis_frame(basis, tol)
+    return frame @ frame.T
 
 
 def projector_dim(projector: np.ndarray) -> int:

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import FAMILY_ARITY, FamilyPoint, family_matrix
+from .catalog import FAMILIES, family_matrix
 from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance, hadamard_defect
 from .grassmann import distance_table, gram_deviations, spread_upper_bound
 
@@ -229,12 +229,12 @@ def scan_family(
     """
     if extension_m is not None and not seeds:
         raise InadmissibleParameterError("an extension scan needs at least one seed")
-    arity = FAMILY_ARITY[family]
+    arity = len(FAMILIES[family][1])
     pts = np.asarray(grid, dtype=float).reshape(-1, arity) if arity else np.zeros((1, 0))
     rows: list[ScanRow] = []
     for params in pts:
         try:
-            mat = family_matrix(FamilyPoint(family, tuple(params)))
+            mat = family_matrix(family, params)
         except InadmissibleParameterError:
             rows.append(
                 ScanRow(tuple(params), False, float("nan"),

@@ -186,6 +186,13 @@ class TestQuotientCounts:
     def test_empty_census(self):
         assert set(root_census(6, 5).quotient_counts().values()) == {0}
 
+    def test_one_entry_census(self):
+        # n = 1: the sequence (1) has no free phase, and it is its own shift and conjugate
+        census = root_census(1, 3)
+        assert census.quotient_counts() == {"fixed_first_entry": 1, "up_to_shift": 1, "up_to_conjugation": 1,
+                                            "up_to_shift_and_conjugation": 1}
+        assert [b.label for b in assemble_bases(census).bases] == ["census-basis-00:gaussian:circulant"]
+
     def test_closed_orbits_of_a_full_census(self, census6):
         # every shift and conjugation image of the 48 is itself a census member
         shift, conj = bu._image_maps(census6, 1e-6)
@@ -228,6 +235,10 @@ def test_within_in_blocks_matches_one_shot_mask(block, monkeypatch):
     for rows, cols in ((a[:0], b), (a, b[:0]), (a[:0], b[:0])):
         mask = bu._within(rows, cols, tol)
         assert mask.shape == (len(rows), len(cols)) and mask.dtype == bool
+
+
+def test_within_zero_width_rows_are_equal():
+    assert np.array_equal(bu._within(np.zeros((2, 0)), np.zeros((3, 0)), 1e-6), np.ones((2, 3), dtype=bool))
 
 
 def test_within_memory_is_one_block():
@@ -456,7 +467,7 @@ class TestNewtonLoop:
         _newton_solve(mixed, dft_matrix, q_table, n)
         assert mixed[0].tolist() == [0.0] * (n - 1)  # a zero step cannot pass the line search
         assert mixed[1:].tobytes() == alone.tobytes()
-        r, _, _ = bu._phase_residual_system(alone, dft_matrix, n)
+        r, _, _ = bu._phase_residual_system(alone, dft_matrix)
         assert (np.abs(r).max(axis=1) <= bu.NEWTON_RESIDUAL_TOL).sum() > 32
 
 

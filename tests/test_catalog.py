@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from mubtools.catalog import (
-    FamilyPoint,
+    FAMILIES,
     beauchamp_nicoara,
     bjorck_c,
     bjorck_d,
@@ -15,14 +13,24 @@ from mubtools.catalog import (
     h4,
     load_fixture,
 )
+from mubtools.cli import main
 from mubtools.constructions import fourier
 from mubtools.core import InadmissibleParameterError, Tolerance, haagerup_invariants, is_complex_hadamard
+from mubtools.io import RootMatrix
 from mubtools.search import root_hadamard_enumerate
 
 TOL9 = Tolerance(eq_tol=1e-9, dedupe_tol=1e-6)
 
 # admissibility boundary of the hermitian one-parameter family
 THETA_EDGE = np.arccos((np.sqrt(3) - 1) / 2)
+
+# the lexicographically least exponent matrices of the complete (6, 3) and (6, 4) searches
+LEAST_GRIDS = {
+    "S": [[0, 0, 0, 0, 0, 0], [0, 1, 0, 2, 1, 2], [0, 1, 2, 0, 2, 1],
+          [0, 2, 2, 1, 1, 0], [0, 2, 1, 2, 0, 1], [0, 0, 1, 1, 2, 2]],
+    "DITA0": [[0, 0, 0, 0, 0, 0], [0, 0, 2, 3, 1, 2], [0, 2, 0, 3, 2, 1],
+              [0, 3, 2, 1, 2, 0], [0, 2, 3, 1, 0, 2], [0, 1, 1, 2, 3, 3]],
+}
 
 
 def multisets_close(a, b, tol=1e-5):
@@ -147,28 +155,12 @@ class TestFixtures:
 
     @pytest.mark.parametrize("name, k, count", [("S", 3, 12), ("DITA0", 4, 72)])
     def test_fixture_is_least_search_matrix(self, name, k, count):
-        """Each shipped fixture is the lexicographically least matrix of the complete (6, k) search."""
-        from importlib import resources
-
-        payload = json.loads(resources.files("mubtools").joinpath(f"fixtures/{name}.json").read_text())
+        """Each named matrix is the lexicographically least matrix of the complete (6, k) search."""
         outcome = root_hadamard_enumerate(6, k)
-        assert outcome.complete and len(outcome.matrices) == count
+        assert outcome.complete and len(outcome.matrices) == count and len(outcome.buckets) == 1
         least = min(outcome.matrices, key=lambda m: tuple(m.ravel()))
-        assert payload["k"] == k
-        assert payload["exponents"] == least.tolist()
-        search = payload["provenance"]["search"]
-        assert (search["matrices_found"], search["haagerup_buckets"]) == (count, len(outcome.buckets))
-
-    def test_corrupted_fixture_fails_exact_verification(self, tmp_path, monkeypatch):
-        from importlib import resources
-
-        payload = json.loads(resources.files("mubtools").joinpath("fixtures/S.json").read_text())
-        payload["exponents"][3][4] = (payload["exponents"][3][4] + 1) % 3
-        (tmp_path / "fixtures").mkdir()
-        (tmp_path / "fixtures" / "S.json").write_text(json.dumps(payload))
-        monkeypatch.setattr(resources, "files", lambda package: tmp_path)
-        with pytest.raises(ValueError, match="failed exact verification"):
-            load_fixture("S")
+        assert least.tolist() == LEAST_GRIDS[name]
+        assert np.array_equal(load_fixture(name), RootMatrix(6, k, np.array(LEAST_GRIDS[name])).to_complex())
 
     def test_unknown_fixture(self):
         with pytest.raises(ValueError, match="unknown fixture"):
@@ -176,18 +168,51 @@ class TestFixtures:
 
 
 class TestFamilyPoint:
+    """`family_matrix` evaluates a family at a parameter point, checking the name and the arity."""
+
     def test_arity_enforced(self):
         with pytest.raises(ValueError, match="parameter"):
-            FamilyPoint("H4", (0.1, 0.2))
+            family_matrix("H4", (0.1, 0.2))
+        with pytest.raises(ValueError, match="parameter"):
+            family_matrix("S", (0.1,))
         with pytest.raises(ValueError, match="unknown family"):
-            FamilyPoint("H5", (0.1,))
+            family_matrix("H5", (0.1,))
 
     def test_family_matrix_dispatch(self):
-        assert np.allclose(family_matrix(FamilyPoint("F6", (0, 0))), fourier(6).matrix)
-        assert is_complex_hadamard(family_matrix(FamilyPoint("BJORCK_C")))
-        assert is_complex_hadamard(family_matrix(FamilyPoint("BN", (2.5,))))
+        assert np.allclose(family_matrix("F6", (0, 0)), fourier(6).matrix)
+        assert np.array_equal(family_matrix("H4", (0.3,)), h4(0.3))
+        assert np.array_equal(family_matrix("F6_transpose", (0.3, 1.1)), f6_transpose(0.3, 1.1))
+        assert np.array_equal(family_matrix("S"), load_fixture("S"))
+        assert is_complex_hadamard(family_matrix("BJORCK_C"))
+        assert np.array_equal(family_matrix("BN", (2.5,)), beauchamp_nicoara(np.exp(2.5j))[0])
+        for name, (dim, names, _) in FAMILIES.items():
+            params = (0.0,) * len(names) if name != "BN" else (2.5,)
+            assert family_matrix(name, params).shape == (dim, dim)
 
     def test_dita_only_at_zero(self):
-        assert is_complex_hadamard(family_matrix(FamilyPoint("DITA", (0.0,))))
+        assert is_complex_hadamard(family_matrix("DITA", (0.0,)))
         with pytest.raises(InadmissibleParameterError):
-            family_matrix(FamilyPoint("DITA", (0.4,)))
+            family_matrix("DITA", (0.4,))
+
+
+class TestScanColumns:
+    """`scan` takes its parameter columns and grid order from the family table."""
+
+    def _scan(self, tmp_path, *argv):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", *argv, "--csv", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        return header, [row.split(",") for row in rows]
+
+    def test_f6_grid(self, tmp_path):
+        header, rows = self._scan(tmp_path, "f6", "--points", "2")
+        assert header == "phi1,phi2,admissible,hadamard_defect,d2_to_standard,extension_score"
+        pi = format(np.pi, ".12g")
+        assert [row[:3] for row in rows] == [
+            ["0", "0", "1"], ["0", pi, "1"], [pi, "0", "1"], [pi, pi, "1"]]
+
+    def test_bn_grid(self, tmp_path):
+        header, rows = self._scan(tmp_path, "bn", "--points", "3")
+        assert header == "theta,admissible,hadamard_defect,d2_to_standard,extension_score"
+        thirds = [format(t, ".12g") for t in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
+        assert [row[:2] for row in rows] == [[thirds[0], "0"], [thirds[1], "1"], [thirds[2], "1"]]

@@ -277,6 +277,7 @@ def roots_census_text():
         (["verify", "hadamard", "not-utf8.json"], {}, 3),
         (["verify", "hadamard", "mubs.json"], {}, 2),  # a basis list: the standard basis is no Hadamard
         (["verify", "hadamard", "hadamards.json"], {}, 0),  # a basis list of Hadamards only
+        (["assemble", "census-n1.json", "-o", "bases-n1.json"], {}, 0),  # no free phase: zero-width rows
     ],
 )
 def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, monkeypatch, capsys):
@@ -285,6 +286,7 @@ def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, mo
     (tmp_path / "stub-census.json").write_text('{"format": "census", "n": 6}')
     (tmp_path / "empty-census.json").write_text('{"format": "census", "n": 6, "metadata": {}, "sequences": []}')
     (tmp_path / "roots-census.json").write_text(roots_census_text)
+    (tmp_path / "census-n1.json").write_text(mio.dumps(root_census(1, 3).to_dict()))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     for name, matrix in (("eye", np.eye(4)), ("eye6", np.eye(6)), ("flat", np.full((4, 4), 0.5))):

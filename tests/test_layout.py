@@ -1,0 +1,71 @@
+"""Design invariants of the package source, checked on its syntax trees.
+
+- `io` is the one module that reads or writes JSON;
+- numpy is the one third-party import;
+- the package directory holds Python modules only, no data files;
+- every function parameter is read by its function.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mubtools"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_tops(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports in a module."""
+    tops = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops.add(node.module.split(".")[0])
+    return tops
+
+
+def test_modules_found():
+    assert {p.stem for p in MODULES} >= {"__init__", "catalog", "cli", "io", "search"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_io_imports_json(path):
+    assert ("json" in _imported_tops(_tree(path))) == (path.stem == "io")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_numpy_is_the_only_third_party_import(path):
+    third_party = _imported_tops(_tree(path)) - set(sys.stdlib_module_names) - {"__future__"}
+    assert third_party <= {"numpy"}
+
+
+def test_package_holds_no_data_files():
+    files = [p for p in PACKAGE.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+    assert [str(p.relative_to(PACKAGE)) for p in files if p.suffix != ".py"] == []
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}({p.arg}) line {node.lineno}" for p in params if p.arg not in read | {"self", "cls"}]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(_tree(path)) == []
