@@ -11,7 +11,8 @@ import numpy as np
 
 from . import search as search_mod
 from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance
-from .constructions import _is_prime, fourier
+from .constructions import fourier
+from .cyclotomic import _is_prime
 from .grassmann import distance_table
 from .io import FileFormatError, _header_int, _label, complex_entries, parse_complex_entries
 
@@ -379,11 +380,12 @@ def newton_census(
     dedupe_tol (componentwise circular phase distance) and the run stops
     early once the latter half of the restarts used produced nothing new.
 
-    The stop rule is not tried before min(restarts, 2048) starts, so the
-    first batch holds that many (a run that stabilizes there is one batch)
-    and later batches hold NEWTON_BATCH_SIZE.  The line search evaluates its
-    halvings in ARMIJO_CHUNKS, and each residual product runs on row slices
-    of at most NEWTON_BATCH_SIZE rows; neither changes an accepted step.
+    The first batch holds min(restarts, 2048) starts, so the stop rule is
+    never tried on a smaller sample (a run that stabilizes there is one
+    batch); later batches hold NEWTON_BATCH_SIZE.  The line search
+    evaluates its halvings in ARMIJO_CHUNKS, and each residual product runs
+    on row slices of at most NEWTON_BATCH_SIZE rows; neither changes an
+    accepted step.
 
     Rank-deficient Jacobians at solutions mark the result 'not
     zero-dimensional'; exhausting the restart budget before the count
@@ -402,10 +404,8 @@ def newton_census(
     rank_deficient = 0
     stabilized = False
 
-    floor = min(restarts, 2048)  # never stabilize off a tiny sample
     while used < restarts:
-        # the stop rule cannot fire before `floor` starts, so they are solved as one batch
-        take = min(NEWTON_BATCH_SIZE if used else floor, restarts - used)
+        take = min(NEWTON_BATCH_SIZE if used else 2048, restarts - used)
         phi = sampler.random(take) * 2 * np.pi
         start_index = used
         used += take
@@ -420,12 +420,9 @@ def newton_census(
         if new:
             pool = np.concatenate([pool, sols[new]])
             last_new = start_index + int(rows[new[-1]])
-        if len(pool) and used >= floor and used >= 2 * (last_new + 1):
+        if len(pool) and used >= 2 * (last_new + 1):
             stabilized = True
             break
-
-    if len(pool) and not stabilized:
-        stabilized = used >= 2 * (last_new + 1)
 
     order = sorted(range(len(pool)), key=lambda i: tuple(pool[i]))
     sequences = []
@@ -522,8 +519,8 @@ def assemble_bases(census: CensusResult) -> CensusResult:
         {
             "bases_found": len(bases),
             "membership_per_vector": {
-                "min": int(membership.min()) if m else 0,
-                "max": int(membership.max()) if m else 0,
+                "min": int(membership.min()),
+                "max": int(membership.max()),
             },
             "circulant_bases": int(sum(1 for b in bases if b.label.endswith("circulant"))),
         }

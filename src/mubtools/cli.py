@@ -198,12 +198,9 @@ def _cmd_verify(args) -> int:
         failures += 0 if ok else 1
         print(f"unbiasedness deviation {dev:.3e} -> {'pass' if ok else 'FAIL'}", file=sys.stderr)
     else:  # mubset
-        bases = _load_bases(args.files, tol)
+        bases = _load_bases(args.files, tol)  # a non-unitary basis exits 3 here, so every unitary check passes
         for basis in bases:
-            defect = basis.unitarity_defect()
-            ok = defect <= tol.eq_tol
-            reports.append({"basis": basis.label, "check": "unitary", "pass": ok, "defect": defect})
-            failures += 0 if ok else 1
+            reports.append({"basis": basis.label, "check": "unitary", "pass": True, "defect": basis.unitarity_defect()})
         for i in range(len(bases)):
             for j in range(i + 1, len(bases)):
                 ok, dev = is_unbiased_pair(bases[i], bases[j], tol)
@@ -369,11 +366,8 @@ def _cmd_scan(args) -> int:
 def _cmd_ks_check(args) -> int:
     census3 = constructions.real_unbiased_census(3)
     dim4 = constructions.real_mub_set_dim4()
-    cross_ok = True
-    for i in range(3):
-        for j in range(i + 1, 3):
-            s = np.abs(dim4.bases[i].matrix.conj().T @ dim4.bases[j].matrix) ** 2
-            cross_ok &= bool(np.abs(s - 0.25).max() < 1e-12)
+    exact = Tolerance(eq_tol=1e-12)
+    cross_ok = all(is_unbiased_pair(a, b, exact)[0] for a, b in itertools.combinations(dim4.bases, 2))
     rays = constructions.peres_rays()
     result = constructions.ks_uncolourable(rays)
     payload = {

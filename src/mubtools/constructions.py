@@ -9,22 +9,8 @@ from itertools import combinations
 import numpy as np
 
 from .core import Basis, InadmissibleParameterError
+from .cyclotomic import _is_prime
 from .search import cliques
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def weyl_pair(n: int) -> tuple[np.ndarray, np.ndarray, complex]:
@@ -148,23 +134,11 @@ def real_mub_set_dim4() -> RealMubSetDim4:
     basis all three are pairwise unbiased (|dot|^2 = 1/4) and their 24
     signed vectors are the vertices of the 24-cell.
     """
-    cube = np.array(
-        [[s0, s1, s2, s3] for s0 in (1, -1) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)],
-        dtype=float,
-    )
-    parity = (cube < 0).sum(axis=1) % 2
-    even = cube[parity == 0] / 2.0
-    odd = cube[parity == 1] / 2.0
-
-    def antipodal_reps(vecs: np.ndarray) -> np.ndarray:
-        reps = []
-        for v in vecs:
-            if not any(np.allclose(v, -w) for w in reps):
-                reps.append(v)
-        return np.stack(reps, axis=1)
-
-    b1 = Basis(antipodal_reps(even).astype(complex), label="hypercube-even")
-    b2 = Basis(antipodal_reps(odd).astype(complex), label="hypercube-odd")
+    # one vertex of each antipodal pair: the one whose first coordinate is +1/2
+    half = np.array([[1, s1, s2, s3] for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)], dtype=float) / 2.0
+    parity = (half < 0).sum(axis=1) % 2
+    b1 = Basis(half[parity == 0].T.astype(complex), label="hypercube-even")
+    b2 = Basis(half[parity == 1].T.astype(complex), label="hypercube-odd")
     b0 = Basis.standard(4)
     cols = np.hstack([np.real(b.matrix) for b in (b0, b1, b2)]).T
     vertices = np.vstack([cols, -cols])

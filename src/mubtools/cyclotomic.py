@@ -31,6 +31,10 @@ def _prime_factors(k: int) -> list[int]:
     return primes + ([k] if k > 1 else [])
 
 
+def _is_prime(n: int) -> bool:
+    return _prime_factors(n) == [n]
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_k, constant term first.

@@ -22,8 +22,8 @@ to all of its columns and orthogonal to one another.  Those columns are
 unbiased to the all-ones column (the base set), so the step works in
 positions of that set, with the unbiasedness rows of every H1 column as
 bitsets over it; triplets extend (H1,), quartets extend (H1, H2).  A unit
-stops as soon as fewer than n candidates are left, with no further kernel
-call or clique walk, since no n-clique can come of them.
+left with fewer than n candidates stops before the clique walk, since no
+n-clique can come of them.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop that charges a node budget.
@@ -473,8 +473,6 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     def extensions(unit: int) -> list[tuple]:
         cand = _members(reduce(and_, (unbiased[i] for i in which[unit])))
         for mat in tuples[unit][1:]:
-            if len(cand) < n:
-                break
             keep = reduce(and_, _difference_bits(unb_diff, mat[1:].T, base[cand], k))
             cand = [cand[i] for i in _members(keep)]
         if len(cand) < n:  # no n-clique can come of fewer candidates

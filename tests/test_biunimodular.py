@@ -443,6 +443,25 @@ class TestNewtonLoop:
         assert census.metadata["restarts_used"] == 2048
         assert mio.dumps(census.to_dict()) == expected
 
+    def test_rank_deficient_status_wins_over_unconverged(self, monkeypatch):
+        """A converged start with a rank-deficient Jacobian marks the census 'not zero-dimensional',
+        even when the budget also ran out before the count stabilized."""
+        plain = newton_census(6, 20, 0)
+        assert plain.metadata["status"] == "unconverged census"
+        assert plain.metadata["rank_deficient_solutions"] == 0
+        svd = np.linalg.svd
+
+        def first_row_singular(a, *args, **kwargs):
+            values = svd(a, *args, **kwargs).copy()
+            values[:1, -1] = 0.0
+            return values
+
+        monkeypatch.setattr(np.linalg, "svd", first_row_singular)
+        census = newton_census(6, 20, 0)
+        assert census.metadata["rank_deficient_solutions"] == 1
+        assert census.metadata["status"] == "not zero-dimensional"
+        assert census.sequences == plain.sequences
+
     def test_singular_jacobian_leaves_other_rows_alone(self, monkeypatch):
         """A start whose Jacobian is exactly singular does not change the steps of the rest of its batch.
 

@@ -93,7 +93,7 @@ class TestPrimeMubSet:
             assert gaps.max() < 1e-9
 
     def test_composites_rejected(self):
-        for bad in (4, 6, 9, 1):
+        for bad in (4, 6, 9, 1, 0, -7, 25, 27):
             with pytest.raises(ValueError, match="prime"):
                 prime_mub_set(bad)
 

@@ -47,6 +47,27 @@ def test_arithmetic_closure_and_conjugation():
     assert (z * w).conj() == z.conj() * w.conj()
 
 
+def test_negation_equality_hash_and_repr():
+    x = CyclotomicInt(3, (1, 0, -2))
+    assert (-x).coeffs == (-1, 0, 2)
+    assert x + -x == CyclotomicInt.zero(3)
+    # 1 + z3 + z3^2 = 0: equal elements written with different coefficients hash alike
+    ones = CyclotomicInt(3, (1, 1, 1))
+    assert ones == CyclotomicInt.zero(3)
+    assert hash(ones) == hash(CyclotomicInt.zero(3))
+    assert len({ones, CyclotomicInt.zero(3), CyclotomicInt.from_int(3, 1)}) == 2
+    # an int compares as that integer in Z[zeta_k]
+    assert CyclotomicInt(3, (3, 1, 1)) == 2
+    assert ones == 0
+    assert CyclotomicInt.from_int(3, 2) != 3
+    # neither another type nor another order is ever equal
+    assert CyclotomicInt.from_int(3, 1).__eq__(1.0) is NotImplemented
+    assert CyclotomicInt.from_int(3, 1) != "1"
+    assert CyclotomicInt.from_int(3, 1) != CyclotomicInt.from_int(6, 1)
+    assert repr(CyclotomicInt.zero(3)) == "CyclotomicInt(0)"
+    assert repr(x) == "CyclotomicInt(1*z3^0 + -2*z3^2)"
+
+
 def test_vanishing_sums():
     for p in (2, 3, 5, 7):
         total = CyclotomicInt.zero(p)

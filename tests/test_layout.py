@@ -3,7 +3,8 @@
 - `io` is the one module that reads or writes JSON;
 - numpy is the one third-party import;
 - the package directory holds Python modules only, no data files;
-- every function parameter is read by its function.
+- every function parameter is read by its function;
+- every module-level private function or class is read somewhere else in the package.
 """
 
 import ast
@@ -69,3 +70,42 @@ def _unread_parameters(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(_tree(path)) == []
+
+
+def _names_loaded(node: ast.AST) -> set[str]:
+    """Names a subtree reads, as a name or an attribute; an import alone is not a use."""
+    loaded = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            loaded.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            loaded.add(n.attr)
+    return loaded
+
+
+def _unused_private_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level private functions and classes that no other top-level statement reads."""
+    top_level = {(stem, i): node for stem, tree in trees.items() for i, node in enumerate(tree.body)}
+    loaded = {key: _names_loaded(node) for key, node in top_level.items()}
+    unused = []
+    for key, node in top_level.items():
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        if not any(node.name in names for other, names in loaded.items() if other != key):
+            unused.append(f"{key[0]}.{node.name}")
+    return unused
+
+
+def test_every_private_helper_is_used():
+    """A private function or class that nothing else in the package reads is dead code."""
+    assert _unused_private_helpers({path.stem: _tree(path) for path in MODULES}) == []
+
+
+def test_an_imported_but_unread_helper_counts_as_unused():
+    trees = {
+        "a": ast.parse("def _called(): pass\ndef _imported(): pass\ndef _recursive(): return _recursive()\n"),
+        "b": ast.parse("from .a import _called, _imported\ndef f():\n    return _called()\n"),
+    }
+    assert _unused_private_helpers(trees) == ["a._imported", "a._recursive"]

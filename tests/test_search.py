@@ -1,5 +1,6 @@
 import errno
 import os
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -228,6 +229,23 @@ class TestQuartetSearch:
         assert not outcome.complete
         assert outcome.verdict == "inconclusive"
         assert outcome.resume_token == token
+
+    def test_biased_pair_extends_to_nothing(self, monkeypatch):
+        """A hand-made (H1, H2) whose H2 is not unbiased to H1 leaves fewer than n candidates,
+        so its unit ends before the clique walk, with no quartet."""
+        triplets = mub_triplet_search(3, 6)
+        h1 = triplets.results[0][0]
+        h2 = (h1 + np.array([[0], [0], [3]], dtype=np.int16)) % 6  # diag(1, 1, -1) H1
+        assert not is_unbiased_pair(Basis(to_complex(h1, 6)), Basis(to_complex(h2, 6)), TOL)[0]
+
+        def no_clique_walk(*args, **kwargs):
+            raise AssertionError("the unit reached the clique walk")
+
+        monkeypatch.setattr(search_mod, "cliques", no_clique_walk)
+        outcome = mub_quartet_search(3, 6, triplets=replace(triplets, results=[(h1, h2)]))
+        assert outcome.complete
+        assert outcome.results == []
+        assert outcome.verdict == "empty"
 
     @pytest.mark.parametrize("n, k, count", [(3, 3, 2), (3, 6, 2), (4, 4, 6), (5, 5, 72), (4, 8, 6)])
     def test_quartets_are_the_unbiased_triplet_pairs(self, n, k, count):
