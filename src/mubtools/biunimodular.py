@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import search as search_mod
-from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance
+from .catalog import bjorck_d
+from .core import DEFAULT_DEDUPE_TOL, DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance
 from .constructions import fourier
 from .cyclotomic import _is_prime
 from .grassmann import distance_table
@@ -63,8 +64,6 @@ def entry_structure(entries: np.ndarray, tol: float = 1e-8) -> list[str]:
 
     Diagnostic only; the tags are recorded in census metadata, not asserted.
     """
-    from .catalog import bjorck_d
-
     roots12 = np.exp(2j * np.pi * np.arange(12) / 12)
     d = bjorck_d()
     tags = []
@@ -116,7 +115,7 @@ class CensusResult:
             out[s.kind] = out.get(s.kind, 0) + 1
         return out
 
-    def quotient_counts(self, tol: float = 1e-6) -> dict[str, int]:
+    def quotient_counts(self, tol: float = DEFAULT_DEDUPE_TOL) -> dict[str, int]:
         """Sequence counts when cyclic shifts and/or conjugates are identified.
 
         The headline count fixes x_0 = 1 and nothing else; these supplementary
@@ -265,13 +264,6 @@ class _ScrambledHalton:
         return points
 
 
-def _fourier_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unitary DFT matrix q^{ab}/sqrt(n) and the powers q^{ja} (j, a = 1..n-1), q = e^{2 pi i/n}."""
-    q = np.exp(2j * np.pi / n)
-    a = np.arange(n)
-    return q ** np.outer(a, a) / np.sqrt(n), q ** np.outer(a[1:], a[1:])
-
-
 def _phase_residual_system(phi: np.ndarray, dft_matrix: np.ndarray):
     """Residuals |x~_a|^2 - 1 (a = 1..n-1), the sequences x and their transforms x~, batched over rows of phi.
 
@@ -292,11 +284,11 @@ def _row_parts(rows: int) -> int:
     return max(1, -(-rows // NEWTON_BATCH_SIZE))
 
 
-def _phase_jacobian(x: np.ndarray, xt: np.ndarray, q_table: np.ndarray, n: int) -> np.ndarray:
+def _phase_jacobian(x: np.ndarray, xt: np.ndarray, q_table: np.ndarray) -> np.ndarray:
     # d|x~_a|^2 / dphi_j = -(2/sqrt(n)) Im(conj(x~_a) x_j q^{ja}); row slices bound the (rows, n-1, n-1) temporaries
     parts = _row_parts(len(x))
     return np.concatenate([
-        -(2.0 / np.sqrt(n)) * np.imag(np.conj(xts[:, 1:, None]) * xs[:, None, 1:] * q_table[None, :, :])
+        -(2.0 / np.sqrt(x.shape[1])) * np.imag(np.conj(xts[:, 1:, None]) * xs[:, None, 1:] * q_table[None, :, :])
         for xs, xts in zip(np.array_split(x, parts), np.array_split(xt, parts))
     ])
 
@@ -315,7 +307,7 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return steps
 
 
-def _armijo_step_sizes(phi: np.ndarray, step: np.ndarray, f0: np.ndarray, dft_matrix: np.ndarray, n: int):
+def _armijo_step_sizes(phi: np.ndarray, step: np.ndarray, f0: np.ndarray, dft_matrix: np.ndarray):
     """Per row, the first t of 1, 1/2, ..., 2^-39 with f(phi + t step) <= f0 (1 - t/2); 0 where none passes.
 
     The halvings are evaluated in chunks of ARMIJO_CHUNKS, one residual call
@@ -332,7 +324,7 @@ def _armijo_step_sizes(phi: np.ndarray, step: np.ndarray, f0: np.ndarray, dft_ma
         ts = np.ldexp(1.0, -np.arange(first, first + size))
         first += size
         points = phi[trial, None, :] + ts[None, :, None] * step[trial, None, :]
-        r_new, _, _ = _phase_residual_system(points.reshape(-1, n - 1), dft_matrix)
+        r_new, _, _ = _phase_residual_system(points.reshape(-1, phi.shape[1]), dft_matrix)
         f_new = (0.5 * np.sum(r_new * r_new, axis=1)).reshape(len(trial), size)
         ok = f_new <= f0[trial, None] * (1.0 - 0.5 * ts)
         hit = ok.any(axis=1)
@@ -341,7 +333,7 @@ def _armijo_step_sizes(phi: np.ndarray, step: np.ndarray, f0: np.ndarray, dft_ma
     return t
 
 
-def _newton_solve(phi: np.ndarray, dft_matrix: np.ndarray, q_table: np.ndarray, n: int) -> None:
+def _newton_solve(phi: np.ndarray, dft_matrix: np.ndarray, q_table: np.ndarray) -> None:
     """Damped Newton on every row of phi, in place, until it converges, stalls or hits the iteration cap."""
     active = np.ones(len(phi), dtype=bool)
     for _ in range(NEWTON_MAX_ITERATIONS):
@@ -356,9 +348,9 @@ def _newton_solve(phi: np.ndarray, dft_matrix: np.ndarray, q_table: np.ndarray, 
             idx, r, x, xt = idx[keep], r[keep], x[keep], xt[keep]
         if len(idx) == 0:
             continue
-        step = _newton_steps(_phase_jacobian(x, xt, q_table, n), -r)
+        step = _newton_steps(_phase_jacobian(x, xt, q_table), -r)
         f0 = 0.5 * np.sum(r * r, axis=1)
-        t = _armijo_step_sizes(phi[idx], step, f0, dft_matrix, n)
+        t = _armijo_step_sizes(phi[idx], step, f0, dft_matrix)
         move = t > 0  # a row whose line search found no step has stalled
         phi[idx[move]] = (phi[idx[move]] + t[move, None] * step[move]) % (2 * np.pi)
         active[idx[~move]] = False
@@ -396,7 +388,9 @@ def newton_census(
     if restarts < 1:
         raise InadmissibleParameterError("need at least one restart")
 
-    dft_matrix, q_table = _fourier_tables(n)
+    dft_matrix = fourier(n).matrix
+    # q^{ja} (j, a = 1..n-1) for the Jacobian, from q itself: sqrt(n) * dft_matrix rounds differently
+    q_table = np.exp(2j * np.pi / n) ** np.outer(np.arange(1, n), np.arange(1, n))
     sampler = _ScrambledHalton(n - 1, seed)
     pool = np.empty((0, n - 1))
     last_new = -1
@@ -409,11 +403,11 @@ def newton_census(
         phi = sampler.random(take) * 2 * np.pi
         start_index = used
         used += take
-        _newton_solve(phi, dft_matrix, q_table, n)
+        _newton_solve(phi, dft_matrix, q_table)
 
         r, x, xt = _phase_residual_system(phi, dft_matrix)
         rows = np.nonzero(np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL)[0]
-        jac = _phase_jacobian(x[rows], xt[rows], q_table, n)
+        jac = _phase_jacobian(x[rows], xt[rows], q_table)
         rank_deficient += int(np.sum(np.linalg.svd(jac, compute_uv=False)[:, -1] < 1e-6))
         sols = phi[rows] % (2 * np.pi)
         new = _new_solutions(sols, pool, tol.dedupe_tol)

@@ -94,8 +94,9 @@ def _write_text(path: str | None, text: str) -> None:
         handle.write(text)
 
 
-def _checked_bases(bases: list[Basis], tol: Tolerance) -> list[Basis]:
+def _load_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
     """Every command that reads files as bases rejects non-unitary or mixed-dimension input here."""
+    bases = [basis for path in paths for basis in mio.parse_bases(mio.loads(mio.read_text(path)), path)]
     for basis in bases:
         try:
             basis.require_unitary(tol)
@@ -105,11 +106,6 @@ def _checked_bases(bases: list[Basis], tol: Tolerance) -> list[Basis]:
     if len(dims) > 1:
         raise mio.FileFormatError(f"bases of mixed dimensions {dims}")
     return bases
-
-
-def _load_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
-    bases = [basis for path in paths for basis in mio.parse_bases(mio.loads(mio.read_text(path)), path)]
-    return _checked_bases(bases, tol)
 
 
 def _two_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
@@ -160,12 +156,10 @@ def _cmd_gen(args) -> int:
             provenance={"family": "BN", "theta": args.theta, "branch": args.branch,
                         "x": mio.complex_entries(x), "z": mio.complex_entries(z), "t": mio.complex_entries(t)},
         )
-    elif kind == "real4":
+    else:  # real4
         result = constructions.real_mub_set_dim4()
         payload = mio.basis_list_payload(list(result.bases), 4)
         payload["vertices"] = [[float(v) for v in row] for row in result.vertices]
-    else:
-        raise AssertionError(kind)
     _write_text(args.output, mio.dumps(payload))
     return EXIT_OK
 
@@ -335,10 +329,10 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _downsample(traj: np.ndarray, limit: int = 200) -> np.ndarray:
-    if len(traj) <= limit:
+def _downsample(traj: np.ndarray) -> np.ndarray:
+    if len(traj) <= 200:
         return traj
-    idx = np.linspace(0, len(traj) - 1, limit).astype(int)
+    idx = np.linspace(0, len(traj) - 1, 200).astype(int)
     return traj[idx]
 
 
@@ -393,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate catalog objects")
+    gen.set_defaults(func=_cmd_gen)  # argparse copies a group's defaults into its leaves' namespace
     gen_sub = gen.add_subparsers(dest="what", required=True)
     for name in ("fourier", "weyl"):
         p = gen_sub.add_parser(name)
@@ -400,32 +395,25 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fourier":
             p.add_argument("--format", choices=("complex", "roots"), default="complex")
         p.add_argument("-o", "--output")
-        p.set_defaults(func=_cmd_gen)
     p = gen_sub.add_parser("prime-mubs")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
     p = gen_sub.add_parser("h4")
     p.add_argument("--phi", type=_finite_float, required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
     p = gen_sub.add_parser("f6")
     p.add_argument("--phi1", type=_finite_float, default=0.0)
     p.add_argument("--phi2", type=_finite_float, default=0.0)
     p.add_argument("--transpose", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
     p = gen_sub.add_parser("bjorck")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
     p = gen_sub.add_parser("bn")
     p.add_argument("--theta", type=_finite_float, required=True, help="phase of the unimodular parameter")
     p.add_argument("--branch", type=int, choices=(1, -1), default=1)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
     p = gen_sub.add_parser("real4")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
 
     ver = sub.add_parser("verify", help="verify properties of stored matrices")
     ver.add_argument("what", choices=("hadamard", "unbiased", "mubset"))
@@ -442,18 +430,17 @@ def build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=_cmd_table)
 
     cen = sub.add_parser("census", help="biunimodular sequence census")
+    cen.set_defaults(func=_cmd_census)
     cen_sub = cen.add_subparsers(dest="method", required=True)
     p = cen_sub.add_parser("newton")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--restarts", type=int, default=20000)
     p.add_argument("--seed", type=_non_negative_int)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_census)
     p = cen_sub.add_parser("roots")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--k", type=int, default=12)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_census)
 
     asm = sub.add_parser("assemble", help="assemble census vectors into bases")
     asm.add_argument("census")

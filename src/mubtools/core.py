@@ -51,9 +51,6 @@ class Basis:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
-
     def unitarity_defect(self) -> float:
         return unitarity_defect(self.matrix)
 

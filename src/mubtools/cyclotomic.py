@@ -7,7 +7,7 @@ vectors), so equality and zero tests reduce modulo Phi_k by one batched
 long-division remainder (`_phi_remainder`): Phi_k is monic, so it is exact
 integer arithmetic, with no floating-point fallback.  The same remainder
 decides the one batched test |1 + sum_j zeta_k^(e_j)|^2 == t
-(`_norm_sq_is`) behind the searches and the fixture check.
+(`_norm_sq_is`) behind the searches.
 """
 
 from __future__ import annotations

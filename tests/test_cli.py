@@ -16,6 +16,7 @@ from mubtools.biunimodular import root_census
 from mubtools.cli import build_parser, main
 from mubtools.constructions import prime_mub_set
 from mubtools.core import Basis
+from mubtools.optimize import maximize_spread
 
 
 # child processes import the mubtools this process imported, installed or from a checkout's src/
@@ -323,6 +324,29 @@ def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, mo
         assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
 
 
+_CENSUS_N2 = '{"format": "census", "n": 2, "metadata": {}, "sequences": [%s]}'
+_THREE_ENTRIES = '{"kind": "gaussian", "entries": [[1, 0], [1, 0], [1, 0]]}'
+# (1, 1) and (1, -1) assemble into H2, whose columns are those of fourier(2)
+_H2_ROWS = '{"kind": "gaussian", "entries": [[1, 0], [1, 0]]}, {"kind": "gaussian", "entries": [[1, 0], [-1, 0]]}'
+
+
+@pytest.mark.parametrize(
+    "command, sequences, message",
+    [
+        pytest.param("assemble", _THREE_ENTRIES, "census entries do not all have length n = 2", id="assemble length"),
+        pytest.param("report", _THREE_ENTRIES, "census entries do not all have length n = 2", id="report length"),
+        pytest.param("assemble", _H2_ROWS,
+                     "census-basis-00:gaussian:circulant is not unbiased to fourier(2): defect 5.000e-01",
+                     id="assemble not-unbiased"),
+    ],
+)
+def test_bad_census_exits_3_naming_the_fault(command, sequences, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "census.json").write_text(_CENSUS_N2 % sequences)
+    assert main([command, "census.json"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_memory_error_exits_4(monkeypatch, capsys):
     """An allocation too large for the machine ends in one error line and exit 4, not a traceback."""
     def out_of_memory(args):
@@ -407,6 +431,26 @@ class TestOptimizeAndScan:
         assert lines[0].startswith("phi,admissible,hadamard_defect")
         assert len(lines) == 5
 
+    def test_scan_with_fourier_adds_a_distance_column(self, tmp_path):
+        csv = tmp_path / "scan.csv"
+        assert main(["scan", "f6", "--points", "2", "--with-fourier", "--csv", str(csv)]) == 0
+        lines = csv.read_text().strip().split("\n")
+        header = "phi1,phi2,admissible,hadamard_defect,d2_to_standard,d2_to_fourier(6),extension_score"
+        assert lines[0] == header
+        assert len(lines) == 5
+        column = header.split(",").index("d2_to_fourier(6)")
+        # at these points the columns of f6 are those of fourier(6) up to phase
+        assert [line.split(",")[column] for line in lines[1:]] == ["0"] * 4
+
+    def test_optimize_downsamples_a_long_trajectory(self, tmp_path):
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--n", "6", "--m", "4", "--seed", "0", "-o", str(out)]) == 0
+        trajectory = json.loads(out.read_text())["runs"][0]["trajectory"]
+        full = maximize_spread(6, 4, seed=0).trajectory
+        assert len(full) == 374
+        assert len(trajectory) == 200
+        assert (trajectory[0], trajectory[-1]) == (full[0], full[-1])
+
 
 class TestKsCheck:
     def test_exit_zero_and_payload(self, tmp_path):
@@ -488,6 +532,7 @@ _BAD_FILES = {  # variant -> content, or content per input-file dest; a callable
                               "sequences": [{"kind": "gaussian", "entries": [[1, 0], [1, 0]]}],
                               "bases": [{"label": 5, "n": 2, "entries": mio.complex_entries(np.eye(2))}]}),
     },
+    "length": {"census": _CENSUS_N2 % _THREE_ENTRIES},
     "float-exponent": {"resume": _checkpoint(1.7)},
     "exponent-k": {"resume": _checkpoint(3)},
     "negative-exponent": {"resume": _checkpoint(-1)},

@@ -4,7 +4,8 @@
 - numpy is the one third-party import;
 - the package directory holds Python modules only, no data files;
 - every function parameter is read by its function;
-- every module-level private function or class is read somewhere else in the package.
+- every module-level private function or class is read somewhere else in the package;
+- every import sits at module level, none inside a function body.
 """
 
 import ast
@@ -109,3 +110,24 @@ def test_an_imported_but_unread_helper_counts_as_unused():
         "b": ast.parse("from .a import _called, _imported\ndef f():\n    return _called()\n"),
     }
     assert _unused_private_helpers(trees) == ["a._imported", "a._recursive"]
+
+
+def _imports_in_functions(tree: ast.Module) -> list[str]:
+    """Import statements anywhere inside a function body, as "function line"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{node.name} line {n.lineno}" for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, (ast.Import, ast.ImportFrom))]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_sit_at_module_level(path):
+    assert _imports_in_functions(_tree(path)) == []
+
+
+def test_a_function_local_import_is_found():
+    tree = ast.parse("import os\ndef f():\n    from .a import b\n    return b\n"
+                     "class C:\n    def g(self):\n        if True:\n            import sys\n")
+    assert _imports_in_functions(tree) == ["f line 3", "g line 8"]
