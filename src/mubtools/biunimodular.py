@@ -449,6 +449,8 @@ def newton_census(
         "status": status,
     }
     result = CensusResult(n=n, sequences=tuple(sequences), bases=(), metadata=metadata)
+    if status == "ok" and any((image < 0).any() for image in _image_maps(result, tol.dedupe_tol)):
+        metadata["status"] = "not closed"  # a shift or conjugate image of a found sequence was never found
     metadata["counts_under_quotients"] = result.quotient_counts(tol.dedupe_tol)
     return result
 

@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("depth", choices=("hadamards", "triplets", "quartets"))
     sea.add_argument("--n", type=int, required=True)
     sea.add_argument("--k", type=int, required=True)
-    sea.add_argument("--budget", type=_non_negative_int)
+    sea.add_argument("--budget", type=_positive_int)
     sea.add_argument("--resume", help="checkpoint token from an interrupted run")
     sea.add_argument("--checkpoint", help="where to write the checkpoint on budget exhaustion "
                      "(default <depth>-n<n>-k<k>.checkpoint.json)")

@@ -101,7 +101,7 @@ class RootMatrix:
 
 
 def _header_int(payload: dict, name: str) -> int:
-    value = payload[name]
+    value = payload.get(name)
     if type(value) is not int:  # no bools, no truncated floats
         raise FileFormatError(f"header {name!r} must be an integer, got {value!r}")
     return value
@@ -167,13 +167,18 @@ def basis_list_payload(bases: list[Basis], n: int) -> dict:
 
 
 def parse_bases(payload: dict, label: str) -> list[Basis]:
-    """The bases of a basis-list payload, or the one basis of a matrix payload; label names unlabelled ones."""
+    """The bases of a basis-list payload (one or more, each n x n for its integer header n),
+    or the one basis of a matrix payload; label names unlabelled ones."""
     if payload.get("format") != "basis-list":
         return [Basis(as_complex_matrix(payload), label=label)]
+    n = _header_int(payload, "n")
     items = payload.get("bases")
-    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
-        raise FileFormatError(f"{label}: basis-list needs a list of basis objects")
-    return [Basis(as_complex_matrix(item.get("matrix")), label=_label(item, label)) for item in items]
+    if not isinstance(items, list) or not items or not all(isinstance(item, dict) for item in items):
+        raise FileFormatError(f"{label}: basis-list needs a non-empty list of basis objects")
+    bases = [Basis(as_complex_matrix(item.get("matrix")), label=_label(item, label)) for item in items]
+    if any(b.dim != n for b in bases):
+        raise FileFormatError(f"{label}: basis-list header says n = {n}, but not every basis is n x n")
+    return bases
 
 
 _STAGE_MATRICES = {"hadamards": 1, "triplets": 2, "quartets": 3}  # exponent matrices per search result

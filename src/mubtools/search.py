@@ -26,8 +26,11 @@ left with fewer than n candidates stops before the clique walk, since no
 n-clique can come of them.
 
 The three stages (Hadamards, triplets, quartets) split their work into
-independent units and run them through one loop that charges a node budget.
-When the budget runs out the search stops after the last whole unit; if a
+independent units and run them through one loop (`_UnitLoop`).  A node budget
+bounds the nodes of the stage that was asked for; it is checked before each
+unit, never inside one, so a run overruns it by at most one unit, and a budget
+of at least 1 always completes a pending unit.  The earlier stages that stage
+needs run in full, and the reported node count adds theirs to its own.  If a
 `checkpoint_path` is given, the completed units and their results are written
 there, and passing that path back as `resume_token` skips those units and
 returns the full answer of an uninterrupted run.  The checkpoint format, and
@@ -89,51 +92,37 @@ class SearchOutcome:
         return "empty" if not self.results else "non-empty"
 
 
-class _NodeBudget:
-    """Shared node counter; charge() returns False once the budget is spent."""
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, amount: int = 1) -> bool:
-        self.used += amount
-        return self.limit is None or self.used <= self.limit
-
-
-def cliques(
-    adj: np.ndarray | list[int], size: int, budget: _NodeBudget | None = None, start: int | None = None
-) -> list[list[int]] | None:
+def cliques(adj: np.ndarray | list[int], size: int, nodes=None, start: int | None = None) -> list[list[int]]:
     """All `size`-cliques of a graph, in lexicographic order.
 
     `adj` is a boolean adjacency matrix or its rows as Python-int bitsets
     (bit j of row i is adj[i, j]); only the bits above i of row i are read.
     The cliques are drawn from the vertices in the bitset `start` (default:
     every vertex).  Each clique is an increasing list of vertex indices.
-    Every vertex tried as a clique member charges one node to `budget`; once
-    the budget is spent the enumeration stops and returns None, never a
-    partial list.
+    `nodes`, if given, is any object with an integer `used`: the walk adds to
+    it the number of vertices it tries as clique members.  The walk always
+    runs to the end; a search budget is checked between walks, never in one.
     """
     if size == 0:
         return [[]]
     rows = _bitsets(adj) if isinstance(adj, np.ndarray) else adj
     out: list[list[int]] = []
 
-    def extend(chosen: list[int], mask: int) -> bool:
+    def extend(chosen: list[int], mask: int) -> None:
+        if nodes is not None:
+            nodes.used += mask.bit_count()  # every vertex of the mask is tried
         leaf = len(chosen) + 1 == size
         while mask:  # the lowest set bit first, so the cliques come out in lexicographic order
             low = mask & -mask
             nxt = low.bit_length() - 1
             mask ^= low  # now only the vertices above nxt
-            if budget is not None and not budget.charge():
-                return False
             if leaf:
                 out.append(chosen + [nxt])
-            elif (sub := mask & rows[nxt]) and not extend(chosen + [nxt], sub):
-                return False
-        return True
+            elif sub := mask & rows[nxt]:
+                extend(chosen + [nxt], sub)
 
-    return out if extend([], (1 << len(rows)) - 1 if start is None else start) else None
+    extend([], (1 << len(rows)) - 1 if start is None else start)
+    return out
 
 
 def _bitsets(block: np.ndarray) -> list[int]:
@@ -326,9 +315,10 @@ class _UnitLoop:
     """Budget, checkpoint and resume bookkeeping shared by the three search stages.
 
     Creating the loop validates the resume token; run() then walks the units
-    in order, takes stored results for units a checkpoint already holds, and
-    charges `unit_cost` nodes before running each other unit.  A unit is
-    atomic: if it runs out of budget its partial results are dropped.
+    in order and takes stored results for units a checkpoint already holds.
+    Every other unit runs whole if `used` is below the budget before it starts;
+    `used` counts this stage's nodes: `unit_cost` per unit run, plus what the
+    unit adds (the Hadamard stage passes the loop to `cliques` as its counter).
     """
 
     def __init__(self, depth: str, n: int, k: int, budget: int | None,
@@ -337,27 +327,27 @@ class _UnitLoop:
             raise InadmissibleParameterError(f"the searches need n >= 2, got n = {n}")
         self.spec = SearchSpec(n=n, k=k, depth=depth)
         self.done = read_checkpoint(resume_token, asdict(self.spec)) if resume_token else {}
-        self.budget = _NodeBudget(budget)
+        self.limit = budget
+        self.used = 0
         self.checkpoint_path = checkpoint_path
 
     def run(self, n_units: int, unit_cost: int, run_unit, prior=None) -> SearchOutcome:
-        """run_unit(u) returns unit u's results, or None if the budget ran out inside it.
+        """run_unit(u) returns unit u's results.
 
-        `prior` is the earlier stage's outcome: its nodes count towards the
-        budget, and an incomplete prior makes this stage incomplete too.
+        `prior` is the earlier stage's outcome: its nodes are added to the
+        reported `nodes_used` but never charged to the budget, and an
+        incomplete prior makes this stage incomplete too.
         """
-        complete = True
-        if prior is not None:
-            self.budget.used += prior.nodes_used
-            complete = prior.complete
+        complete = prior is None or prior.complete
         completed: list[tuple[int, list]] = []
         for unit in range(n_units):
             found = self.done.get(unit)
             if found is None:
-                found = run_unit(unit) if self.budget.charge(unit_cost) else None
-                if found is None:
+                if self.limit is not None and self.used >= self.limit:
                     complete = False
                     break
+                self.used += unit_cost
+                found = run_unit(unit)
             completed.append((unit, found))
         token = None
         if not complete and self.checkpoint_path:
@@ -367,7 +357,7 @@ class _UnitLoop:
             spec=self.spec,
             results=[r for _, found in completed for r in found],
             complete=complete,
-            nodes_used=self.budget.used,
+            nodes_used=self.used + (prior.nodes_used if prior is not None else 0),
             resume_token=token,
         )
 
@@ -398,10 +388,10 @@ def root_hadamard_enumerate(
     to everything already chosen.  Column order is a symmetry of the
     enumeration, so each column set appears exactly once.
 
-    Work is split into units by the first chosen column.  On budget
-    exhaustion a checkpoint is written only if `checkpoint_path` is given;
-    a run resumed from it (resume_token) returns every matrix an
-    uninterrupted run returns.
+    Work is split into units by the first chosen column; a unit costs one
+    node plus one per vertex its clique walk tries.  On budget exhaustion a
+    checkpoint is written only if `checkpoint_path` is given; a run resumed
+    from it (resume_token) returns every matrix an uninterrupted run returns.
     """
     loop = _UnitLoop("hadamards", n, k, budget, checkpoint_path, resume_token)
     orth_diff, _ = _difference_tables(n, k)
@@ -409,13 +399,10 @@ def root_hadamard_enumerate(
     cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth_diff))), n, k)
     adj = _difference_bits(orth_diff, cols, cols, k)
 
-    def matrices_from(unit: int) -> list[np.ndarray] | None:
+    def matrices_from(unit: int) -> list[np.ndarray]:
         first = unit + 1
         later = adj[first] >> (first + 1) << (first + 1)
-        found = cliques(adj, n - 2, loop.budget, start=later)
-        if found is None:
-            return None
-        return [_exponent_matrix(cols[[0, first, *rest]]) for rest in found]
+        return [_exponent_matrix(cols[[0, first, *rest]]) for rest in cliques(adj, n - 2, loop, start=later)]
 
     outcome = loop.run(len(cols) - 1, 1, matrices_from)
     return HadamardEnumeration(**vars(outcome), buckets=_haagerup_buckets(outcome.results, k))
@@ -517,8 +504,9 @@ def mub_quartet_search(
 
     The third matrix's columns must be unbiased to every column of H1 and H2,
     so they are filtered from the H1 candidate set; completeness follows from
-    the triplet search's.  An exhausted budget yields verdict 'inconclusive',
-    never 'empty'.
+    the triplet search's, which runs in full unless `triplets` is given;
+    `budget` bounds this stage's own n nodes per triplet.  An exhausted budget
+    yields verdict 'inconclusive', never 'empty'.
     """
     loop = _UnitLoop("quartets", n, k, budget, checkpoint_path, resume_token)
     if triplets is None:

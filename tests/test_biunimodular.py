@@ -130,6 +130,13 @@ class TestNewtonCensus:
         with pytest.raises(ValueError):
             newton_census(4)
 
+    def test_census_missing_an_image_is_not_closed(self):
+        """At n = 7 seed 2 stabilizes one sequence short of the 532 every other seed 0-40 finds: a shift
+        image and a conjugate image of its members are absent, so its status cannot be 'ok'."""
+        census = newton_census(7, 20000, 2)
+        assert census.count == 531
+        assert census.metadata["status"] == "not closed"
+
     def test_quotient_counts_recorded(self, census6):
         counts = census6.metadata["counts_under_quotients"]
         assert counts["fixed_first_entry"] == 48

@@ -279,6 +279,7 @@ def roots_census_text():
         (["verify", "hadamard", "mubs.json"], {}, 2),  # a basis list: the standard basis is no Hadamard
         (["verify", "hadamard", "hadamards.json"], {}, 0),  # a basis list of Hadamards only
         (["assemble", "census-n1.json", "-o", "bases-n1.json"], {}, 0),  # no free phase: zero-width rows
+        (["search", "hadamards", "--n", "6", "--k", "3", "--budget", "0"], {}, 4),  # could never start a unit
     ],
 )
 def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, monkeypatch, capsys):
@@ -373,7 +374,8 @@ def test_failed_checkpoint_write_exits_4(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("depth, budget", [("hadamards", 10), ("triplets", 100), ("quartets", 200)])
+# each budget lies below the node count of its stage alone at (5, 5): 90, 30 and 120
+@pytest.mark.parametrize("depth, budget", [("hadamards", 10), ("triplets", 10), ("quartets", 20)])
 def test_spaced_checkpoint_resumes_like_uninterrupted_run(depth, budget, tmp_path, monkeypatch, capsys):
     """Checkpoints written by json.dump(sort_keys=True), with spaces after separators, still resume.
 
@@ -532,6 +534,9 @@ _BAD_FILES = {  # variant -> content, or content per input-file dest; a callable
                               "sequences": [{"kind": "gaussian", "entries": [[1, 0], [1, 0]]}],
                               "bases": [{"label": 5, "n": 2, "entries": mio.complex_entries(np.eye(2))}]}),
     },
+    "no-bases": {"files": json.dumps({"format": "basis-list", "n": 2, "bases": []})},
+    "header-n": {"files": json.dumps({"format": "basis-list", "n": 3,
+                                      "bases": [{"label": "I", "matrix": mio.complex_matrix_payload(np.eye(2))}]})},
     "length": {"census": _CENSUS_N2 % _THREE_ENTRIES},
     "float-exponent": {"resume": _checkpoint(1.7)},
     "exponent-k": {"resume": _checkpoint(3)},

@@ -2,6 +2,7 @@ import errno
 import os
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from mubtools.search import (
     _difference_tables,
     _digit_matrix,
     _haagerup_buckets,
-    _NodeBudget,
     _orbit_hits,
+    _UnitLoop,
     cliques,
     mub_quartet_search,
     mub_triplet_search,
@@ -275,19 +276,6 @@ class TestCliques:
                         if all(adj[a, b] for a, b in combinations(c, 2))]
             assert cliques(adj, size) == expected
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_aborts_when_budget_runs_out(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        m = 10
-        upper = np.triu(rng.random((m, m)) < 0.7, 1)
-        adj = upper | upper.T
-        counter = _NodeBudget(None)
-        full = cliques(adj, 4, counter)
-        assert full
-        for limit in range(counter.used):
-            assert cliques(adj, 4, _NodeBudget(limit)) is None
-        assert cliques(adj, 4, _NodeBudget(counter.used)) == full
-
     @pytest.mark.parametrize("seed", range(6))
     def test_bitset_rows_with_start_mask_match_induced_subgraph(self, seed):
         rng = np.random.default_rng(200 + seed)
@@ -309,6 +297,12 @@ class TestCliques:
     @pytest.mark.parametrize("m, density", [(0, 0.5), (1, 0.5), (2, 1.0), (5, 0.5), (8, 0.9), (13, 0.6),
                                             (20, 0.35), (30, 0.2), (40, 0.1), (40, 0.2)])
     def test_matches_recursive_walker_at_every_budget(self, m, density):
+        """`cliques` lists the reference walker's cliques and counts its vertices tried, at every size and start.
+
+        Split into units by the first vertex, as the Hadamard stage splits its walk, a unit loop at
+        every budget B completes whole units only: a prefix of the full list, at least one unit,
+        and fewer nodes over B than the last unit it ran.
+        """
         rng = np.random.default_rng(300 + m + int(100 * density))
         upper = np.triu(rng.random((m, m)) < density, 1)
         adj = upper | upper.T
@@ -316,37 +310,54 @@ class TestCliques:
         random_start = sum(1 << int(v) for v in np.flatnonzero(rng.random(m) < 0.7))
         for size in range(6):
             for graph, start in ((adj, None), (rows, random_start)):
-                counter = _NodeBudget(None)
-                expected = _recursive_cliques(graph, size, counter, start)
-                assert cliques(graph, size, _NodeBudget(None), start) == expected
-                for limit in range(1, counter.used + 2):
-                    ours, theirs = _NodeBudget(limit), _NodeBudget(limit)
-                    found = cliques(graph, size, ours, start)
-                    assert found == _recursive_cliques(graph, size, theirs, start), (size, limit)
-                    assert ours.used == theirs.used, (size, limit)
-                    assert (found is None) == (limit < counter.used), (size, limit)
+                ours, theirs = SimpleNamespace(used=0), SimpleNamespace(used=0)
+                expected = _recursive_cliques(graph, size, theirs, start)
+                assert cliques(graph, size, ours, start) == expected, size
+                assert ours.used == theirs.used, size
+                assert cliques(graph, size, start=start) == expected, size
+            if size == 0 or m == 0:
+                continue
+            unit_nodes = []
+
+            def unit(first, loop):
+                before = loop.used
+                later = rows[first] >> (first + 1) << (first + 1)
+                found = [[first, *rest] for rest in cliques(rows, size - 1, loop, start=later)]
+                unit_nodes.append(loop.used - before + 1)
+                return found
+
+            full_loop = _UnitLoop("hadamards", 2, 2, None, None, None)
+            full = full_loop.run(m, 1, lambda u: unit(u, full_loop))
+            assert full.complete and full.results == cliques(adj, size)
+            for limit in range(1, full.nodes_used + 1):
+                unit_nodes.clear()
+                loop = _UnitLoop("hadamards", 2, 2, limit, None, None)
+                outcome = loop.run(m, 1, lambda u: unit(u, loop))
+                assert outcome.results == full.results[:len(outcome.results)], (size, limit)
+                assert unit_nodes and outcome.nodes_used == sum(unit_nodes), (size, limit)
+                if not outcome.complete:
+                    assert 0 <= outcome.nodes_used - limit < unit_nodes[-1], (size, limit)
 
 
-def _recursive_cliques(adj, size, budget=None, start=None):
-    """Reference for `cliques`: the walker that recurses into every vertex, leaves and empty masks too."""
+def _recursive_cliques(adj, size, nodes, start=None):
+    """Reference for `cliques`: the walker that recurses into every vertex, leaves and empty masks too,
+    adding one to `nodes.used` per vertex it tries."""
     rows = _bitsets(adj) if isinstance(adj, np.ndarray) else adj
     out: list[list[int]] = []
 
-    def extend(chosen: list[int], mask: int) -> bool:
+    def extend(chosen: list[int], mask: int) -> None:
         if len(chosen) == size:
             out.append(chosen)
-            return True
+            return
         while mask:  # the lowest set bit first, so the cliques come out in lexicographic order
             low = mask & -mask
             nxt = low.bit_length() - 1
             mask ^= low  # now only the vertices above nxt
-            if budget is not None and not budget.charge():
-                return False
-            if not extend(chosen + [nxt], mask & rows[nxt]):
-                return False
-        return True
+            nodes.used += 1
+            extend(chosen + [nxt], mask & rows[nxt])
 
-    return out if extend([], (1 << len(rows)) - 1 if start is None else start) else None
+    extend([], (1 << len(rows)) - 1 if start is None else start)
+    return out
 
 
 # (5, 12) and (6, 12) split the digits into two lookup groups (3 + 1 and 3 + 2); the others use one
@@ -451,11 +462,30 @@ def test_resume_matches_uninterrupted_run(n, k, tmp_path):
             assert got[1:] == want[1:], (budget, full.spec)
 
 
+@pytest.mark.parametrize("run, budget, runs", [
+    (lambda **kw: root_hadamard_enumerate(6, 4, **kw), 20, 100),  # 1,972 nodes; some units cost more than 20
+    (lambda **kw: mub_quartet_search(5, 5, **kw), 8, 24),  # 120 nodes of its own, after 120 of earlier stages
+], ids=["hadamards-6-4", "quartets-5-5"])
+def test_budgeted_resume_loop_finishes(run, budget, runs, tmp_path):
+    """Resumed again and again at one budget, a search completes within a bounded number of runs,
+    with the results and verdict of an uninterrupted run: every run completes at least one unit."""
+    want = run()
+    path = str(tmp_path / "run.checkpoint.json")
+    outcome = run(budget=budget, checkpoint_path=path)
+    count = 1
+    while not outcome.complete and count < runs:
+        outcome = run(budget=budget, checkpoint_path=path, resume_token=path)
+        count += 1
+    assert outcome.complete, count
+    assert _result_bytes(outcome.results) == _result_bytes(want.results)
+    assert outcome.verdict == want.verdict
+
+
 def test_library_writes_no_checkpoint_unless_asked(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outcomes = [
         root_hadamard_enumerate(6, 4, budget=400),
-        mub_triplet_search(5, 5, budget=100),
+        mub_triplet_search(5, 5, budget=10),  # this stage alone costs 30 nodes
         mub_quartet_search(5, 5, budget=8),
     ]
     assert all(not o.complete and o.resume_token is None for o in outcomes)
