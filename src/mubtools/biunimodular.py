@@ -212,19 +212,7 @@ def _image_maps(census: CensusResult, tol: float) -> tuple[np.ndarray, np.ndarra
 
 def _orbit_count(count: int, *maps: np.ndarray) -> int:
     """Connected components of 0..count-1 joined by every edge i -> maps[k][i] (-1: no edge)."""
-    root = list(range(count))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for image in maps:
-        for i, j in enumerate(image):
-            if j >= 0:
-                root[find(i)] = find(int(j))
-    return sum(find(i) == i for i in range(count))
+    return int((search_mod._orbit_forest(count, *maps)[0] < 0).sum())
 
 
 class _ScrambledHalton:

@@ -23,7 +23,11 @@ unbiased to the all-ones column (the base set), so the step works in
 positions of that set, with the unbiasedness rows of every H1 column as
 bitsets over it; triplets extend (H1,), quartets extend (H1, H2).  A unit
 left with fewer than n candidates stops before the clique walk, since no
-n-clique can come of them.
+n-clique can come of them.  Permuting the digit positions (rows 1..n-1 of
+every matrix) is an exact symmetry of both relations, so the step solves
+one unit per orbit of the adjacent digit transpositions (`_orbit_forest`)
+and maps that representative's extensions onto the rest of its orbit: at
+k = 12 the 2,184 triplet units fall into 28 orbits.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop (`_UnitLoop`).  A node budget
@@ -325,6 +329,8 @@ class _UnitLoop:
                  checkpoint_path: str | None, resume_token: str | None):
         if n < 2:  # the 1 x 1 matrix (1) is a Hadamard that no stage's column search represents
             raise InadmissibleParameterError(f"the searches need n >= 2, got n = {n}")
+        if budget is not None and budget < 1:  # no unit would ever run, so no resume could finish
+            raise InadmissibleParameterError(f"a search budget must be at least 1, got {budget}")
         self.spec = SearchSpec(n=n, k=k, depth=depth)
         self.done = read_checkpoint(resume_token, asdict(self.spec)) if resume_token else {}
         self.limit = budget
@@ -434,6 +440,54 @@ def _haagerup_buckets(matrices: list[np.ndarray], k: int) -> list[list[int]]:
     return list(groups.values())
 
 
+def _orbit_forest(count: int, *maps: np.ndarray | list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """A spanning forest of 0..count-1 under the edges i -- maps[g][i] (-1: no edge), taken either way.
+
+    Returns (parent, via): each tree is one connected component (an orbit when
+    the maps are generators of a group action), rooted at its least element,
+    whose parent is -1; every other element i is joined to parent[i] by an
+    edge of maps[via[i]].  The components come from spreading the least label
+    along the edges; the trees then grow breadth first from every root at once.
+    """
+    src = np.tile(np.arange(count), len(maps))
+    dst = np.concatenate([np.empty(0, dtype=np.int64), *(np.asarray(image, dtype=np.int64) for image in maps)])
+    gen = np.repeat(np.arange(len(maps)), count)
+    keep = (dst >= 0) & (dst != src)
+    a, b = np.concatenate([src[keep], dst[keep]]), np.concatenate([dst[keep], src[keep]])
+    gen = np.concatenate([gen[keep], gen[keep]])
+    label = np.arange(count)
+    while True:
+        least = label.copy()
+        np.minimum.at(least, a, label[b])
+        if np.array_equal(least, label):
+            break
+        label = least
+    parent, via = np.full(count, -1), np.full(count, -1)
+    reached = label == np.arange(count)
+    frontier = reached.copy()
+    while frontier.any():
+        step = frontier[a] & ~reached[b]
+        heads, first = np.unique(b[step], return_index=True)  # one edge into each newly reached element
+        parent[heads], via[heads] = a[step][first], gen[step][first]
+        reached[heads] = True
+        frontier[:] = False
+        frontier[heads] = True
+    return parent, via
+
+
+def _column_keys(mats: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per tuple of exponent matrices (axis 1), the candidate indices of the columns `_extend` reads.
+
+    Those are the columns of H1 but its first (the all-ones column) and every
+    column of the later matrices, sorted within each matrix.  A column's
+    index is its rows 1..n-1 dotted with `weights`: k^j for digit position j,
+    or those powers permuted, which indexes the digit-permuted column.
+    """
+    idx = np.einsum("umrc,r->umc", mats[:, :, 1:, :], weights)
+    later = np.sort(idx[:, 1:], axis=2).reshape(len(idx), (idx.shape[1] - 1) * idx.shape[2])
+    return np.concatenate([np.sort(idx[:, 0, 1:], axis=1), later], axis=1)
+
+
 def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> SearchOutcome:
     """One unit per tuple (H1, ...): the tuple plus each further matrix unbiased to all of it.
 
@@ -442,31 +496,74 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     all-ones column of H1, so candidates are positions in the base set:
     `base` holds the digit rows of its members in increasing candidate
     order, and sets of them are Python-int bitsets over those positions.
-    Only the distinct H1 columns get full base-set rows, computed once; the
-    columns of later matrices are checked against each unit's candidates
-    alone, which keeps memory at one row per H1 column.
+
+    Permuting the digit positions (rows 1..n-1 of every matrix) keeps every
+    orthogonality and unbiasedness, so it maps a tuple's extensions onto the
+    extensions of the permuted tuple.  The units are joined into orbits by
+    the n - 2 adjacent transpositions of digit positions, matched by the
+    sorted column sets the step reads (`_column_keys`); a permuted tuple that
+    is not in the list is no edge, so any list of tuples may be given.  Only
+    the least unit of each orbit, its representative, is solved: its
+    extensions are cached as cliques of base positions, and every unit maps
+    its representative's cliques through its own digit permutation and sorts
+    them into the order a direct solve gives.  Only the distinct H1 columns of
+    the representatives get full base-set rows; the columns of later matrices
+    are checked against the candidates alone.  A representative that a
+    resumed checkpoint already holds is solved again inside the first unit
+    of its orbit that needs it.
     """
     n, k = loop.spec.n, loop.spec.k
     orth_diff, unb_diff = _difference_tables(n, k)
     # a candidate's difference to the all-ones column is itself, so the base set is unb_diff
-    base = _digit_matrix(np.flatnonzero(unb_diff), n, k)
-    h1 = np.array([t[0] for t in tuples], dtype=np.int16).reshape(-1, n, n)
-    h1_cols = h1[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, n - 1)
-    # distinct columns by candidate index; which[u] locates unit u's H1 columns among them
-    _, first_at, which = np.unique(h1_cols @ k ** np.arange(n - 1), return_index=True, return_inverse=True)
-    unbiased = _difference_bits(unb_diff, h1_cols[first_at], base, k)
-    which = which.reshape(len(tuples), n - 1)
+    base_idx = np.flatnonzero(unb_diff)
+    base = _digit_matrix(base_idx, n, k)
+    weights = k ** np.arange(n - 1, dtype=np.int64)
+    mats = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(tuples[0]) if tuples else 1, n, n)
+    keys = _column_keys(mats, weights)
+    unit_of = {key.tobytes(): unit for unit, key in enumerate(keys)}
+    images = []
+    for i in range(n - 2):  # swapping digit positions i and i + 1 swaps their weights
+        swapped = weights.copy()
+        swapped[[i, i + 1]] = weights[[i + 1, i]]
+        images.append([unit_of.get(key.tobytes(), -1) for key in _column_keys(mats, swapped)])
+    parent, via = (forest.tolist() for forest in _orbit_forest(len(tuples), *images))
+    reps = [unit for unit in range(len(tuples)) if parent[unit] < 0]
+    # distinct H1 columns of the representatives; which[r] locates representative r's among them
+    distinct, which = np.unique(keys[reps, :n - 1], return_inverse=True)
+    unbiased = _difference_bits(unb_diff, _digit_matrix(distinct, n, k), base, k)
+    which = dict(zip(reps, which.reshape(len(reps), n - 1)))
+    solved: dict[int, np.ndarray] = {}
 
-    def extensions(unit: int) -> list[tuple]:
-        cand = _members(reduce(and_, (unbiased[i] for i in which[unit])))
-        for mat in tuples[unit][1:]:
+    def solve(rep: int) -> np.ndarray:
+        """The representative's extensions, as cliques of base positions in lexicographic order."""
+        cand = _members(reduce(and_, (unbiased[i] for i in which[rep])))
+        for mat in mats[rep, 1:]:
             keep = reduce(and_, _difference_bits(unb_diff, mat[1:].T, base[cand], k))
             cand = [cand[i] for i in _members(keep)]
         if len(cand) < n:  # no n-clique can come of fewer candidates
-            return []
+            return np.empty((0, n), dtype=np.int64)
         cols = base[cand]
         adj = _difference_bits(orth_diff, cols, cols, k)
-        return [(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n)]
+        return np.array(cand, dtype=np.int64)[np.array(cliques(adj, n), dtype=np.int64).reshape(-1, n)]
+
+    def extensions(unit: int) -> list[tuple]:
+        rep, swaps = unit, []
+        while parent[rep] >= 0:
+            swaps.append(via[rep])
+            rep = parent[rep]
+        if rep not in solved:
+            solved[rep] = solve(rep)
+        found = solved[rep]
+        if not len(found):
+            return []
+        perm = list(range(n - 1))  # the unit's digits are the representative's digits[..., perm]
+        for i in reversed(swaps):  # from the representative down to the unit
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        mapped = np.empty_like(weights)
+        mapped[perm] = weights
+        found = np.sort(np.searchsorted(base_idx, base[found] @ mapped), axis=1)
+        found = found[np.lexsort(found.T[::-1])]
+        return [(*tuples[unit], _exponent_matrix(base[members])) for members in found]
 
     return loop.run(len(tuples), n, extensions, prior=prior)
 

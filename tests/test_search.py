@@ -1,7 +1,9 @@
 import errno
 import os
 from dataclasses import replace
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, permutations
+from operator import and_
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +12,14 @@ import pytest
 from mubtools import search as search_mod
 from mubtools.catalog import load_fixture
 from mubtools.constructions import prime_mub_set
-from mubtools.core import Basis, Tolerance, haagerup_invariants, is_complex_hadamard, is_unbiased_pair
+from mubtools.core import (
+    Basis,
+    InadmissibleParameterError,
+    Tolerance,
+    haagerup_invariants,
+    is_complex_hadamard,
+    is_unbiased_pair,
+)
 from mubtools.cyclotomic import RootVector, _norm_sq_is, _row_histogram, is_orthogonal, is_unbiased_exact
 from mubtools.io import RootMatrix
 from mubtools.search import (
@@ -20,7 +29,10 @@ from mubtools.search import (
     _difference_bits,
     _difference_tables,
     _digit_matrix,
+    _exponent_matrix,
     _haagerup_buckets,
+    _members,
+    _orbit_forest,
     _orbit_hits,
     _UnitLoop,
     cliques,
@@ -501,3 +513,156 @@ def test_failed_checkpoint_write_leaves_no_temporary_file(failing, tmp_path, mon
     with pytest.raises(OSError):
         root_hadamard_enumerate(6, 4, budget=5, checkpoint_path=str(tmp_path / "run.checkpoint.json"))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda budget: root_hadamard_enumerate(6, 4, budget=budget),
+    lambda budget: mub_triplet_search(6, 4, budget=budget),
+    lambda budget: mub_quartet_search(6, 4, budget=budget),
+], ids=["hadamards", "triplets", "quartets"])
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_rejected(run, budget):
+    """No unit runs under a budget below 1, so a resume loop at that budget could never finish."""
+    with pytest.raises(InadmissibleParameterError, match="budget"):
+        run(budget)
+
+
+def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> SearchOutcome:
+    """Reference for `_extend`: every unit solved on its own, with full base-set rows for every H1 column."""
+    n, k = loop.spec.n, loop.spec.k
+    orth_diff, unb_diff = _difference_tables(n, k)
+    # a candidate's difference to the all-ones column is itself, so the base set is unb_diff
+    base = _digit_matrix(np.flatnonzero(unb_diff), n, k)
+    h1 = np.array([t[0] for t in tuples], dtype=np.int16).reshape(-1, n, n)
+    h1_cols = h1[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, n - 1)
+    # distinct columns by candidate index; which[u] locates unit u's H1 columns among them
+    _, first_at, which = np.unique(h1_cols @ k ** np.arange(n - 1), return_index=True, return_inverse=True)
+    unbiased = _difference_bits(unb_diff, h1_cols[first_at], base, k)
+    which = which.reshape(len(tuples), n - 1)
+
+    def extensions(unit: int) -> list[tuple]:
+        cand = _members(reduce(and_, (unbiased[i] for i in which[unit])))
+        for mat in tuples[unit][1:]:
+            keep = reduce(and_, _difference_bits(unb_diff, mat[1:].T, base[cand], k))
+            cand = [cand[i] for i in _members(keep)]
+        if len(cand) < n:  # no n-clique can come of fewer candidates
+            return []
+        cols = base[cand]
+        adj = _difference_bits(orth_diff, cols, cols, k)
+        return [(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n)]
+
+    return loop.run(len(tuples), n, extensions, prior=prior)
+
+
+def _assert_same_outcome(ours: SearchOutcome, theirs: SearchOutcome) -> None:
+    assert [_result_bytes(r) for r in ours.results] == [_result_bytes(r) for r in theirs.results]
+    assert (ours.nodes_used, ours.complete) == (theirs.nodes_used, theirs.complete)
+
+
+def _reference_stage(depth: str, n: int, k: int, prior: SearchOutcome, tuples: list[tuple], budget=None):
+    return _reference_extend(_UnitLoop(depth, n, k, budget, None, None), prior, tuples)
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (3, 6), (4, 4), (4, 8), (5, 5), (6, 3), (6, 4), (6, 12)])
+def test_extend_matches_unit_by_unit_reference(n, k):
+    """Solving one unit per digit-permutation orbit gives the results, in order, the nodes and the
+    completeness of solving every unit, at every stage and at a budget that stops halfway."""
+    had = root_hadamard_enumerate(n, k)
+    trip = mub_triplet_search(n, k, hadamards=had)
+    _assert_same_outcome(trip, _reference_stage("triplets", n, k, had, [(h,) for h in had.matrices]))
+    quart = mub_quartet_search(n, k, triplets=trip)
+    _assert_same_outcome(quart, _reference_stage("quartets", n, k, trip, trip.results))
+    for run, depth, prior, tuples in (
+        (lambda b: mub_triplet_search(n, k, budget=b, hadamards=had), "triplets", had, [(h,) for h in had.matrices]),
+        (lambda b: mub_quartet_search(n, k, budget=b, triplets=trip), "quartets", trip, trip.results),
+    ):
+        budget = max(1, n * len(tuples) // 2)
+        _assert_same_outcome(run(budget), _reference_stage(depth, n, k, prior, tuples, budget))
+
+
+def _not_closed(tuples: list[tuple], how: str) -> list[tuple]:
+    return {"every other": tuples[::2], "reversed": tuples[::-1], "duplicated": tuples[:3] + tuples[1:2] + tuples[3:]}[how]
+
+
+@pytest.mark.parametrize("how", ["every other", "reversed", "duplicated"])
+@pytest.mark.parametrize("n,k", [(4, 8), (5, 5), (6, 12)])
+def test_extend_of_a_list_not_closed_under_digit_permutations(n, k, how):
+    """A caller's list need not hold every digit permutation of its tuples, nor hold each once, nor in order."""
+    had = root_hadamard_enumerate(n, k)
+    hadamards = _not_closed(had.matrices, how)
+    trip = mub_triplet_search(n, k, hadamards=replace(had, results=hadamards))
+    _assert_same_outcome(trip, _reference_stage("triplets", n, k, had, [(h,) for h in hadamards]))
+    full = mub_triplet_search(n, k, hadamards=had)
+    triplets = _not_closed(full.results, how)
+    quart = mub_quartet_search(n, k, triplets=replace(full, results=triplets))
+    _assert_same_outcome(quart, _reference_stage("quartets", n, k, full, triplets))
+
+
+def _digit_orbit(t: tuple) -> tuple:
+    """Brute-force orbit label of a tuple (H1, ...): the least of its column-set keys over every
+    permutation of rows 1..n-1."""
+    n = len(t[0])
+
+    def key(mats):
+        return tuple(tuple(sorted(map(tuple, m[1:, j:].T))) for j, m in zip((1, *([0] * (len(mats) - 1))), mats))
+
+    return min(key([m[[0, *(p + 1 for p in perm)]] for m in t]) for perm in permutations(range(n - 1)))
+
+
+@pytest.mark.parametrize("depth", ["triplets", "quartets"])
+def test_resume_solves_a_representative_the_checkpoint_holds(depth, tmp_path, monkeypatch):
+    """At (5, 5) the first unit of each stage is the least of its digit-permutation orbit, and later units
+    of that orbit have results.  A run that stops after the first unit leaves them pending; the resumed run
+    solves each representative once, the held one too, and returns the answer of an uninterrupted run."""
+    n, k = 5, 5
+    had = root_hadamard_enumerate(n, k)
+    trip = mub_triplet_search(n, k, hadamards=had)
+    run, tuples = {
+        "triplets": (lambda **kw: mub_triplet_search(n, k, hadamards=had, **kw), [(h,) for h in had.matrices]),
+        "quartets": (lambda **kw: mub_quartet_search(n, k, triplets=trip, **kw), trip.results),
+    }[depth]
+    want = run()
+    extended = {tuple(_result_bytes(r[:-1])) for r in want.results}
+    assert [u for u in range(1, len(tuples))  # the case this test is about
+            if _digit_orbit(tuples[u]) == _digit_orbit(tuples[0]) and tuple(_result_bytes(tuples[u])) in extended]
+    path = str(tmp_path / "run.checkpoint.json")
+    partial = run(budget=n, checkpoint_path=path)  # one unit costs n nodes
+    assert not partial.complete and partial.results
+    assert {tuple(_result_bytes(r[:-1])) for r in partial.results} == {tuple(_result_bytes(tuples[0]))}
+    walks = []
+    monkeypatch.setattr(search_mod, "cliques", lambda *args, **kwargs: walks.append(1) or cliques(*args, **kwargs))
+    resumed = run(resume_token=path)
+    # one clique walk per orbit: every unit here has results, so every representative reaches the walk
+    assert resumed.complete and len(walks) == len({_digit_orbit(t) for t in tuples})
+    assert [_result_bytes(r) for r in resumed.results] == [_result_bytes(r) for r in want.results]
+
+
+def test_orbit_forest_spans_the_components():
+    """Every tree of `_orbit_forest` is one connected component, rooted at its least element, and every
+    parent edge is an edge of the map it names, in one direction or the other."""
+    rng = np.random.default_rng(7)
+    for count in (0, 1, 5, 40):
+        maps = [np.where(rng.random(count) < 0.3, -1, rng.integers(0, max(count, 1), count)) for _ in range(3)]
+        parent, via = _orbit_forest(count, *maps)
+        label = list(range(count))  # union-find oracle: the least element of each component
+
+        def find(i):
+            while label[i] != i:
+                i = label[i]
+            return i
+
+        for image in maps:
+            for i, j in enumerate(image):
+                if j >= 0:
+                    a, b = sorted((find(i), find(int(j))))
+                    label[b] = a
+        for i in range(count):
+            root = i
+            for _ in range(count):
+                if parent[root] < 0:
+                    break
+                p, g = parent[root], via[root]
+                assert maps[g][root] == p or maps[g][p] == root
+                root = p
+            assert root == find(i)
+        assert sum(p < 0 for p in parent) == len({find(i) for i in range(count)})
