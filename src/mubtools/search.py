@@ -6,13 +6,16 @@ columns depends only on their exponent difference.  Difference vectors are
 classified by the one batched exact test `cyclotomic._norm_sq_is`, "the sum
 of the roots has squared modulus t" in Z[zeta] (t = 0 orthogonal, t = n
 unbiased), once per permutation orbit of their digits (`_orbit_hits`).  That
-kernel streams the orbit representatives in fixed blocks of _BLOCK, so it
-holds one block and the hits, never all C(k+n-2, n-1) representatives.  A
-vector is indexed by its exponent digits in base k, and the verdicts are two
-boolean tables over those indices; `_digit_matrix` is the one decoder, and
-each stage decodes only the rows it reads.  One chunked kernel
-(`_difference_bits`) looks up the verdicts of many row/column differences at
-once and returns them as Python-int bitset rows; one clique enumerator
+kernel unranks the orbit representatives in fixed blocks of _BLOCK
+(`_multiset_blocks`), so it holds one block and the hits, never all
+C(k+n-2, n-1) representatives.  A vector is indexed by its exponent digits in
+base k, and the verdicts are two boolean tables over those indices;
+`_digit_matrix` is the one decoder, and each stage decodes only the rows it
+reads.  One chunked kernel (`_difference_bits`) looks up the verdicts of many
+row/column differences at once and returns them as Python-int bitset rows.
+Over a list closed under permutations of the digit positions, such as the
+Hadamard stage's columns, `_orbit_bits` looks up one row per orbit with it
+and permutes that row onto the rest of the orbit.  One clique enumerator
 (`cliques`) walks those rows to pick mutually orthogonal columns.  Hadamards
 are bucketed by the integer histogram of their Haagerup exponents (a
 necessary condition for equivalence, not a sufficient one).  The triplet and
@@ -49,7 +52,6 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain, combinations_with_replacement, islice
 from math import comb, lcm
 from operator import and_
 
@@ -181,23 +183,43 @@ def _approx_norm_sq(exps: np.ndarray, k: int) -> np.ndarray:
     return np.abs(approx) ** 2
 
 
+def _multiset_blocks(k: int, d: int):
+    """The non-decreasing d-tuples over range(k) in lexicographic order, as int16 rows in blocks of _BLOCK.
+
+    The order and the blocks are those of `combinations_with_replacement`.  A
+    tuple a is unranked through its mirror b_j = k - 1 - a_(d-1-j): the
+    combination c_j = b_j + j of range(k + d - 1) has the rank
+    sum_j C(c_j, j + 1) in the combinatorial number system, and mirroring
+    turns lexicographic order around, so the i-th tuple's mirror has the rank
+    total - 1 - i.  c_(d-1) is the largest c with C(c, d) <= that rank, found
+    by `searchsorted` over a table of binomials, and so on down with what is
+    left of the rank.
+    """
+    tables = [np.array([comb(c, j + 1) for c in range(k + d - 1)], dtype=np.int64) for j in range(d)]
+    total = comb(k + d - 1, d)
+    for lo in range(0, total, _BLOCK):
+        rank = total - 1 - np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
+        block = np.empty((len(rank), d), dtype=np.int16)
+        for j in reversed(range(d)):
+            c = np.searchsorted(tables[j], rank, side="right") - 1
+            rank -= tables[j][c]
+            block[:, d - 1 - j] = k - 1 + j - c
+        rank = c = None  # only the block stays alive while the caller works on it
+        yield block
+
+
 def _orbit_hits(n: int, k: int, target: int) -> np.ndarray:
     """Sorted indices of the digit vectors e in [0, k)^(n-1) with |1 + sum_j zeta_k^(e_j)|^2 == target.
 
     `_norm_sq_is` decides one non-decreasing representative per digit multiset; each hit is
     expanded over the digits it has left, one position at a time, in time linear in the hits.
-    The representatives stream through in blocks of _BLOCK, so besides the hits the kernel
-    holds one block and its float prescreen, never all C(k+n-2, n-1) of them.
+    The representatives stream through in blocks of _BLOCK (`_multiset_blocks`), so besides the
+    hits the kernel holds one block and its float prescreen, never all C(k+n-2, n-1) of them.
     """
     d = n - 1
     count_dtype = np.min_scalar_type(d)  # no digit value is left to place more than n - 1 times
-    tuples = combinations_with_replacement(range(k), d)
-    total = comb(k + d - 1, d)
     found = []
-    for lo in range(0, total, _BLOCK):
-        size = min(_BLOCK, total - lo)
-        reps = np.fromiter(chain.from_iterable(islice(tuples, size)), dtype=np.int16, count=size * d)
-        reps = reps.reshape(size, d)
+    for reps in _multiset_blocks(k, d):
         hits = reps[_norm_sq_is(reps, k, target, _approx_norm_sq(reps, k))]
         left = np.zeros((len(hits), k), dtype=count_dtype)  # digits each partial arrangement has still to place
         for column in hits.T:
@@ -272,6 +294,55 @@ def _difference_bits(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: i
         idx = sum(lookup.take(cc - rc[lo:lo + step, None])
                   for (_, _, lookup), rc, cc in zip(groups, row_codes, col_codes))
         out += _bitsets(table.take(idx))
+    return out
+
+
+def _orbit_bits(table: np.ndarray, cols: np.ndarray, k: int) -> list[int]:
+    """`_difference_bits(table, cols, cols, k)` for digit rows closed under permutations of the digit positions.
+
+    Both tables are invariant under those permutations, and the difference of
+    two permuted rows is the permuted difference, so the neighbours of sigma(c)
+    are sigma(neighbours of c).  Only the sorted digit rows, one per orbit, are
+    looked up, by `_difference_bits`.  A member whose digits are its
+    representative's permuted by order = argsort(digits) has as neighbours the
+    representative's neighbour digits dotted with weights[order]; any sorting
+    permutation serves, since equal digits are interchangeable.  Those indices
+    are located by `searchsorted` among the rows' own, which must increase
+    strictly.  A located index that does not match raises ValueError, and so
+    does a list that some adjacent transposition of digits takes out of
+    itself: the transpositions are checked first, since a gap that no
+    representative's neighbour reaches would otherwise give wrong rows.  Each
+    orbit's rows are packed in blocks no larger than a `_difference_bits` chunk.
+    """
+    if not len(cols):
+        return []
+    weights = k ** np.arange(cols.shape[1], dtype=np.int64)
+    idx = cols @ weights
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError("the digit rows must be in strictly increasing candidate order")
+
+    def locate(targets: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(idx, targets), len(idx) - 1)
+        if not np.array_equal(idx[at], targets):
+            raise ValueError("the digit rows are not closed under permutations of the digit positions")
+        return at
+
+    for i in range(cols.shape[1] - 1):  # the adjacent transpositions generate every digit permutation
+        locate(idx + (cols[:, i + 1] - cols[:, i]) * (weights[i] - weights[i + 1]))
+    reps, orbit = np.unique(np.sort(cols, axis=1) @ weights, return_inverse=True)  # the sorted rows, by index
+    by_orbit = np.split(np.argsort(orbit), np.cumsum(np.bincount(orbit))[:-1])
+    rep_rows = _difference_bits(table, _digit_matrix(reps, cols.shape[1] + 1, k), cols, k)[::-1]  # popped as used
+    step = max(1, 8 * _BLOCK // len(cols))  # a boolean block as large as a `_difference_bits` chunk of int64
+    out = [0] * len(cols)
+    for members in by_orbit:
+        neighbours = cols[_members(rep_rows.pop())].T
+        placed = weights[np.argsort(cols[members], axis=1)]  # a member's neighbours are `neighbours` dotted with its row
+        for lo in range(0, len(members), step):
+            at = locate(placed[lo:lo + step] @ neighbours)
+            block = np.zeros((len(at), len(cols)), dtype=bool)
+            block[np.arange(len(at))[:, None], at] = True
+            for i, bits in zip(members[lo:lo + step].tolist(), _bitsets(block)):
+                out[i] = bits
     return out
 
 
@@ -403,18 +474,29 @@ def root_hadamard_enumerate(
     orth_diff, _ = _difference_tables(n, k)
     # row 0 is candidate 0, the all-ones first column (all exponents 0): orthogonal to every other row
     cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth_diff))), n, k)
-    adj = _difference_bits(orth_diff, cols, cols, k)
+    adj = _orbit_bits(orth_diff, cols, k)
 
     def matrices_from(unit: int) -> list[np.ndarray]:
         first = unit + 1
         later = adj[first] >> (first + 1) << (first + 1)
-        return [_exponent_matrix(cols[[0, first, *rest]]) for rest in cliques(adj, n - 2, loop, start=later)]
+        adj[first] = 0  # a unit reads only the rows above its first column: drop this one for good
+        rest = cliques(adj, n - 2, loop, start=later)
+        if not rest:  # most units: 1,428 of the 1,930 at k = 12
+            return []
+        members = np.empty((len(rest), n), dtype=np.intp)
+        members[:, :2] = 0, first
+        members[:, 2:] = rest
+        mats = np.zeros((len(rest), n, n), dtype=np.int16)  # column j of a matrix is the digit row cols[members[j]]
+        mats[:, 1:] = cols[members].transpose(0, 2, 1)
+        return list(mats)
 
     outcome = loop.run(len(cols) - 1, 1, matrices_from)
-    return HadamardEnumeration(**vars(outcome), buckets=_haagerup_buckets(outcome.results, k))
+    mats = np.array(outcome.results, dtype=np.int16).reshape(-1, n, n)  # one array for the stage; the units' are freed
+    outcome.results = list(mats)
+    return HadamardEnumeration(**vars(outcome), buckets=_haagerup_buckets(mats, k))
 
 
-def _haagerup_buckets(matrices: list[np.ndarray], k: int) -> list[list[int]]:
+def _haagerup_buckets(matrices: np.ndarray | list[np.ndarray], k: int) -> list[list[int]]:
     """Matrix indices grouped by equal Haagerup multiset, groups in order of first appearance.
 
     For an exponent matrix e the Haagerup invariants are the roots
@@ -423,21 +505,29 @@ def _haagerup_buckets(matrices: list[np.ndarray], k: int) -> list[list[int]]:
     i with r, or j with s, negates the exponent, and it is 0 when i = r or
     j = s; so only the C(n, 2)^2 exponents with i < r and j < s are computed,
     and the full histogram is 2 (h[x] + h[-x]) plus n^4 - (n(n-1))^2 at x = 0.
-    Matrices are processed in chunks to bound the C(n, 2)^2-wide batch.
+    Matrices are processed in chunks to bound the C(n, 2)^2-wide batch, and
+    the histograms are grouped by `np.unique` over their rows.
     """
-    groups: dict[bytes, list[int]] = {}
+    if not len(matrices):
+        return []
+    matrices = np.asarray(matrices, dtype=np.int16)
+    n = matrices.shape[1]
+    upper, lower = np.triu_indices(n, 1)
+    hists = np.empty((len(matrices), k // 2 + 1), dtype=np.min_scalar_type(n**4))
     for lo in range(0, len(matrices), _BUCKET_CHUNK):
-        batch = np.stack(matrices[lo:lo + _BUCKET_CHUNK]).astype(np.int16)
-        n = batch.shape[1]
-        upper, lower = np.triu_indices(n, 1)
+        batch = matrices[lo:lo + _BUCKET_CHUNK]
         # diff[b, p, j] = e_ij - e_rj over the row pairs p = (i, r) with i < r
         diff = batch[:, upper, :] - batch[:, lower, :]
         half = _row_histogram(((diff[..., upper] - diff[..., lower]) % k).reshape(len(batch), -1), k)
         full = 2 * (half + half[:, -np.arange(k) % k])
         full[:, 0] += n**4 - (n * (n - 1)) ** 2
-        for i, hist in enumerate(full, start=lo):
-            groups.setdefault(hist.tobytes(), []).append(i)
-    return list(groups.values())
+        hists[lo:lo + len(batch)] = full[:, :k // 2 + 1]  # full[x] = full[-x], so these entries decide it
+    _, first, label = np.unique(hists, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))  # groups numbered in order of first appearance
+    label = rank[label.reshape(-1)]
+    members = np.argsort(label, kind="stable")  # each group's matrices in increasing index
+    return [group.tolist() for group in np.split(members, np.cumsum(np.bincount(label))[:-1])]
 
 
 def _orbit_forest(count: int, *maps: np.ndarray | list[int]) -> tuple[np.ndarray, np.ndarray]:

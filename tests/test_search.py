@@ -2,7 +2,8 @@ import errno
 import os
 from dataclasses import replace
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, islice, permutations
+from math import comb
 from operator import and_
 from types import SimpleNamespace
 
@@ -32,6 +33,8 @@ from mubtools.search import (
     _exponent_matrix,
     _haagerup_buckets,
     _members,
+    _multiset_blocks,
+    _orbit_bits,
     _orbit_forest,
     _orbit_hits,
     _UnitLoop,
@@ -372,19 +375,74 @@ def _recursive_cliques(adj, size, nodes, start=None):
     return out
 
 
-# (5, 12) and (6, 12) split the digits into two lookup groups (3 + 1 and 3 + 2); the others use one
-@pytest.mark.parametrize("n,k", [(4, 4), (6, 3), (3, 6), (6, 4), (5, 12), (6, 12)])
+# (5, 12) and (6, 12) split the digits into two lookup groups (3 + 1 and 3 + 2); the others use one.
+# n = 2 has a single digit, so every digit orbit has one member.
+@pytest.mark.parametrize("n,k", [(2, 8), (4, 4), (6, 3), (3, 6), (6, 4), (5, 12), (6, 12)])
 def test_difference_bits_match_per_pair_lookup(n, k):
     orth, unb = _difference_tables(n, k)
     orth_rows = _digit_matrix(np.flatnonzero(orth), n, k)
+    hadamard_cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth))), n, k)  # the Hadamard stage's list
     base = _digit_matrix(np.flatnonzero(unb), n, k)
     weights = k ** np.arange(n - 1)
-    for table, rows, cols in ((orth, orth_rows, orth_rows), (unb, orth_rows, base), (orth, base, base)):
-        bits = _difference_bits(table, rows, cols, k)
+    lookups = [(table, rows, cols, _difference_bits(table, rows, cols, k))
+               for table, rows, cols in ((orth, orth_rows, orth_rows), (unb, orth_rows, base), (orth, base, base))]
+    # both lists are closed under digit permutations, so the orbit kernel gives their rows against themselves
+    lookups += [(table, cols, cols, _orbit_bits(table, cols, k)) for table in (orth, unb) for cols in (hadamard_cols, base)]
+    for table, rows, cols, bits in lookups:
         assert len(bits) == len(rows)
         for r, row_bits in zip(rows, bits):
             expected = table[((cols.astype(int) - r) % k) @ weights]
             assert row_bits == sum(1 << int(j) for j in np.flatnonzero(expected))
+
+
+def _one_orbit(cols: np.ndarray, row: int) -> np.ndarray:
+    """Positions of the rows of `cols` with the same digit multiset as cols[row]."""
+    ordered = np.sort(cols, axis=1)
+    return np.flatnonzero((ordered == ordered[row]).all(axis=1))
+
+
+def test_orbit_bits_of_a_union_of_orbits():
+    orth, _ = _difference_tables(6, 12)
+    cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth))), 6, 12)
+    orbits = np.concatenate([_one_orbit(cols, 0), _one_orbit(cols, 1), _one_orbit(cols, len(cols) - 1)])
+    union = cols[np.sort(orbits)]
+    assert len(union) > 3
+    assert _orbit_bits(orth, union, 12) == _difference_bits(orth, union, union, 12)
+    assert _orbit_bits(orth, cols[:0], 12) == []
+
+
+@pytest.mark.parametrize("how", ["a row missing", "every other row", "an orbit and a stray row",
+                                 "decreasing order", "a row twice"])
+def test_orbit_bits_of_a_list_not_closed_under_digit_permutations(how):
+    orth, _ = _difference_tables(6, 12)
+    cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth))), 6, 12)
+    orbit = _one_orbit(cols, 1)
+    assert len(orbit) > 1
+    rows = {
+        "a row missing": np.delete(cols, orbit[-1], axis=0),
+        "every other row": cols[::2],
+        # the stray row is orthogonal to a member of the orbit, so the list's rows are not all empty
+        "an orbit and a stray row": cols[np.sort(np.append(orbit, _members(_orbit_bits(orth, cols, 12)[orbit[0]])[-1]))],
+        "decreasing order": cols[::-1],
+        "a row twice": np.insert(cols, 1, cols[1], axis=0),
+    }[how]
+    with pytest.raises(ValueError):
+        _orbit_bits(orth, rows, 12)
+
+
+# totals C(k + d - 1, d): 1, 1, 1, 5, 10, 210 and 4368; (5, 1), (3, 3), (7, 4) and (12, 5) at 7 end on a full block
+@pytest.mark.parametrize("k,d,block", [(4, 0, 7), (1, 1, 7), (1, 4, 7), (5, 1, 5), (3, 3, 5), (7, 4, 7),
+                                       (12, 5, 7), (12, 5, 10), (12, 5, 1 << 15)])
+def test_multiset_blocks_match_itertools(k, d, block, monkeypatch):
+    monkeypatch.setattr(search_mod, "_BLOCK", block)
+    reference = combinations_with_replacement(range(k), d)
+    blocks = list(_multiset_blocks(k, d))
+    assert len(blocks) == -(-comb(k + d - 1, d) // block)  # no empty block after a full one
+    for got in blocks:
+        expected = list(islice(reference, block))
+        assert got.dtype == np.int16 and got.shape == (len(expected), d)
+        assert got.tolist() == [list(t) for t in expected]
+    assert next(reference, None) is None
 
 
 @pytest.mark.parametrize("n,k", [(4, 4), (3, 6), (6, 3), (3, 30), (2, 210)])
