@@ -84,14 +84,15 @@ def _tolerance() -> Tolerance:
     )
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, *parts: str) -> None:
+    """Write the parts in order, to `path` or to stdout (ending in a newline there), without joining them."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        sys.stdout.writelines(parts)
+        if not parts or not parts[-1].endswith("\n"):
             sys.stdout.write("\n")
         return
     with open(path, "w") as handle:
-        handle.write(text)
+        handle.writelines(parts)
 
 
 def _load_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
@@ -278,7 +279,7 @@ def _cmd_search(args) -> int:
            "quartets": search_mod.mub_quartet_search}[args.depth]
     outcome = run(args.n, args.k, budget=args.budget, resume_token=args.resume,
                   checkpoint_path=args.checkpoint or f"{args.depth}-n{args.n}-k{args.k}.checkpoint.json")
-    lines = [mio.dumps(mio.search_result_payload(item, args.k)) for item in outcome.results]
+    lines = [mio.dumps(mio.search_result_payload(item, args.k)) + "\n" for item in outcome.results]
     if args.depth == "hadamards":
         counts = {"matrices": len(outcome.results), "buckets": len(outcome.buckets)}
     else:
@@ -288,8 +289,8 @@ def _cmd_search(args) -> int:
         "complete": outcome.complete, "nodes": outcome.nodes_used,
         "resume_token": outcome.resume_token,
     }
-    lines.append(mio.dumps({"summary": summary}))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    lines.append(mio.dumps({"summary": summary}) + "\n")
+    _write_text(args.output, *lines)  # line by line: no copy of the whole text
     print(f"search {args.depth}: {summary}", file=sys.stderr)
     return EXIT_OK
 

@@ -9,28 +9,30 @@ unbiased), once per permutation orbit of their digits (`_orbit_hits`).  That
 kernel unranks the orbit representatives in fixed blocks of _BLOCK
 (`_multiset_blocks`), so it holds one block and the hits, never all
 C(k+n-2, n-1) representatives.  A vector is indexed by its exponent digits in
-base k, and the verdicts are two boolean tables over those indices;
-`_digit_matrix` is the one decoder, and each stage decodes only the rows it
-reads.  One chunked kernel (`_difference_bits`) looks up the verdicts of many
-row/column differences at once and returns them as Python-int bitset rows.
-Over a list closed under permutations of the digit positions, such as the
-Hadamard stage's columns, `_orbit_bits` looks up one row per orbit with it
-and permutes that row onto the rest of the orbit.  One clique enumerator
-(`cliques`) walks those rows to pick mutually orthogonal columns.  Hadamards
-are bucketed by the integer histogram of their Haagerup exponents (a
-necessary condition for equivalence, not a sufficient one).  The triplet and
-quartet stages are one extension step (`_extend`): each takes tuples
-(H1, ...) and extends every tuple by the matrices whose columns are unbiased
-to all of its columns and orthogonal to one another.  Those columns are
-unbiased to the all-ones column (the base set), so the step works in
-positions of that set, with the unbiasedness rows of every H1 column as
-bitsets over it; triplets extend (H1,), quartets extend (H1, H2).  A unit
-left with fewer than n candidates stops before the clique walk, since no
-n-clique can come of them.  Permuting the digit positions (rows 1..n-1 of
-every matrix) is an exact symmetry of both relations, so the step solves
-one unit per orbit of the adjacent digit transpositions (`_orbit_forest`)
-and maps that representative's extensions onto the rest of its orbit: at
-k = 12 the 2,184 triplet units fall into 28 orbits.
+base k, and the verdicts are kept only as the sorted indices of the hits, one
+read-only array per relation (`_difference_tables`); `_digit_matrix` is the
+one decoder, and each stage decodes only the rows it reads.  One chunked
+kernel (`_difference_bits`) decides many row/column differences at once, by
+a float prescreen and exact membership in those arrays, and returns them as
+Python-int bitset rows.  Over a list closed under permutations of the digit
+positions, such as the Hadamard stage's columns, `_orbit_bits` decides one
+row per orbit with it and permutes that row onto the rest of the orbit.  One
+clique enumerator (`cliques`) walks those rows to pick mutually orthogonal
+columns.  Hadamards are bucketed by the integer histogram of their Haagerup
+exponents (a necessary condition for equivalence, not a sufficient one).
+The triplet and quartet stages are one extension step (`_extend`): each
+takes tuples (H1, ...) and extends every tuple by the matrices whose columns
+are unbiased to all of its columns and orthogonal to one another.  Those
+columns are unbiased to the all-ones column (the base set), so the step
+works in positions of that set: the unbiasedness row of one H1 column, a
+bitset over it, gives the candidates, and the tuple's other columns are
+checked against those alone; triplets extend (H1,), quartets extend
+(H1, H2).  A unit left with fewer than n candidates stops before the clique
+walk, since no n-clique can come of them.  Permuting the digit positions
+(rows 1..n-1 of every matrix) is an exact symmetry of both relations, so the
+step solves one unit per orbit of the adjacent digit transpositions
+(`_orbit_forest`) and maps that representative's extensions onto the rest of
+its orbit: at k = 12 the 2,184 triplet units fall into 28 orbits.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop (`_UnitLoop`).  A node budget
@@ -59,13 +61,12 @@ import numpy as np
 
 from .core import InadmissibleParameterError
 from .core import haagerup_invariants  # noqa: F401  (kept importable here; perfbench/child.py wraps it)
-from .cyclotomic import RootVector, _norm_sq_is, _row_histogram
+from .cyclotomic import _PRESCREEN_MARGIN, RootVector, _norm_sq_is, _row_histogram
 from .io import checkpoint_text, read_checkpoint
 
 MAX_CANDIDATES = 10**8
 _BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 225 exponents at n = 6
 _BLOCK = 1 << 15  # digit multisets per block of `_orbit_hits`; row x column pairs per chunk of `_difference_bits`
-_GROUP_ENTRIES = 1 << 17  # largest lookup of a digit group: (2k)^3 up to k = 25
 
 
 class EnumerationBudgetError(InadmissibleParameterError):
@@ -128,6 +129,7 @@ def cliques(adj: np.ndarray | list[int], size: int, nodes=None, start: int | Non
                 extend(chosen + [nxt], sub)
 
     extend([], (1 << len(rows)) - 1 if start is None else start)
+    del extend  # it refers to itself: without this the cycle keeps `rows` alive until a full collection
     return out
 
 
@@ -137,14 +139,10 @@ def _bitsets(block: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _members(mask: int) -> list[int]:
-    """The set bits of a bitset, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _members(mask: int) -> np.ndarray:
+    """The set bits of a bitset, in increasing order: unpacked at once, not one big-int step per bit."""
+    raw = np.frombuffer(mask.to_bytes(-(-mask.bit_length() // 8), "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def _digit_matrix(idx: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -236,74 +234,61 @@ def _orbit_hits(n: int, k: int, target: int) -> np.ndarray:
 
 @lru_cache(maxsize=3)
 def _difference_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(orth_diff, unb_diff) over all k^(n-1) dephased difference vectors, by candidate index.
+    """(orth, unb): the sorted candidate indices of the dephased difference vectors d with
+    1 + sum_a zeta^(d_a) = 0 (orth) and |1 + sum_a zeta^(d_a)|^2 = n (unb), exactly; read-only.
 
-    orth_diff[i]: 1 + sum_a zeta^{d_a} = 0 exactly.
-    unb_diff[i]:  |1 + sum_a zeta^{d_a}|^2 = n exactly.
-    The digits d of index i are `_digit_matrix`; the stages decode only the rows they read.
+    These hit arrays are the only form of the verdicts: `_difference_bits` decides a pair by
+    membership in them, and their digits (`_digit_matrix`) are the stages' candidate columns.
     """
-    orth, unb = np.zeros((2, _candidate_count(n, k)), dtype=bool)
-    orth[_orbit_hits(n, k, 0)] = True
-    unb[_orbit_hits(n, k, n)] = True
-    orth.setflags(write=False)
-    unb.setflags(write=False)
-    return orth, unb
+    _candidate_count(n, k)
+    hits = _orbit_hits(n, k, 0), _orbit_hits(n, k, n)
+    for array in hits:
+        array.setflags(write=False)
+    return hits
 
 
-@lru_cache(maxsize=8)
-def _digit_groups(d: int, k: int) -> tuple[tuple[slice, np.ndarray, np.ndarray], ...]:
-    """(digits, weights, lookup) per group of consecutive digits, for `_difference_bits`.
+def _difference_bits(target: int, rows: np.ndarray, cols: np.ndarray, k: int) -> list[int]:
+    """Per digit row r of `rows`, the bitset over `cols`: bit j says |1 + sum_i zeta_k^(cols[j, i] - r_i)|^2 == target.
 
-    A group's digits e are coded as e @ weights, in base 2k.  For two digit
-    rows e and f, code(e) - code(f) + k * sum(weights) has the base-2k digits
-    e_j - f_j + k, all in [1, 2k), with no borrows; `lookup` maps that number
-    to the group's share of the candidate index: the sum over its digit
-    positions j of ((e_j - f_j) mod k) * k^j.
-    Groups are as wide as keeps a lookup within _GROUP_ENTRIES entries.
+    The target is 0 (orthogonal) or n (unbiased), for n = rows.shape[1] + 1.
+    Every pair is first summed in floating point, one digit at a time; a pair
+    farther than _PRESCREEN_MARGIN from the target is a miss.  Only the near
+    pairs get their difference index, which decides them exactly by
+    membership in the target's sorted hits (`_difference_tables`).  Rows go
+    through in chunks of about _BLOCK pairs, so no block larger than that is
+    ever held.
     """
-    width = 1
-    while width < d and (2 * k) ** (width + 1) <= _GROUP_ENTRIES:
-        width += 1
-    groups = []
-    for lo in range(0, d, width):
-        size = min(width, d - lo)
-        shifted = _digit_matrix(np.arange((2 * k) ** size), size + 1, 2 * k).astype(np.int64)
-        lookup = (shifted - k) % k @ k ** np.arange(lo, lo + size, dtype=np.int64)
-        weights = (2 * k) ** np.arange(size, dtype=np.int64)
-        weights.setflags(write=False)
-        lookup.setflags(write=False)
-        groups.append((slice(lo, lo + size), weights, lookup))
-    return tuple(groups)
-
-
-def _difference_bits(table: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int) -> list[int]:
-    """Per digit row r of `rows`, the bitset over `cols`: bit j is table[index of (cols[j] - r) mod k].
-
-    Per digit group (`_digit_groups`) one subtraction of codes and one gather
-    give that group's share of the index; one gather from `table` then gives
-    the verdicts.  Rows go through in chunks of about _BLOCK pairs, so no
-    block larger than that is ever held.
-    """
-    groups = _digit_groups(rows.shape[1], k)
-    row_codes = [rows[:, digits].astype(np.int64) @ weights for digits, weights, _ in groups]
-    col_codes = [cols[:, digits].astype(np.int64) @ weights + k * int(weights.sum())
-                 for digits, weights, _ in groups]
+    d = rows.shape[1]
+    hits = _difference_tables(d + 1, k)[(0, d + 1).index(target)]
+    weights = k ** np.arange(d, dtype=np.int64)
+    row_roots = _unit_roots(k)[rows].conj()
+    col_roots = _unit_roots(k)[np.ascontiguousarray(cols.T)]  # one contiguous row per digit position
     step = max(1, _BLOCK // max(1, len(cols)))
+    buffers = np.empty((2, min(step, len(rows)), len(cols)), dtype=complex)  # reused: no page faults per chunk
     out: list[int] = []
     for lo in range(0, len(rows), step):
-        idx = sum(lookup.take(cc - rc[lo:lo + step, None])
-                  for (_, _, lookup), rc, cc in zip(groups, row_codes, col_codes))
-        out += _bitsets(table.take(idx))
+        chunk = row_roots[lo:lo + step]
+        sums, term = buffers[:, :len(chunk)]
+        sums.fill(1)
+        for j in range(d):  # in place, with no matrix product: the kernel starts no BLAS threads
+            sums += np.multiply.outer(chunk[:, j], col_roots[j], out=term)
+        near = np.flatnonzero(np.abs(sums.real ** 2 + sums.imag ** 2 - target) < _PRESCREEN_MARGIN)
+        r, c = np.divmod(near, len(cols))
+        idx = ((cols[c] - rows[lo + r]) % k) @ weights
+        bits = np.zeros(sums.size, dtype=bool)
+        # a member's two insertion points differ; for an empty hit array no pair's do
+        bits[near] = np.searchsorted(hits, idx, side="right") > np.searchsorted(hits, idx)
+        out += _bitsets(bits.reshape(sums.shape))
     return out
 
 
-def _orbit_bits(table: np.ndarray, cols: np.ndarray, k: int) -> list[int]:
-    """`_difference_bits(table, cols, cols, k)` for digit rows closed under permutations of the digit positions.
+def _orbit_bits(target: int, cols: np.ndarray, k: int) -> list[int]:
+    """`_difference_bits(target, cols, cols, k)` for digit rows closed under permutations of the digit positions.
 
-    Both tables are invariant under those permutations, and the difference of
-    two permuted rows is the permuted difference, so the neighbours of sigma(c)
-    are sigma(neighbours of c).  Only the sorted digit rows, one per orbit, are
-    looked up, by `_difference_bits`.  A member whose digits are its
+    Both relations are invariant under those permutations, and the difference
+    of two permuted rows is the permuted difference, so the neighbours of
+    sigma(c) are sigma(neighbours of c).  Only the sorted digit rows, one per
+    orbit, are decided, by `_difference_bits`.  A member whose digits are its
     representative's permuted by order = argsort(digits) has as neighbours the
     representative's neighbour digits dotted with weights[order]; any sorting
     permutation serves, since equal digits are interchangeable.  Those indices
@@ -331,8 +316,8 @@ def _orbit_bits(table: np.ndarray, cols: np.ndarray, k: int) -> list[int]:
         locate(idx + (cols[:, i + 1] - cols[:, i]) * (weights[i] - weights[i + 1]))
     reps, orbit = np.unique(np.sort(cols, axis=1) @ weights, return_inverse=True)  # the sorted rows, by index
     by_orbit = np.split(np.argsort(orbit), np.cumsum(np.bincount(orbit))[:-1])
-    rep_rows = _difference_bits(table, _digit_matrix(reps, cols.shape[1] + 1, k), cols, k)[::-1]  # popped as used
-    step = max(1, 8 * _BLOCK // len(cols))  # a boolean block as large as a `_difference_bits` chunk of int64
+    rep_rows = _difference_bits(target, _digit_matrix(reps, cols.shape[1] + 1, k), cols, k)[::-1]  # popped as used
+    step = max(1, 8 * _BLOCK // len(cols))  # a boolean block no larger than a `_difference_bits` chunk's sums
     out = [0] * len(cols)
     for members in by_orbit:
         neighbours = cols[_members(rep_rows.pop())].T
@@ -471,10 +456,10 @@ def root_hadamard_enumerate(
     from it (resume_token) returns every matrix an uninterrupted run returns.
     """
     loop = _UnitLoop("hadamards", n, k, budget, checkpoint_path, resume_token)
-    orth_diff, _ = _difference_tables(n, k)
+    orth, _ = _difference_tables(n, k)
     # row 0 is candidate 0, the all-ones first column (all exponents 0): orthogonal to every other row
-    cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth_diff))), n, k)
-    adj = _orbit_bits(orth_diff, cols, k)
+    cols = _digit_matrix(np.concatenate(([0], orth)), n, k)
+    adj = _orbit_bits(0, cols, k)
 
     def matrices_from(unit: int) -> list[np.ndarray]:
         first = unit + 1
@@ -596,16 +581,15 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     the least unit of each orbit, its representative, is solved: its
     extensions are cached as cliques of base positions, and every unit maps
     its representative's cliques through its own digit permutation and sorts
-    them into the order a direct solve gives.  Only the distinct H1 columns of
-    the representatives get full base-set rows; the columns of later matrices
-    are checked against the candidates alone.  A representative that a
+    them into the order a direct solve gives.  Only the first H1 column of
+    each representative gets a full base-set row; the tuple's other columns
+    are checked against the candidates it leaves.  A representative that a
     resumed checkpoint already holds is solved again inside the first unit
     of its orbit that needs it.
     """
     n, k = loop.spec.n, loop.spec.k
-    orth_diff, unb_diff = _difference_tables(n, k)
-    # a candidate's difference to the all-ones column is itself, so the base set is unb_diff
-    base_idx = np.flatnonzero(unb_diff)
+    # a candidate's difference to the all-ones column is itself, so the base set is the unbiased hits
+    _, base_idx = _difference_tables(n, k)
     base = _digit_matrix(base_idx, n, k)
     weights = k ** np.arange(n - 1, dtype=np.int64)
     mats = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(tuples[0]) if tuples else 1, n, n)
@@ -618,23 +602,22 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
         images.append([unit_of.get(key.tobytes(), -1) for key in _column_keys(mats, swapped)])
     parent, via = (forest.tolist() for forest in _orbit_forest(len(tuples), *images))
     reps = [unit for unit in range(len(tuples)) if parent[unit] < 0]
-    # distinct H1 columns of the representatives; which[r] locates representative r's among them
-    distinct, which = np.unique(keys[reps, :n - 1], return_inverse=True)
-    unbiased = _difference_bits(unb_diff, _digit_matrix(distinct, n, k), base, k)
-    which = dict(zip(reps, which.reshape(len(reps), n - 1)))
+    # distinct first H1 columns of the representatives; which[r] locates representative r's among them
+    firsts, which = np.unique(keys[reps, 0], return_inverse=True)
+    unbiased = _difference_bits(n, _digit_matrix(firsts, n, k), base, k)
+    which = dict(zip(reps, which.tolist()))
     solved: dict[int, np.ndarray] = {}
 
     def solve(rep: int) -> np.ndarray:
         """The representative's extensions, as cliques of base positions in lexicographic order."""
-        cand = _members(reduce(and_, (unbiased[i] for i in which[rep])))
-        for mat in mats[rep, 1:]:
-            keep = reduce(and_, _difference_bits(unb_diff, mat[1:].T, base[cand], k))
-            cand = [cand[i] for i in _members(keep)]
+        cand = _members(unbiased[which[rep]])
+        rest = _difference_bits(n, _digit_matrix(keys[rep, 1:], n, k), base[cand], k)
+        cand = cand[_members(reduce(and_, rest, (1 << len(cand)) - 1))]
         if len(cand) < n:  # no n-clique can come of fewer candidates
             return np.empty((0, n), dtype=np.int64)
         cols = base[cand]
-        adj = _difference_bits(orth_diff, cols, cols, k)
-        return np.array(cand, dtype=np.int64)[np.array(cliques(adj, n), dtype=np.int64).reshape(-1, n)]
+        adj = _difference_bits(0, cols, cols, k)
+        return cand[np.array(cliques(adj, n), dtype=np.int64).reshape(-1, n)]
 
     def extensions(unit: int) -> list[tuple]:
         rep, swaps = unit, []

@@ -1,5 +1,8 @@
 import errno
+import gc
 import os
+import sys
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, islice, permutations
@@ -301,6 +304,8 @@ class TestCliques:
         assert all(rows[i] >> j & 1 == adj[i, j] for i in range(m) for j in range(m))
         chosen = np.flatnonzero(rng.random(m) < 0.7)
         start = sum(1 << int(v) for v in chosen)
+        members = [chosen.tolist(), [], *(np.flatnonzero(a).tolist() for a in adj)]
+        assert [_members(row).tolist() for row in [start, 0, *rows]] == members
         sub = adj[np.ix_(chosen, chosen)]
         for size in range(6):
             expected = [[int(chosen[i]) for i in c] for c in cliques(sub, size)]
@@ -354,6 +359,20 @@ class TestCliques:
                     assert 0 <= outcome.nodes_used - limit < unit_nodes[-1], (size, limit)
 
 
+def test_cliques_frees_its_walk():
+    """The walk calls itself through its closure; once `cliques` returns, no cycle is left holding the rows."""
+    rows = _bitsets(np.ones((4, 4), dtype=bool))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = sys.getrefcount(rows)
+        assert cliques(rows, 2) == [list(c) for c in combinations(range(4), 2)]
+        assert sys.getrefcount(rows) == before
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _recursive_cliques(adj, size, nodes, start=None):
     """Reference for `cliques`: the walker that recurses into every vertex, leaves and empty masks too,
     adding one to `nodes.used` per vertex it tries."""
@@ -375,24 +394,47 @@ def _recursive_cliques(adj, size, nodes, start=None):
     return out
 
 
-# (5, 12) and (6, 12) split the digits into two lookup groups (3 + 1 and 3 + 2); the others use one.
-# n = 2 has a single digit, so every digit orbit has one member.
-@pytest.mark.parametrize("n,k", [(2, 8), (4, 4), (6, 3), (3, 6), (6, 4), (5, 12), (6, 12)])
-def test_difference_bits_match_per_pair_lookup(n, k):
+def _dense_table(n: int, k: int, target: int) -> np.ndarray:
+    """Oracle for the kernels: the verdict of every one of the k^(n-1) difference vectors, by candidate index."""
+    table = np.zeros(k ** (n - 1), dtype=bool)
+    table[_orbit_hits(n, k, target)] = True
+    return table
+
+
+def _kernel_lookups(n: int, k: int) -> list[tuple]:
+    """(target, rows, cols, bits) from both kernels, on the lists the stages give them."""
     orth, unb = _difference_tables(n, k)
-    orth_rows = _digit_matrix(np.flatnonzero(orth), n, k)
-    hadamard_cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth))), n, k)  # the Hadamard stage's list
-    base = _digit_matrix(np.flatnonzero(unb), n, k)
-    weights = k ** np.arange(n - 1)
-    lookups = [(table, rows, cols, _difference_bits(table, rows, cols, k))
-               for table, rows, cols in ((orth, orth_rows, orth_rows), (unb, orth_rows, base), (orth, base, base))]
+    orth_rows = _digit_matrix(orth, n, k)
+    hadamard_cols = _digit_matrix(np.concatenate(([0], orth)), n, k)  # the Hadamard stage's list
+    base = _digit_matrix(unb, n, k)
+    lookups = [(target, rows, cols, _difference_bits(target, rows, cols, k))
+               for target, rows, cols in ((0, orth_rows, orth_rows), (n, orth_rows, base), (0, base, base),
+                                          (n, hadamard_cols, base))]
     # both lists are closed under digit permutations, so the orbit kernel gives their rows against themselves
-    lookups += [(table, cols, cols, _orbit_bits(table, cols, k)) for table in (orth, unb) for cols in (hadamard_cols, base)]
-    for table, rows, cols, bits in lookups:
+    lookups += [(target, cols, cols, _orbit_bits(target, cols, k)) for target in (0, n) for cols in (hadamard_cols, base)]
+    every = _digit_matrix(np.arange(k ** (n - 1)), n, k)  # misses too, and pairs when a hit array is empty
+    lookups += [(target, every[:3], every, _difference_bits(target, every[:3], every, k)) for target in (0, n)]
+    return lookups
+
+
+# n = 2 has a single digit, so every digit orbit has one member; (3, 4) has no orthogonal difference vector.
+@pytest.mark.parametrize("n,k", [(2, 8), (4, 4), (6, 3), (3, 6), (6, 4), (5, 12), (6, 12), (3, 4)])
+def test_difference_bits_match_per_pair_lookup(n, k):
+    tables = {target: _dense_table(n, k, target) for target in (0, n)}
+    weights = k ** np.arange(n - 1)
+    for target, rows, cols, bits in _kernel_lookups(n, k):
         assert len(bits) == len(rows)
         for r, row_bits in zip(rows, bits):
-            expected = table[((cols.astype(int) - r) % k) @ weights]
+            expected = tables[target][((cols.astype(int) - r) % k) @ weights]
             assert row_bits == sum(1 << int(j) for j in np.flatnonzero(expected))
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (3, 6), (6, 4), (5, 12), (3, 4)])
+def test_difference_bits_are_decided_by_membership(n, k, monkeypatch):
+    """With a margin that lets every pair past the float prescreen, the exact membership alone gives the same bits."""
+    expected = [bits for *_, bits in _kernel_lookups(n, k)]
+    monkeypatch.setattr(search_mod, "_PRESCREEN_MARGIN", np.inf)
+    assert [bits for *_, bits in _kernel_lookups(n, k)] == expected
 
 
 def _one_orbit(cols: np.ndarray, row: int) -> np.ndarray:
@@ -403,31 +445,31 @@ def _one_orbit(cols: np.ndarray, row: int) -> np.ndarray:
 
 def test_orbit_bits_of_a_union_of_orbits():
     orth, _ = _difference_tables(6, 12)
-    cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth))), 6, 12)
+    cols = _digit_matrix(np.concatenate(([0], orth)), 6, 12)
     orbits = np.concatenate([_one_orbit(cols, 0), _one_orbit(cols, 1), _one_orbit(cols, len(cols) - 1)])
     union = cols[np.sort(orbits)]
     assert len(union) > 3
-    assert _orbit_bits(orth, union, 12) == _difference_bits(orth, union, union, 12)
-    assert _orbit_bits(orth, cols[:0], 12) == []
+    assert _orbit_bits(0, union, 12) == _difference_bits(0, union, union, 12)
+    assert _orbit_bits(0, cols[:0], 12) == []
 
 
 @pytest.mark.parametrize("how", ["a row missing", "every other row", "an orbit and a stray row",
                                  "decreasing order", "a row twice"])
 def test_orbit_bits_of_a_list_not_closed_under_digit_permutations(how):
     orth, _ = _difference_tables(6, 12)
-    cols = _digit_matrix(np.concatenate(([0], np.flatnonzero(orth))), 6, 12)
+    cols = _digit_matrix(np.concatenate(([0], orth)), 6, 12)
     orbit = _one_orbit(cols, 1)
     assert len(orbit) > 1
     rows = {
         "a row missing": np.delete(cols, orbit[-1], axis=0),
         "every other row": cols[::2],
         # the stray row is orthogonal to a member of the orbit, so the list's rows are not all empty
-        "an orbit and a stray row": cols[np.sort(np.append(orbit, _members(_orbit_bits(orth, cols, 12)[orbit[0]])[-1]))],
+        "an orbit and a stray row": cols[np.sort(np.append(orbit, _members(_orbit_bits(0, cols, 12)[orbit[0]])[-1]))],
         "decreasing order": cols[::-1],
         "a row twice": np.insert(cols, 1, cols[1], axis=0),
     }[how]
     with pytest.raises(ValueError):
-        _orbit_bits(orth, rows, 12)
+        _orbit_bits(0, rows, 12)
 
 
 # totals C(k + d - 1, d): 1, 1, 1, 5, 10, 210 and 4368; (5, 1), (3, 3), (7, 4) and (12, 5) at 7 end on a full block
@@ -494,12 +536,25 @@ def test_orbit_hits_match_full_scan(n, k, monkeypatch):
 
 @pytest.mark.parametrize("n,k", [(6, 12), (6, 24)])
 def test_difference_tables_match_full_scan(n, k):
-    orth, unb = _difference_tables(n, k)
-    m_total = k ** (n - 1)
-    for table, target in ((orth, 0), (unb, n)):
-        expected = np.zeros(m_total, dtype=bool)
-        expected[_scan_hits(n, k, target)] = True
-        assert np.array_equal(table, expected)
+    for hits, target in zip(_difference_tables(n, k), (0, n)):
+        assert np.array_equal(hits, _scan_hits(n, k, target))
+        assert not hits.flags.writeable
+
+
+def test_hadamard_stage_keeps_no_dense_table():
+    """The verdicts are kept as their hit arrays alone: about 0.2 MB at k = 24, where two bool tables over
+    every difference vector took 16 MB, and the stage's working set stays at a few chunks and bitset rows."""
+    search_mod._difference_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        had = root_hadamard_enumerate(6, 24)
+        assert len(had.matrices) == 7584
+        del had
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 << 20
+    assert peak < 12 << 20
 
 
 def _result_bytes(results) -> list[bytes]:
@@ -588,25 +643,24 @@ def test_budget_below_one_is_rejected(run, budget):
 def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> SearchOutcome:
     """Reference for `_extend`: every unit solved on its own, with full base-set rows for every H1 column."""
     n, k = loop.spec.n, loop.spec.k
-    orth_diff, unb_diff = _difference_tables(n, k)
-    # a candidate's difference to the all-ones column is itself, so the base set is unb_diff
-    base = _digit_matrix(np.flatnonzero(unb_diff), n, k)
+    # a candidate's difference to the all-ones column is itself, so the base set is the unbiased hits
+    base = _digit_matrix(_difference_tables(n, k)[1], n, k)
     h1 = np.array([t[0] for t in tuples], dtype=np.int16).reshape(-1, n, n)
     h1_cols = h1[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, n - 1)
     # distinct columns by candidate index; which[u] locates unit u's H1 columns among them
     _, first_at, which = np.unique(h1_cols @ k ** np.arange(n - 1), return_index=True, return_inverse=True)
-    unbiased = _difference_bits(unb_diff, h1_cols[first_at], base, k)
+    unbiased = _difference_bits(n, h1_cols[first_at], base, k)
     which = which.reshape(len(tuples), n - 1)
 
     def extensions(unit: int) -> list[tuple]:
         cand = _members(reduce(and_, (unbiased[i] for i in which[unit])))
         for mat in tuples[unit][1:]:
-            keep = reduce(and_, _difference_bits(unb_diff, mat[1:].T, base[cand], k))
+            keep = reduce(and_, _difference_bits(n, mat[1:].T, base[cand], k))
             cand = [cand[i] for i in _members(keep)]
         if len(cand) < n:  # no n-clique can come of fewer candidates
             return []
         cols = base[cand]
-        adj = _difference_bits(orth_diff, cols, cols, k)
+        adj = _difference_bits(0, cols, cols, k)
         return [(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n)]
 
     return loop.run(len(tuples), n, extensions, prior=prior)
