@@ -483,7 +483,7 @@ def assemble_bases(census: CensusResult) -> CensusResult:
     shift, _ = _image_maps(census, CIRCULANT_TOL)
     bases = []
     membership = np.zeros(m, dtype=int)
-    for bi, clique in enumerate(search_mod.cliques(adj, n)):
+    for bi, clique in enumerate(search_mod.cliques(adj, n).tolist()):
         cols = np.stack([vecs[i] for i in clique], axis=1)
         kind = GAUSSIAN if all(census.sequences[i].kind == GAUSSIAN for i in clique) else BJORCK
         circulant = set(shift[list(clique)]) <= set(clique)  # closed under the cyclic shift

@@ -185,7 +185,7 @@ def ks_uncolourable(vectors: np.ndarray, tol: float = 1e-9) -> ColouringResult:
     gram = vecs @ vecs.T
     orth = np.abs(gram) <= tol
 
-    contexts = [tuple(quad) for quad in cliques(orth, 4)]
+    contexts = [tuple(quad) for quad in cliques(orth, 4).tolist()]
     covered = set(i for quad in contexts for i in quad)
     missing = sorted(set(range(nv)) - covered)
     if missing:

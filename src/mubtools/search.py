@@ -13,26 +13,31 @@ base k, and the verdicts are kept only as the sorted indices of the hits, one
 read-only array per relation (`_difference_tables`); `_digit_matrix` is the
 one decoder, and each stage decodes only the rows it reads.  One chunked
 kernel (`_difference_bits`) decides many row/column differences at once, by
-a float prescreen and exact membership in those arrays, and returns them as
-Python-int bitset rows.  Over a list closed under permutations of the digit
+a float prescreen and exact membership in those arrays, and returns each
+row's hits as a sorted array of column positions, all rows together in CSR
+form (indptr, indices).  Over a list closed under permutations of the digit
 positions, such as the Hadamard stage's columns, `_orbit_bits` decides one
-row per orbit with it and permutes that row onto the rest of the orbit.  One
-clique enumerator (`cliques`) walks those rows to pick mutually orthogonal
-columns.  Hadamards are bucketed by the integer histogram of their Haagerup
-exponents (a necessary condition for equivalence, not a sufficient one).
+row per orbit with it, permutes that row onto the rest of the orbit and
+keeps each row's neighbours above it.  One clique enumerator (`cliques`)
+grows the cliques of such a graph level by level, intersecting sorted
+neighbour arrays, to pick mutually orthogonal columns; the Hadamard stage
+runs it over blocks of units of about _BLOCK candidate tests.  Hadamards are
+bucketed by the integer histogram of their Haagerup exponents (a necessary
+condition for equivalence, not a sufficient one).
 The triplet and quartet stages are one extension step (`_extend`): each
 takes tuples (H1, ...) and extends every tuple by the matrices whose columns
 are unbiased to all of its columns and orthogonal to one another.  Those
 columns are unbiased to the all-ones column (the base set), so the step
 works in positions of that set: the unbiasedness row of one H1 column, a
-bitset over it, gives the candidates, and the tuple's other columns are
-checked against those alone; triplets extend (H1,), quartets extend
-(H1, H2).  A unit left with fewer than n candidates stops before the clique
-walk, since no n-clique can come of them.  Permuting the digit positions
-(rows 1..n-1 of every matrix) is an exact symmetry of both relations, so the
-step solves one unit per orbit of the adjacent digit transpositions
-(`_orbit_forest`) and maps that representative's extensions onto the rest of
-its orbit: at k = 12 the 2,184 triplet units fall into 28 orbits.
+sorted array of positions, gives the candidates, and the tuple's other
+columns are checked against those alone; triplets extend (H1,), quartets
+extend (H1, H2).  A unit left with fewer than n candidates stops before the
+clique enumeration, since no n-clique can come of them.  Permuting the digit
+positions (rows 1..n-1 of every matrix) is an exact symmetry of both
+relations, so the step solves one unit per orbit of the adjacent digit
+transpositions (`_orbit_forest`) and maps that representative's extensions
+onto the rest of its orbit: at k = 12 the 2,184 triplet units fall into 28
+orbits.
 
 The three stages (Hadamards, triplets, quartets) split their work into
 independent units and run them through one loop (`_UnitLoop`).  A node budget
@@ -53,9 +58,8 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, lcm
-from operator import and_
 
 import numpy as np
 
@@ -66,7 +70,9 @@ from .io import checkpoint_text, read_checkpoint
 
 MAX_CANDIDATES = 10**8
 _BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 225 exponents at n = 6
-_BLOCK = 1 << 15  # digit multisets per block of `_orbit_hits`; row x column pairs per chunk of `_difference_bits`
+# digit multisets per block of `_orbit_hits`; row x column pairs per chunk of `_difference_bits`;
+# candidate tests per block of Hadamard units
+_BLOCK = 1 << 15
 
 
 class EnumerationBudgetError(InadmissibleParameterError):
@@ -99,50 +105,84 @@ class SearchOutcome:
         return "empty" if not self.results else "non-empty"
 
 
-def cliques(adj: np.ndarray | list[int], size: int, nodes=None, start: int | None = None) -> list[list[int]]:
-    """All `size`-cliques of a graph, in lexicographic order.
+def cliques(adj: np.ndarray | tuple[np.ndarray, np.ndarray], size: int,
+            start: np.ndarray | None = None, nodes: np.ndarray | None = None) -> np.ndarray:
+    """All `size`-cliques of a graph whose least vertex is in `start`, in lexicographic order.
 
-    `adj` is a boolean adjacency matrix or its rows as Python-int bitsets
-    (bit j of row i is adj[i, j]); only the bits above i of row i are read.
-    The cliques are drawn from the vertices in the bitset `start` (default:
-    every vertex).  Each clique is an increasing list of vertex indices.
-    `nodes`, if given, is any object with an integer `used`: the walk adds to
-    it the number of vertices it tries as clique members.  The walk always
-    runs to the end; a search budget is checked between walks, never in one.
+    `adj` is a boolean adjacency matrix, of which only the upper triangle is
+    read, or the CSR form (indptr, indices) of the graph's neighbours above
+    each vertex, sorted within each row.  `start` is an increasing array of
+    vertices (default: every vertex).  Returns one increasing clique per row;
+    size 0 gives the one empty clique.
+
+    The cliques grow one level at a time.  Each partial clique carries the
+    sorted list of vertices that extend it, at first its least vertex's
+    neighbours above it; the child made by adding candidate w keeps the
+    parent's candidates above w that are neighbours of w.  Each such
+    intersection tests the elements of its smaller side against the larger
+    one, by `searchsorted` among the sorted keys of the graph's edges or of
+    the parents' candidates.  Parents are in lexicographic order and each
+    one's children follow its candidate order, so every level is too.  If
+    `nodes` is given (an integer array aligned with `start`), each start
+    vertex's number of cliques of sizes 2..size with it as least vertex is
+    added to it: the vertices a depth-first walk from it would try.
     """
+    if isinstance(adj, np.ndarray):
+        adj = _csr(*np.nonzero(np.triu(adj, 1)), len(adj))
+    indptr, indices = adj
+    count = len(indptr) - 1
+    found = (np.arange(count) if start is None else np.asarray(start, dtype=np.intp))[:, None]
     if size == 0:
-        return [[]]
-    rows = _bitsets(adj) if isinstance(adj, np.ndarray) else adj
-    out: list[list[int]] = []
-
-    def extend(chosen: list[int], mask: int) -> None:
+        return np.empty((1, 0), dtype=np.intp)
+    degree = np.diff(indptr)
+    edges = np.repeat(np.arange(count), degree) * count + indices  # the edge (v, w) as the sorted key v * count + w
+    origin = np.arange(len(found))  # each partial clique's row in `start`
+    roots = found[:, 0]
+    # partial clique p's candidates are cand[bounds[p]:bounds[p + 1]]
+    bounds = np.concatenate(([0], np.cumsum(degree[roots])))
+    cand = indices[_ranges(indptr[roots], degree[roots])]
+    for level in range(1, size):
+        parent = np.repeat(np.arange(len(found)), np.diff(bounds))
+        found = np.column_stack((found[parent], cand))
+        origin = origin[parent]
         if nodes is not None:
-            nodes.used += mask.bit_count()  # every vertex of the mask is tried
-        leaf = len(chosen) + 1 == size
-        while mask:  # the lowest set bit first, so the cliques come out in lexicographic order
-            low = mask & -mask
-            nxt = low.bit_length() - 1
-            mask ^= low  # now only the vertices above nxt
-            if leaf:
-                out.append(chosen + [nxt])
-            elif sub := mask & rows[nxt]:
-                extend(chosen + [nxt], sub)
+            nodes += np.bincount(origin, minlength=len(nodes))
+        if level + 1 == size:
+            break
+        after = bounds[1:][parent] - np.arange(len(cand)) - 1  # the parent's candidates after w = cand
+        degree_w = degree[cand]
+        # the smaller side of each child's intersection: w's neighbours, tested in the parent's candidates ...
+        own = np.flatnonzero(degree_w < after)
+        own_child = np.repeat(own, degree_w[own])
+        own_tested = indices[_ranges(indptr[cand[own]], degree_w[own])]
+        own_hit = _contains(parent * count + cand, parent[own_child] * count + own_tested)
+        # ... or the parent's candidates after w, tested in w's neighbours
+        rest = np.flatnonzero(degree_w >= after)
+        rest_child = np.repeat(rest, after[rest])
+        rest_tested = cand[_ranges(rest + 1, after[rest])]
+        rest_hit = _contains(edges, cand[rest_child] * count + rest_tested)
+        child = np.concatenate((own_child[own_hit], rest_child[rest_hit]))
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(child, minlength=len(cand)))))
+        cand = np.concatenate((own_tested[own_hit], rest_tested[rest_hit]))[np.argsort(child, kind="stable")]
+    return found
 
-    extend([], (1 << len(rows)) - 1 if start is None else start)
-    del extend  # it refers to itself: without this the cycle keeps `rows` alive until a full collection
-    return out
+
+def _csr(rows: np.ndarray, cols: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR form (indptr, indices) of the pairs (rows[i], cols[i]) over `count` rows, given in row-major order."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=count)))), cols
 
 
-def _bitsets(block: np.ndarray) -> list[int]:
-    """The rows of a boolean matrix as Python-int bitsets (bit j of row i is block[i, j])."""
-    packed = np.packbits(block, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i], ..., starts[i] + lengths[i] - 1, one after another."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _members(mask: int) -> np.ndarray:
-    """The set bits of a bitset, in increasing order: unpacked at once, not one big-int step per bit."""
-    raw = np.frombuffer(mask.to_bytes(-(-mask.bit_length() // 8), "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Whether each query is in the sorted array `keys`."""
+    if not len(keys):
+        return np.zeros(len(queries), dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, queries), len(keys) - 1)] == queries
 
 
 def _digit_matrix(idx: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -247,10 +287,11 @@ def _difference_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return hits
 
 
-def _difference_bits(target: int, rows: np.ndarray, cols: np.ndarray, k: int) -> list[int]:
-    """Per digit row r of `rows`, the bitset over `cols`: bit j says |1 + sum_i zeta_k^(cols[j, i] - r_i)|^2 == target.
+def _difference_bits(target: int, rows: np.ndarray, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per digit row r of `rows`, the positions j in `cols` with |1 + sum_i zeta_k^(cols[j, i] - r_i)|^2 == target.
 
-    The target is 0 (orthogonal) or n (unbiased), for n = rows.shape[1] + 1.
+    The target is 0 (orthogonal) or n (unbiased), for n = rows.shape[1] + 1;
+    the hits come in CSR form (indptr, indices), increasing within each row.
     Every pair is first summed in floating point, one digit at a time; a pair
     farther than _PRESCREEN_MARGIN from the target is a miss.  Only the near
     pairs get their difference index, which decides them exactly by
@@ -265,7 +306,7 @@ def _difference_bits(target: int, rows: np.ndarray, cols: np.ndarray, k: int) ->
     col_roots = _unit_roots(k)[np.ascontiguousarray(cols.T)]  # one contiguous row per digit position
     step = max(1, _BLOCK // max(1, len(cols)))
     buffers = np.empty((2, min(step, len(rows)), len(cols)), dtype=complex)  # reused: no page faults per chunk
-    out: list[int] = []
+    found_rows, found_cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo in range(0, len(rows), step):
         chunk = row_roots[lo:lo + step]
         sums, term = buffers[:, :len(chunk)]
@@ -274,16 +315,15 @@ def _difference_bits(target: int, rows: np.ndarray, cols: np.ndarray, k: int) ->
             sums += np.multiply.outer(chunk[:, j], col_roots[j], out=term)
         near = np.flatnonzero(np.abs(sums.real ** 2 + sums.imag ** 2 - target) < _PRESCREEN_MARGIN)
         r, c = np.divmod(near, len(cols))
-        idx = ((cols[c] - rows[lo + r]) % k) @ weights
-        bits = np.zeros(sums.size, dtype=bool)
-        # a member's two insertion points differ; for an empty hit array no pair's do
-        bits[near] = np.searchsorted(hits, idx, side="right") > np.searchsorted(hits, idx)
-        out += _bitsets(bits.reshape(sums.shape))
-    return out
+        hit = _contains(hits, ((cols[c] - rows[lo + r]) % k) @ weights)
+        found_rows.append(lo + r[hit])
+        found_cols.append(c[hit])
+    return _csr(np.concatenate(found_rows), np.concatenate(found_cols), len(rows))
 
 
-def _orbit_bits(target: int, cols: np.ndarray, k: int) -> list[int]:
-    """`_difference_bits(target, cols, cols, k)` for digit rows closed under permutations of the digit positions.
+def _orbit_bits(target: int, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part above the diagonal of `_difference_bits(target, cols, cols, k)`, for digit rows closed under
+    permutations of the digit positions.
 
     Both relations are invariant under those permutations, and the difference
     of two permuted rows is the permuted difference, so the neighbours of
@@ -292,15 +332,15 @@ def _orbit_bits(target: int, cols: np.ndarray, k: int) -> list[int]:
     representative's permuted by order = argsort(digits) has as neighbours the
     representative's neighbour digits dotted with weights[order]; any sorting
     permutation serves, since equal digits are interchangeable.  Those indices
-    are located by `searchsorted` among the rows' own, which must increase
-    strictly.  A located index that does not match raises ValueError, and so
-    does a list that some adjacent transposition of digits takes out of
-    itself: the transpositions are checked first, since a gap that no
-    representative's neighbour reaches would otherwise give wrong rows.  Each
-    orbit's rows are packed in blocks no larger than a `_difference_bits` chunk.
+    above a member's own are located by `searchsorted` among the rows' own,
+    which must increase strictly.  A located index that does not match raises
+    ValueError, and so does a list that some adjacent transposition of digits
+    takes out of itself: the transpositions are checked first, since a gap
+    that no representative's neighbour reaches would otherwise give wrong
+    rows.
     """
     if not len(cols):
-        return []
+        return _csr(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0)
     weights = k ** np.arange(cols.shape[1], dtype=np.int64)
     idx = cols @ weights
     if np.any(np.diff(idx) <= 0):
@@ -316,19 +356,18 @@ def _orbit_bits(target: int, cols: np.ndarray, k: int) -> list[int]:
         locate(idx + (cols[:, i + 1] - cols[:, i]) * (weights[i] - weights[i + 1]))
     reps, orbit = np.unique(np.sort(cols, axis=1) @ weights, return_inverse=True)  # the sorted rows, by index
     by_orbit = np.split(np.argsort(orbit), np.cumsum(np.bincount(orbit))[:-1])
-    rep_rows = _difference_bits(target, _digit_matrix(reps, cols.shape[1] + 1, k), cols, k)[::-1]  # popped as used
-    step = max(1, 8 * _BLOCK // len(cols))  # a boolean block no larger than a `_difference_bits` chunk's sums
-    out = [0] * len(cols)
-    for members in by_orbit:
-        neighbours = cols[_members(rep_rows.pop())].T
+    rep_ptr, rep_hits = _difference_bits(target, _digit_matrix(reps, cols.shape[1] + 1, k), cols, k)
+    rows, found = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for rep, members in enumerate(by_orbit):
+        neighbours = cols[rep_hits[rep_ptr[rep]:rep_ptr[rep + 1]]].T
         placed = weights[np.argsort(cols[members], axis=1)]  # a member's neighbours are `neighbours` dotted with its row
-        for lo in range(0, len(members), step):
-            at = locate(placed[lo:lo + step] @ neighbours)
-            block = np.zeros((len(at), len(cols)), dtype=bool)
-            block[np.arange(len(at))[:, None], at] = True
-            for i, bits in zip(members[lo:lo + step].tolist(), _bitsets(block)):
-                out[i] = bits
-    return out
+        targets = np.sort(placed @ neighbours, axis=1)
+        above = targets > idx[members, None]  # the rows' indices increase, so these are the neighbours above
+        rows.append(np.broadcast_to(members[:, None], targets.shape)[above])
+        found.append(locate(targets[above]))
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")  # each member's neighbours are already increasing
+    return _csr(rows[order], np.concatenate(found)[order], len(cols))
 
 
 def _exponent_matrix(cols: np.ndarray) -> np.ndarray:
@@ -356,8 +395,14 @@ def unbiased_vector_enumerate(n: int, k: int) -> list[RootVector]:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` through a temporary file in the same directory, so no partial file is left."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    """Write `text` to `path` through a temporary file in the same directory, so no partial file is left.
+
+    An error in making the temporary file names `path`, not the temporary file.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         try:
             data = memoryview(text.encode())
@@ -378,7 +423,7 @@ class _UnitLoop:
     in order and takes stored results for units a checkpoint already holds.
     Every other unit runs whole if `used` is below the budget before it starts;
     `used` counts this stage's nodes: `unit_cost` per unit run, plus what the
-    unit adds (the Hadamard stage passes the loop to `cliques` as its counter).
+    unit adds (a Hadamard unit adds the vertices its clique enumeration tries).
     """
 
     def __init__(self, depth: str, n: int, k: int, budget: int | None,
@@ -451,7 +496,11 @@ def root_hadamard_enumerate(
     enumeration, so each column set appears exactly once.
 
     Work is split into units by the first chosen column; a unit costs one
-    node plus one per vertex its clique walk tries.  On budget exhaustion a
+    node plus one per vertex a depth-first walk from that column would try,
+    the number of cliques of sizes 2..n-1 with that column as least vertex.
+    The units' cliques are enumerated a block at a time, about _BLOCK
+    candidate tests of the enumeration's second level, and each unit is
+    charged its own count when the loop reaches it.  On budget exhaustion a
     checkpoint is written only if `checkpoint_path` is given; a run resumed
     from it (resume_token) returns every matrix an uninterrupted run returns.
     """
@@ -459,21 +508,30 @@ def root_hadamard_enumerate(
     orth, _ = _difference_tables(n, k)
     # row 0 is candidate 0, the all-ones first column (all exponents 0): orthogonal to every other row
     cols = _digit_matrix(np.concatenate(([0], orth)), n, k)
-    adj = _orbit_bits(0, cols, k)
+    adj = indptr, indices = _orbit_bits(0, cols, k)
+    degree = np.diff(indptr)
+    # the second level's candidate tests of each edge (f, w): the smaller of f's neighbours after w and w's above it
+    after = np.repeat(indptr[1:], degree) - np.arange(len(indices)) - 1
+    tests = np.concatenate(([0], np.cumsum(np.minimum(after, degree[indices]))))[indptr]  # of the rows before each
+    lo = hi = 0  # the units whose first columns are lo..hi-1 have been enumerated
+    nodes = bounds = block = None
 
     def matrices_from(unit: int) -> list[np.ndarray]:
+        nonlocal lo, hi, nodes, bounds, block
         first = unit + 1
-        later = adj[first] >> (first + 1) << (first + 1)
-        adj[first] = 0  # a unit reads only the rows above its first column: drop this one for good
-        rest = cliques(adj, n - 2, loop, start=later)
-        if not rest:  # most units: 1,428 of the 1,930 at k = 12
-            return []
-        members = np.empty((len(rest), n), dtype=np.intp)
-        members[:, :2] = 0, first
-        members[:, 2:] = rest
-        mats = np.zeros((len(rest), n, n), dtype=np.int16)  # column j of a matrix is the digit row cols[members[j]]
-        mats[:, 1:] = cols[members].transpose(0, 2, 1)
-        return list(mats)
+        if not lo <= first < hi:  # enumerate the units from this one on, up to about _BLOCK candidate tests
+            lo = first
+            hi = min(len(cols), max(first + 1, int(np.searchsorted(tests, tests[first] + _BLOCK, side="right")) - 1))
+            counts = np.zeros(hi - lo, dtype=np.int64)
+            found = cliques(adj, n - 1, np.arange(lo, hi), counts)
+            members = np.zeros((len(found), n), dtype=np.intp)
+            members[:, 1:] = found
+            block = np.zeros((len(found), n, n), dtype=np.int16)  # column j of a matrix is cols[members[j]]
+            block[:, 1:] = cols[members].transpose(0, 2, 1)
+            nodes, bounds = counts.tolist(), np.searchsorted(found[:, 0], np.arange(lo, hi + 1)).tolist()
+        at = first - lo
+        loop.used += nodes[at]  # the vertices a depth-first walk of this unit tries
+        return list(block[bounds[at]:bounds[at + 1]])
 
     outcome = loop.run(len(cols) - 1, 1, matrices_from)
     mats = np.array(outcome.results, dtype=np.int16).reshape(-1, n, n)  # one array for the stage; the units' are freed
@@ -570,7 +628,7 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     tuple and exactly orthogonal to one another.  Each is unbiased to the
     all-ones column of H1, so candidates are positions in the base set:
     `base` holds the digit rows of its members in increasing candidate
-    order, and sets of them are Python-int bitsets over those positions.
+    order, and sets of them are sorted arrays of those positions.
 
     Permuting the digit positions (rows 1..n-1 of every matrix) keeps every
     orthogonality and unbiasedness, so it maps a tuple's extensions onto the
@@ -604,20 +662,22 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     reps = [unit for unit in range(len(tuples)) if parent[unit] < 0]
     # distinct first H1 columns of the representatives; which[r] locates representative r's among them
     firsts, which = np.unique(keys[reps, 0], return_inverse=True)
-    unbiased = _difference_bits(n, _digit_matrix(firsts, n, k), base, k)
+    unb_ptr, unb_hits = _difference_bits(n, _digit_matrix(firsts, n, k), base, k)
     which = dict(zip(reps, which.tolist()))
     solved: dict[int, np.ndarray] = {}
 
     def solve(rep: int) -> np.ndarray:
         """The representative's extensions, as cliques of base positions in lexicographic order."""
-        cand = _members(unbiased[which[rep]])
-        rest = _difference_bits(n, _digit_matrix(keys[rep, 1:], n, k), base[cand], k)
-        cand = cand[_members(reduce(and_, rest, (1 << len(cand)) - 1))]
+        cand = unb_hits[unb_ptr[which[rep]]:unb_ptr[which[rep] + 1]]
+        rest_ptr, rest_hits = _difference_bits(n, _digit_matrix(keys[rep, 1:], n, k), base[cand], k)
+        cand = cand[np.bincount(rest_hits, minlength=len(cand)) == len(rest_ptr) - 1]  # a hit of every other column
         if len(cand) < n:  # no n-clique can come of fewer candidates
             return np.empty((0, n), dtype=np.int64)
         cols = base[cand]
-        adj = _difference_bits(0, cols, cols, k)
-        return cand[np.array(cliques(adj, n), dtype=np.int64).reshape(-1, n)]
+        indptr, indices = _difference_bits(0, cols, cols, k)
+        rows = np.repeat(np.arange(len(cand)), np.diff(indptr))
+        above = indices > rows
+        return cand[cliques(_csr(rows[above], indices[above], len(cand)), n)]
 
     def extensions(unit: int) -> list[tuple]:
         rep, swaps = unit, []

@@ -222,6 +222,19 @@ def test_no_quartets_at_k24():
     assert (hadamards.nodes_used, triplets.nodes_used, quartets.nodes_used) == (181669, 227173, 238693)
 
 
+def test_no_quartets_at_k36():
+    # the complete search at 36th roots: more Hadamards and buckets than at k = 24, the same triplet count
+    hadamards = root_hadamard_enumerate(6, 36)
+    triplets = mub_triplet_search(6, 36, hadamards=hadamards)
+    quartets = mub_quartet_search(6, 36, triplets=triplets)
+    assert len(hadamards.matrices) == 15864
+    assert [len(b) for b in hadamards.buckets] == [300, 2160, 2160, 1080, 2160, 4320, 720, 72, 720, 720, 720, 720, 12]
+    assert len(triplets.results) == 480
+    assert quartets.results == [] and quartets.verdict == "empty"
+    assert hadamards.complete and triplets.complete and quartets.complete
+    assert (hadamards.nodes_used, triplets.nodes_used, quartets.nodes_used) == (376009, 471193, 474073)
+
+
 def test_criterion_7_real_dimensions():
     start = time.perf_counter()
     census3 = real_unbiased_census(3)

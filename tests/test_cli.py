@@ -374,6 +374,17 @@ def test_failed_checkpoint_write_exits_4(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_checkpoint_in_a_missing_directory_names_the_path(tmp_path, monkeypatch, capsys):
+    """The error names the checkpoint the user asked for, not the temporary file it is written through."""
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "missing" / "cp.json")
+    assert main(["search", "triplets", "--n", "6", "--k", "12", "--budget", "1", "--checkpoint", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # each budget lies below the node count of its stage alone at (5, 5): 90, 30 and 120
 @pytest.mark.parametrize("depth, budget", [("hadamards", 10), ("triplets", 10), ("quartets", 20)])
 def test_spaced_checkpoint_resumes_like_uninterrupted_run(depth, budget, tmp_path, monkeypatch, capsys):

@@ -4,10 +4,8 @@ import os
 import sys
 import tracemalloc
 from dataclasses import replace
-from functools import reduce
 from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import comb
-from operator import and_
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,13 +27,11 @@ from mubtools.io import RootMatrix
 from mubtools.search import (
     EnumerationBudgetError,
     SearchOutcome,
-    _bitsets,
     _difference_bits,
     _difference_tables,
     _digit_matrix,
     _exponent_matrix,
     _haagerup_buckets,
-    _members,
     _multiset_blocks,
     _orbit_bits,
     _orbit_forest,
@@ -282,73 +278,98 @@ class TestQuartetSearch:
         assert [[m.tobytes() for m in q] for q in outcome.results] == [[m.tobytes() for m in q] for q in expected]
 
 
+def _upper_csr(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for the CSR form: each row's neighbours above it, from the upper triangle of a bool matrix."""
+    rows = [np.flatnonzero(adj[i, i + 1:]) + i + 1 for i in range(len(adj))]
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
+    return indptr, np.concatenate([np.empty(0, dtype=np.int64), *rows])
+
+
+def _bitsets(adj: np.ndarray) -> list[int]:
+    """The rows of a bool matrix as Python-int bitsets (bit j of row i is adj[i, j]), for the reference walker."""
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in adj]
+
+
+def _random_graph(seed: int, m: int, density: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((m, m)) < density, 1)
+    return upper | upper.T
+
+
 class TestCliques:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_bruteforce(self, seed):
-        rng = np.random.default_rng(seed)
         m = 11
-        upper = np.triu(rng.random((m, m)) < 0.6, 1)
-        adj = upper | upper.T
+        adj = _random_graph(seed, m, 0.6)
         for size in range(6):
             expected = [list(c) for c in combinations(range(m), size)
                         if all(adj[a, b] for a, b in combinations(c, 2))]
-            assert cliques(adj, size) == expected
+            assert cliques(adj, size).tolist() == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bitset_rows_with_start_mask_match_induced_subgraph(self, seed):
+        """The reference walker's bitset rows, given a start mask, list the cliques of the induced subgraph;
+        `cliques` over the sorted neighbour arrays, given a start set, lists those whose least vertex is in it."""
         rng = np.random.default_rng(200 + seed)
         m = 13
-        upper = np.triu(rng.random((m, m)) < 0.6, 1)
-        adj = upper | upper.T
-        rows = _bitsets(adj)
+        adj = _random_graph(200 + seed, m, 0.6)
+        rows, csr = _bitsets(adj), _upper_csr(adj)
         assert all(rows[i] >> j & 1 == adj[i, j] for i in range(m) for j in range(m))
+        assert [csr[1][csr[0][i]:csr[0][i + 1]].tolist() for i in range(m)] == \
+            [[j for j in range(i + 1, m) if adj[i, j]] for i in range(m)]
         chosen = np.flatnonzero(rng.random(m) < 0.7)
-        start = sum(1 << int(v) for v in chosen)
-        members = [chosen.tolist(), [], *(np.flatnonzero(a).tolist() for a in adj)]
-        assert [_members(row).tolist() for row in [start, 0, *rows]] == members
         sub = adj[np.ix_(chosen, chosen)]
         for size in range(6):
-            expected = [[int(chosen[i]) for i in c] for c in cliques(sub, size)]
-            assert expected == [list(c) for c in combinations(chosen.tolist(), size)
-                                if all(adj[a, b] for a, b in combinations(c, 2))]
-            assert cliques(rows, size, start=start) == expected
-
+            everything = [list(c) for c in combinations(range(m), size)
+                          if all(adj[a, b] for a, b in combinations(c, 2))]
+            induced = [[int(chosen[i]) for i in c] for c in cliques(sub, size).tolist()]
+            assert induced == [c for c in everything if set(c) <= set(chosen.tolist())]
+            mask = sum(1 << int(v) for v in chosen)
+            assert _recursive_cliques(adj, size, SimpleNamespace(used=0), mask) == induced
+            if size:
+                assert cliques(csr, size, chosen).tolist() == [c for c in everything if c[0] in chosen]
 
     @pytest.mark.parametrize("m, density", [(0, 0.5), (1, 0.5), (2, 1.0), (5, 0.5), (8, 0.9), (13, 0.6),
                                             (20, 0.35), (30, 0.2), (40, 0.1), (40, 0.2)])
     def test_matches_recursive_walker_at_every_budget(self, m, density):
-        """`cliques` lists the reference walker's cliques and counts its vertices tried, at every size and start.
+        """`cliques` lists the reference walker's cliques and counts its vertices tried, per start vertex,
+        at every size and start set.
 
-        Split into units by the first vertex, as the Hadamard stage splits its walk, a unit loop at
+        Split into units by the first vertex, as the Hadamard stage splits its work, a unit loop at
         every budget B completes whole units only: a prefix of the full list, at least one unit,
         and fewer nodes over B than the last unit it ran.
         """
         rng = np.random.default_rng(300 + m + int(100 * density))
-        upper = np.triu(rng.random((m, m)) < density, 1)
-        adj = upper | upper.T
-        rows = _bitsets(adj) if m else []
-        random_start = sum(1 << int(v) for v in np.flatnonzero(rng.random(m) < 0.7))
+        adj = _random_graph(300 + m + int(100 * density), m, density)
+        rows, csr = _bitsets(adj), _upper_csr(adj)
+        random_start = np.flatnonzero(rng.random(m) < 0.7)
         for size in range(6):
-            for graph, start in ((adj, None), (rows, random_start)):
-                ours, theirs = SimpleNamespace(used=0), SimpleNamespace(used=0)
-                expected = _recursive_cliques(graph, size, theirs, start)
-                assert cliques(graph, size, ours, start) == expected, size
-                assert ours.used == theirs.used, size
-                assert cliques(graph, size, start=start) == expected, size
+            for graph, start in ((adj, None), (csr, random_start), (csr, np.empty(0, dtype=np.intp))):
+                starts = np.arange(m) if start is None else start
+                expected, counts = ([[]], [0] * len(starts)) if size == 0 else ([], [])
+                for v in [] if size == 0 else starts.tolist():
+                    walk = SimpleNamespace(used=0)  # the depth-first walk of v's unit, over v's neighbours above it
+                    later = rows[v] >> (v + 1) << (v + 1)
+                    expected += [[v, *rest] for rest in _recursive_cliques(adj, size - 1, walk, later)]
+                    counts.append(walk.used)
+                nodes = np.zeros(len(starts), dtype=np.int64)
+                assert cliques(graph, size, start, nodes).tolist() == expected, size
+                assert nodes.tolist() == counts, size
+                assert cliques(graph, size, start).tolist() == expected, size
             if size == 0 or m == 0:
                 continue
             unit_nodes = []
 
             def unit(first, loop):
-                before = loop.used
-                later = rows[first] >> (first + 1) << (first + 1)
-                found = [[first, *rest] for rest in cliques(rows, size - 1, loop, start=later)]
-                unit_nodes.append(loop.used - before + 1)
+                nodes = np.zeros(1, dtype=np.int64)
+                found = cliques(csr, size, np.array([first]), nodes).tolist()
+                loop.used += int(nodes[0])
+                unit_nodes.append(int(nodes[0]) + 1)
                 return found
 
             full_loop = _UnitLoop("hadamards", 2, 2, None, None, None)
             full = full_loop.run(m, 1, lambda u: unit(u, full_loop))
-            assert full.complete and full.results == cliques(adj, size)
+            assert full.complete and full.results == cliques(adj, size).tolist()
             for limit in range(1, full.nodes_used + 1):
                 unit_nodes.clear()
                 loop = _UnitLoop("hadamards", 2, 2, limit, None, None)
@@ -358,25 +379,45 @@ class TestCliques:
                 if not outcome.complete:
                     assert 0 <= outcome.nodes_used - limit < unit_nodes[-1], (size, limit)
 
+    def test_empty_graph(self):
+        empty = (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+        for graph in (empty, np.zeros((0, 0), dtype=bool)):
+            assert cliques(graph, 0).tolist() == [[]]
+            for size in (1, 2, 5):
+                assert cliques(graph, size).shape == (0, size)
+
 
 def test_cliques_frees_its_walk():
-    """The walk calls itself through its closure; once `cliques` returns, no cycle is left holding the rows."""
-    rows = _bitsets(np.ones((4, 4), dtype=bool))
+    """Once `cliques` returns, nothing it made holds the graph: no cycle keeps it alive until a full collection."""
+    indptr, indices = _upper_csr(np.ones((4, 4), dtype=bool))
     enabled = gc.isenabled()
     gc.disable()
     try:
-        before = sys.getrefcount(rows)
-        assert cliques(rows, 2) == [list(c) for c in combinations(range(4), 2)]
-        assert sys.getrefcount(rows) == before
+        before = sys.getrefcount(indptr), sys.getrefcount(indices)
+        assert cliques((indptr, indices), 2).tolist() == [list(c) for c in combinations(range(4), 2)]
+        assert (sys.getrefcount(indptr), sys.getrefcount(indices)) == before
     finally:
         if enabled:
             gc.enable()
 
 
+@pytest.mark.parametrize("n,k", [(2, 8), (3, 6), (4, 4), (5, 5), (6, 4), (6, 12)])
+def test_hadamard_blocks_at_the_minimum_limit(n, k, monkeypatch):
+    """With a block limit of one candidate test, every unit is enumerated on its own; the matrices, buckets
+    and node counts are unchanged, unbudgeted and at a budget that stops halfway."""
+    full = root_hadamard_enumerate(n, k)
+    half = root_hadamard_enumerate(n, k, budget=max(1, full.nodes_used // 2))
+    monkeypatch.setattr(search_mod, "_BLOCK", 1)
+    for ours, theirs in ((root_hadamard_enumerate(n, k), full),
+                         (root_hadamard_enumerate(n, k, budget=max(1, full.nodes_used // 2)), half)):
+        assert [m.tobytes() for m in ours.matrices] == [m.tobytes() for m in theirs.matrices]
+        assert (ours.buckets, ours.nodes_used, ours.complete) == (theirs.buckets, theirs.nodes_used, theirs.complete)
+
+
 def _recursive_cliques(adj, size, nodes, start=None):
     """Reference for `cliques`: the walker that recurses into every vertex, leaves and empty masks too,
-    adding one to `nodes.used` per vertex it tries."""
-    rows = _bitsets(adj) if isinstance(adj, np.ndarray) else adj
+    adding one to `nodes.used` per vertex it tries; `start` is a bitset of the vertices it draws from."""
+    rows = _bitsets(adj)
     out: list[list[int]] = []
 
     def extend(chosen: list[int], mask: int) -> None:
@@ -402,18 +443,20 @@ def _dense_table(n: int, k: int, target: int) -> np.ndarray:
 
 
 def _kernel_lookups(n: int, k: int) -> list[tuple]:
-    """(target, rows, cols, bits) from both kernels, on the lists the stages give them."""
+    """(target, rows, cols, (indptr, indices), upper) from both kernels, on the lists the stages give them;
+    `upper` marks the orbit kernel's rows, which hold only the columns above their own position."""
     orth, unb = _difference_tables(n, k)
     orth_rows = _digit_matrix(orth, n, k)
     hadamard_cols = _digit_matrix(np.concatenate(([0], orth)), n, k)  # the Hadamard stage's list
     base = _digit_matrix(unb, n, k)
-    lookups = [(target, rows, cols, _difference_bits(target, rows, cols, k))
+    lookups = [(target, rows, cols, _difference_bits(target, rows, cols, k), False)
                for target, rows, cols in ((0, orth_rows, orth_rows), (n, orth_rows, base), (0, base, base),
                                           (n, hadamard_cols, base))]
     # both lists are closed under digit permutations, so the orbit kernel gives their rows against themselves
-    lookups += [(target, cols, cols, _orbit_bits(target, cols, k)) for target in (0, n) for cols in (hadamard_cols, base)]
+    lookups += [(target, cols, cols, _orbit_bits(target, cols, k), True)
+                for target in (0, n) for cols in (hadamard_cols, base)]
     every = _digit_matrix(np.arange(k ** (n - 1)), n, k)  # misses too, and pairs when a hit array is empty
-    lookups += [(target, every[:3], every, _difference_bits(target, every[:3], every, k)) for target in (0, n)]
+    lookups += [(target, every[:3], every, _difference_bits(target, every[:3], every, k), False) for target in (0, n)]
     return lookups
 
 
@@ -422,19 +465,21 @@ def _kernel_lookups(n: int, k: int) -> list[tuple]:
 def test_difference_bits_match_per_pair_lookup(n, k):
     tables = {target: _dense_table(n, k, target) for target in (0, n)}
     weights = k ** np.arange(n - 1)
-    for target, rows, cols, bits in _kernel_lookups(n, k):
-        assert len(bits) == len(rows)
-        for r, row_bits in zip(rows, bits):
-            expected = tables[target][((cols.astype(int) - r) % k) @ weights]
-            assert row_bits == sum(1 << int(j) for j in np.flatnonzero(expected))
+    for target, rows, cols, (indptr, indices), upper in _kernel_lookups(n, k):
+        assert len(indptr) == len(rows) + 1 and indptr[0] == 0 and indptr[-1] == len(indices)
+        for i, r in enumerate(rows):
+            expected = np.flatnonzero(tables[target][((cols.astype(int) - r) % k) @ weights])
+            if upper:
+                expected = expected[expected > i]
+            assert indices[indptr[i]:indptr[i + 1]].tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("n,k", [(4, 4), (3, 6), (6, 4), (5, 12), (3, 4)])
 def test_difference_bits_are_decided_by_membership(n, k, monkeypatch):
-    """With a margin that lets every pair past the float prescreen, the exact membership alone gives the same bits."""
-    expected = [bits for *_, bits in _kernel_lookups(n, k)]
+    """With a margin that lets every pair past the float prescreen, the exact membership alone gives the same hits."""
+    expected = [[a.tolist() for a in hits] for *_, hits, _ in _kernel_lookups(n, k)]
     monkeypatch.setattr(search_mod, "_PRESCREEN_MARGIN", np.inf)
-    assert [bits for *_, bits in _kernel_lookups(n, k)] == expected
+    assert [[a.tolist() for a in hits] for *_, hits, _ in _kernel_lookups(n, k)] == expected
 
 
 def _one_orbit(cols: np.ndarray, row: int) -> np.ndarray:
@@ -449,8 +494,11 @@ def test_orbit_bits_of_a_union_of_orbits():
     orbits = np.concatenate([_one_orbit(cols, 0), _one_orbit(cols, 1), _one_orbit(cols, len(cols) - 1)])
     union = cols[np.sort(orbits)]
     assert len(union) > 3
-    assert _orbit_bits(0, union, 12) == _difference_bits(0, union, union, 12)
-    assert _orbit_bits(0, cols[:0], 12) == []
+    indptr, indices = _difference_bits(0, union, union, 12)
+    dense = np.zeros((len(union), len(union)), dtype=bool)
+    dense[np.repeat(np.arange(len(union)), np.diff(indptr)), indices] = True
+    assert [a.tolist() for a in _orbit_bits(0, union, 12)] == [a.tolist() for a in _upper_csr(dense)]
+    assert [a.tolist() for a in _orbit_bits(0, cols[:0], 12)] == [[0], []]
 
 
 @pytest.mark.parametrize("how", ["a row missing", "every other row", "an orbit and a stray row",
@@ -460,11 +508,12 @@ def test_orbit_bits_of_a_list_not_closed_under_digit_permutations(how):
     cols = _digit_matrix(np.concatenate(([0], orth)), 6, 12)
     orbit = _one_orbit(cols, 1)
     assert len(orbit) > 1
+    stray = _difference_bits(0, cols[orbit[:1]], cols, 12)[1][-1]  # the last column orthogonal to orbit[0]
     rows = {
         "a row missing": np.delete(cols, orbit[-1], axis=0),
         "every other row": cols[::2],
         # the stray row is orthogonal to a member of the orbit, so the list's rows are not all empty
-        "an orbit and a stray row": cols[np.sort(np.append(orbit, _members(_orbit_bits(0, cols, 12)[orbit[0]])[-1]))],
+        "an orbit and a stray row": cols[np.sort(np.append(orbit, stray))],
         "decreasing order": cols[::-1],
         "a row twice": np.insert(cols, 1, cols[1], axis=0),
     }[how]
@@ -543,7 +592,8 @@ def test_difference_tables_match_full_scan(n, k):
 
 def test_hadamard_stage_keeps_no_dense_table():
     """The verdicts are kept as their hit arrays alone: about 0.2 MB at k = 24, where two bool tables over
-    every difference vector took 16 MB, and the stage's working set stays at a few chunks and bitset rows."""
+    every difference vector took 16 MB, and the stage's working set stays at a few chunks and its sorted
+    neighbour arrays."""
     search_mod._difference_tables.cache_clear()
     tracemalloc.start()
     try:
@@ -649,19 +699,24 @@ def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]
     h1_cols = h1[:, 1:, 1:].transpose(0, 2, 1).reshape(-1, n - 1)
     # distinct columns by candidate index; which[u] locates unit u's H1 columns among them
     _, first_at, which = np.unique(h1_cols @ k ** np.arange(n - 1), return_index=True, return_inverse=True)
-    unbiased = _difference_bits(n, h1_cols[first_at], base, k)
+    indptr, indices = _difference_bits(n, h1_cols[first_at], base, k)
+    unbiased = [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in range(len(first_at))]
     which = which.reshape(len(tuples), n - 1)
 
     def extensions(unit: int) -> list[tuple]:
-        cand = _members(reduce(and_, (unbiased[i] for i in which[unit])))
+        cand = sorted(set.intersection(*(unbiased[i] for i in which[unit])))
         for mat in tuples[unit][1:]:
-            keep = reduce(and_, _difference_bits(n, mat[1:].T, base[cand], k))
-            cand = [cand[i] for i in _members(keep)]
+            indptr, indices = _difference_bits(n, mat[1:].T, base[cand], k)
+            keep = set(range(len(cand))).intersection(*(indices[indptr[i]:indptr[i + 1]].tolist()
+                                                        for i in range(len(indptr) - 1)))
+            cand = [cand[i] for i in sorted(keep)]
         if len(cand) < n:  # no n-clique can come of fewer candidates
             return []
         cols = base[cand]
-        adj = _difference_bits(0, cols, cols, k)
-        return [(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n)]
+        indptr, indices = _difference_bits(0, cols, cols, k)
+        adj = np.zeros((len(cand), len(cand)), dtype=bool)
+        adj[np.repeat(np.arange(len(cand)), np.diff(indptr)), indices] = True
+        return [(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n).tolist()]
 
     return loop.run(len(tuples), n, extensions, prior=prior)
 
