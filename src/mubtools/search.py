@@ -40,17 +40,19 @@ onto the rest of its orbit: at k = 12 the 2,184 triplet units fall into 28
 orbits.
 
 The three stages (Hadamards, triplets, quartets) split their work into
-independent units and run them through one loop (`_UnitLoop`).  A node budget
-bounds the nodes of the stage that was asked for; it is checked before each
-unit, never inside one, so a run overruns it by at most one unit, and a budget
-of at least 1 always completes a pending unit.  The earlier stages that stage
-needs run in full, and the reported node count adds theirs to its own.  If a
-`checkpoint_path` is given, the completed units and their results are written
-there, and passing that path back as `resume_token` skips those units and
-returns the full answer of an uninterrupted run.  The checkpoint format, and
-the checks a checkpoint must pass before it is resumed, are in `io`
-(`checkpoint_text`, `read_checkpoint`); this module only writes the file, by
-an atomic replace.
+independent units in groups that share work (a block of Hadamard units, an
+orbit of tuples) and run them through one loop (`_UnitLoop`), which runs a
+group once, at its first pending unit, and charges each unit its own nodes.  A
+node budget bounds the nodes of the stage that was asked for; it is checked
+before each unit, never inside one, so a run overruns it by at most one unit,
+and a budget of at least 1 always completes a pending unit.  The earlier
+stages that stage needs run in full, and the reported node count adds theirs
+to its own.  If a `checkpoint_path` is given, the completed units and their
+results are written there, and passing that path back as `resume_token` skips
+those units and returns the full answer of an uninterrupted run.  The
+checkpoint format, and the checks a checkpoint must pass before it is resumed,
+are in `io` (`checkpoint_text`, `read_checkpoint`); this module only writes
+the file, by an atomic replace, never over a device or a pipe.
 """
 
 from __future__ import annotations
@@ -371,9 +373,9 @@ def _orbit_bits(target: int, cols: np.ndarray, k: int) -> tuple[np.ndarray, np.n
 
 
 def _exponent_matrix(cols: np.ndarray) -> np.ndarray:
-    """Exponent matrix whose j-th column is the dephased digit row cols[j] (row 0 is zero)."""
-    mat = np.zeros((cols.shape[1] + 1, len(cols)), dtype=np.int16)
-    mat[1:] = cols.T
+    """Exponent matrices, one per leading index, whose column j is the dephased digit row cols[..., j, :]."""
+    mat = np.zeros((*cols.shape[:-2], cols.shape[-1] + 1, cols.shape[-2]), dtype=np.int16)
+    mat[..., 1:, :] = np.swapaxes(cols, -1, -2)
     return mat
 
 
@@ -399,6 +401,8 @@ def _write_atomic(path: str, text: str) -> None:
 
     An error in making the temporary file names `path`, not the temporary file.
     """
+    if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe: os.replace would destroy it
+        raise OSError(f"not a regular file: {path}")
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     except OSError as exc:
@@ -421,9 +425,9 @@ class _UnitLoop:
 
     Creating the loop validates the resume token; run() then walks the units
     in order and takes stored results for units a checkpoint already holds.
-    Every other unit runs whole if `used` is below the budget before it starts;
-    `used` counts this stage's nodes: `unit_cost` per unit run, plus what the
-    unit adds (a Hadamard unit adds the vertices its clique enumeration tries).
+    Every other unit counts only if this stage's nodes are below the budget
+    when the loop reaches it; its group runs once, at its first pending unit,
+    and the loop charges each unit its own nodes.
     """
 
     def __init__(self, depth: str, n: int, k: int, budget: int | None,
@@ -435,26 +439,35 @@ class _UnitLoop:
         self.spec = SearchSpec(n=n, k=k, depth=depth)
         self.done = read_checkpoint(resume_token, asdict(self.spec)) if resume_token else {}
         self.limit = budget
-        self.used = 0
         self.checkpoint_path = checkpoint_path
 
-    def run(self, n_units: int, unit_cost: int, run_unit, prior=None) -> SearchOutcome:
-        """run_unit(u) returns unit u's results.
+    def run(self, group_of: list, run_group, prior=None) -> SearchOutcome:
+        """Unit u is in group group_of[u]; run_group(units) runs units of one group, returning {unit: (results, nodes)}.
 
-        `prior` is the earlier stage's outcome: its nodes are added to the
-        reported `nodes_used` but never charged to the budget, and an
-        incomplete prior makes this stage incomplete too.
+        The first pending unit of a group calls run_group once, with the units
+        of the group that the checkpoint does not hold.  `prior` is the earlier
+        stage's outcome: its nodes are added to the reported `nodes_used` but
+        never charged to the budget, and an incomplete prior makes this stage
+        incomplete too.
         """
         complete = prior is None or prior.complete
+        pending: dict[int, list[int]] = {}
+        for unit, group in enumerate(group_of):
+            if unit not in self.done:
+                pending.setdefault(group, []).append(unit)
+        ran: dict[int, tuple[list, int]] = {}  # units whose group has run and that the loop has not reached
+        used = 0
         completed: list[tuple[int, list]] = []
-        for unit in range(n_units):
+        for unit, group in enumerate(group_of):
             found = self.done.get(unit)
             if found is None:
-                if self.limit is not None and self.used >= self.limit:
+                if self.limit is not None and used >= self.limit:
                     complete = False
                     break
-                self.used += unit_cost
-                found = run_unit(unit)
+                if unit not in ran:
+                    ran.update(run_group(pending.pop(group)))
+                found, nodes = ran.pop(unit)
+                used += nodes
             completed.append((unit, found))
         token = None
         if not complete and self.checkpoint_path:
@@ -464,7 +477,7 @@ class _UnitLoop:
             spec=self.spec,
             results=[r for _, found in completed for r in found],
             complete=complete,
-            nodes_used=self.used + (prior.nodes_used if prior is not None else 0),
+            nodes_used=used + (prior.nodes_used if prior is not None else 0),
             resume_token=token,
         )
 
@@ -498,11 +511,11 @@ def root_hadamard_enumerate(
     Work is split into units by the first chosen column; a unit costs one
     node plus one per vertex a depth-first walk from that column would try,
     the number of cliques of sizes 2..n-1 with that column as least vertex.
-    The units' cliques are enumerated a block at a time, about _BLOCK
-    candidate tests of the enumeration's second level, and each unit is
-    charged its own count when the loop reaches it.  On budget exhaustion a
-    checkpoint is written only if `checkpoint_path` is given; a run resumed
-    from it (resume_token) returns every matrix an uninterrupted run returns.
+    The groups are fixed blocks of about _BLOCK candidate tests of the
+    enumeration's second level, cut from the first unit on; a block's pending
+    units' cliques are enumerated together.  On budget exhaustion a checkpoint
+    is written only if `checkpoint_path` is given; a run resumed from it
+    (resume_token) returns every matrix an uninterrupted run returns.
     """
     loop = _UnitLoop("hadamards", n, k, budget, checkpoint_path, resume_token)
     orth, _ = _difference_tables(n, k)
@@ -513,27 +526,20 @@ def root_hadamard_enumerate(
     # the second level's candidate tests of each edge (f, w): the smaller of f's neighbours after w and w's above it
     after = np.repeat(indptr[1:], degree) - np.arange(len(indices)) - 1
     tests = np.concatenate(([0], np.cumsum(np.minimum(after, degree[indices]))))[indptr]  # of the rows before each
-    lo = hi = 0  # the units whose first columns are lo..hi-1 have been enumerated
-    nodes = bounds = block = None
+    starts = [1]  # the first columns of the blocks; unit u's first column is u + 1
+    while starts[-1] < len(cols):
+        last = int(np.searchsorted(tests, tests[starts[-1]] + _BLOCK, side="right")) - 1
+        starts.append(min(len(cols), max(starts[-1] + 1, last)))
 
-    def matrices_from(unit: int) -> list[np.ndarray]:
-        nonlocal lo, hi, nodes, bounds, block
-        first = unit + 1
-        if not lo <= first < hi:  # enumerate the units from this one on, up to about _BLOCK candidate tests
-            lo = first
-            hi = min(len(cols), max(first + 1, int(np.searchsorted(tests, tests[first] + _BLOCK, side="right")) - 1))
-            counts = np.zeros(hi - lo, dtype=np.int64)
-            found = cliques(adj, n - 1, np.arange(lo, hi), counts)
-            members = np.zeros((len(found), n), dtype=np.intp)
-            members[:, 1:] = found
-            block = np.zeros((len(found), n, n), dtype=np.int16)  # column j of a matrix is cols[members[j]]
-            block[:, 1:] = cols[members].transpose(0, 2, 1)
-            nodes, bounds = counts.tolist(), np.searchsorted(found[:, 0], np.arange(lo, hi + 1)).tolist()
-        at = first - lo
-        loop.used += nodes[at]  # the vertices a depth-first walk of this unit tries
-        return list(block[bounds[at]:bounds[at + 1]])
+    def block_matrices(units: list[int]) -> dict[int, tuple[list, int]]:
+        first = np.array(units) + 1
+        nodes = np.ones(len(units), dtype=np.int64)  # the unit itself, then the vertices its walk tries
+        found = cliques(adj, n - 1, first, nodes)
+        mats = _exponent_matrix(cols[np.insert(found, 0, 0, axis=1)])  # column 0 is cols[0], the all-ones column
+        bounds = np.searchsorted(found[:, 0], np.append(first, len(cols))).tolist()  # the units' ranges in mats
+        return {u: (list(mats[lo:hi]), cost) for u, lo, hi, cost in zip(units, bounds, bounds[1:], nodes.tolist())}
 
-    outcome = loop.run(len(cols) - 1, 1, matrices_from)
+    outcome = loop.run(np.repeat(np.arange(len(starts) - 1), np.diff(starts)).tolist(), block_matrices)
     mats = np.array(outcome.results, dtype=np.int16).reshape(-1, n, n)  # one array for the stage; the units' are freed
     outcome.results = list(mats)
     return HadamardEnumeration(**vars(outcome), buckets=_haagerup_buckets(mats, k))
@@ -633,72 +639,65 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     Permuting the digit positions (rows 1..n-1 of every matrix) keeps every
     orthogonality and unbiasedness, so it maps a tuple's extensions onto the
     extensions of the permuted tuple.  The units are joined into orbits by
-    the n - 2 adjacent transpositions of digit positions, matched by the
-    sorted column sets the step reads (`_column_keys`); a permuted tuple that
-    is not in the list is no edge, so any list of tuples may be given.  Only
-    the least unit of each orbit, its representative, is solved: its
-    extensions are cached as cliques of base positions, and every unit maps
-    its representative's cliques through its own digit permutation and sorts
-    them into the order a direct solve gives.  Only the first H1 column of
-    each representative gets a full base-set row; the tuple's other columns
-    are checked against the candidates it leaves.  A representative that a
-    resumed checkpoint already holds is solved again inside the first unit
-    of its orbit that needs it.
+    the n - 2 adjacent transpositions of digit positions: a unit's image is
+    the unit with the same sorted column set (`_column_keys`), matched in one
+    lexsort of the keys and their images, and a permuted tuple that is not in
+    the list is no edge, so any list of tuples may be given.  Each orbit is a
+    group; pointer jumping up its tree (`_orbit_forest`) gives each unit its
+    root, the representative, and its digit permutation from it.  The group
+    solves the representative once (its first H1 column's row over the base
+    set, then its other columns against those candidates alone) and maps its
+    extensions, cliques of base positions, through each pending unit's
+    permutation into the order a direct solve gives.  A unit costs n nodes.
     """
     n, k = loop.spec.n, loop.spec.k
     # a candidate's difference to the all-ones column is itself, so the base set is the unbiased hits
     _, base_idx = _difference_tables(n, k)
     base = _digit_matrix(base_idx, n, k)
     weights = k ** np.arange(n - 1, dtype=np.int64)
-    mats = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(tuples[0]) if tuples else 1, n, n)
-    keys = _column_keys(mats, weights)
-    unit_of = {key.tobytes(): unit for unit, key in enumerate(keys)}
-    images = []
-    for i in range(n - 2):  # swapping digit positions i and i + 1 swaps their weights
-        swapped = weights.copy()
-        swapped[[i, i + 1]] = weights[[i + 1, i]]
-        images.append([unit_of.get(key.tobytes(), -1) for key in _column_keys(mats, swapped)])
-    parent, via = (forest.tolist() for forest in _orbit_forest(len(tuples), *images))
-    reps = [unit for unit in range(len(tuples)) if parent[unit] < 0]
-    # distinct first H1 columns of the representatives; which[r] locates representative r's among them
-    firsts, which = np.unique(keys[reps, 0], return_inverse=True)
+    count = len(tuples)
+    mats = np.array(tuples, dtype=np.int64).reshape(count, len(tuples[0]) if tuples else 1, n, n)
+    moves = np.tile(np.arange(n - 1), (n - 1, 1))  # row 0 moves no digit; row i + 1 swaps digit positions i and i + 1
+    for i in range(n - 2):
+        moves[i + 1, [i, i + 1]] = i + 1, i
+    # the units' keys, then their images under each transposition: a move of the digits moves their weights
+    keyed = np.concatenate([_column_keys(mats, weights[move]) for move in moves])
+    order = np.lexsort(keyed.T)  # stable: equal rows stay in increasing index order
+    begins = np.any(np.diff(keyed[order], axis=0, prepend=-1), axis=1)  # a run of equal rows; keys are >= 0
+    least = np.empty(len(keyed), dtype=np.intp)  # each row's least equal row: a unit, if any unit has that key
+    least[order] = order[begins][np.cumsum(begins) - 1]
+    parent, via = _orbit_forest(count, *np.where(least < count, least, -1)[count:].reshape(n - 2, count))
+    keys = keyed[:count].copy()  # only the units' own keys stay alive while the orbits are solved
+    keyed = order = begins = least = None
+    rep = np.where(parent < 0, np.arange(count), parent)
+    perm = moves[via + 1]  # a unit's digits are its representative's digits[..., perm]; a root has via -1
+    while np.any(rep[rep] != rep):  # perm[u] = perm[rep[u]][perm[u]], up to the root in doubling steps
+        perm = np.take_along_axis(perm[rep], perm, axis=1)
+        rep = rep[rep]
+    placed = weights[np.argsort(perm, axis=1)]  # a unit's candidate index of a representative's digit row
+    # the representatives' distinct first H1 columns; first_of[u] locates unit u's representative's among them
+    firsts, first_of = np.unique(keys[rep, 0], return_inverse=True)
     unb_ptr, unb_hits = _difference_bits(n, _digit_matrix(firsts, n, k), base, k)
-    which = dict(zip(reps, which.tolist()))
-    solved: dict[int, np.ndarray] = {}
 
-    def solve(rep: int) -> np.ndarray:
-        """The representative's extensions, as cliques of base positions in lexicographic order."""
-        cand = unb_hits[unb_ptr[which[rep]]:unb_ptr[which[rep] + 1]]
-        rest_ptr, rest_hits = _difference_bits(n, _digit_matrix(keys[rep, 1:], n, k), base[cand], k)
+    def orbit_extensions(units: list[int]) -> dict[int, tuple[list, int]]:
+        key, at = keys[rep[units[0]]], first_of[units[0]]
+        cand = unb_hits[unb_ptr[at]:unb_ptr[at + 1]]
+        rest_ptr, rest_hits = _difference_bits(n, _digit_matrix(key[1:], n, k), base[cand], k)
         cand = cand[np.bincount(rest_hits, minlength=len(cand)) == len(rest_ptr) - 1]  # a hit of every other column
+        extended = {unit: ([], n) for unit in units}
         if len(cand) < n:  # no n-clique can come of fewer candidates
-            return np.empty((0, n), dtype=np.int64)
-        cols = base[cand]
-        indptr, indices = _difference_bits(0, cols, cols, k)
+            return extended
+        indptr, indices = _difference_bits(0, base[cand], base[cand], k)
         rows = np.repeat(np.arange(len(cand)), np.diff(indptr))
         above = indices > rows
-        return cand[cliques(_csr(rows[above], indices[above], len(cand)), n)]
+        found = base[cand[cliques(_csr(rows[above], indices[above], len(cand)), n)]]
+        for unit in units if len(found) else ():  # an orbit with no extensions maps nothing
+            members = np.sort(np.searchsorted(base_idx, found @ placed[unit]), axis=1)
+            members = members[np.lexsort(members.T[::-1])]
+            extended[unit] = ([(*tuples[unit], mat) for mat in _exponent_matrix(base[members])], n)
+        return extended
 
-    def extensions(unit: int) -> list[tuple]:
-        rep, swaps = unit, []
-        while parent[rep] >= 0:
-            swaps.append(via[rep])
-            rep = parent[rep]
-        if rep not in solved:
-            solved[rep] = solve(rep)
-        found = solved[rep]
-        if not len(found):
-            return []
-        perm = list(range(n - 1))  # the unit's digits are the representative's digits[..., perm]
-        for i in reversed(swaps):  # from the representative down to the unit
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        mapped = np.empty_like(weights)
-        mapped[perm] = weights
-        found = np.sort(np.searchsorted(base_idx, base[found] @ mapped), axis=1)
-        found = found[np.lexsort(found.T[::-1])]
-        return [(*tuples[unit], _exponent_matrix(base[members])) for members in found]
-
-    return loop.run(len(tuples), n, extensions, prior=prior)
+    return loop.run(rep.tolist(), orbit_extensions, prior=prior)
 
 
 def mub_triplet_search(

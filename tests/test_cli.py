@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -383,6 +384,19 @@ def test_checkpoint_in_a_missing_directory_names_the_path(tmp_path, monkeypatch,
     assert captured.out == ""
     assert captured.err == f"error: cannot write: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_checkpoint_over_a_pipe_is_refused(tmp_path, monkeypatch, capsys):
+    """A checkpoint path that is not a regular file, such as a pipe or a device, exits 4 and is left as it is."""
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "pipe")
+    os.mkfifo(path)
+    assert main(["search", "hadamards", "--n", "3", "--k", "3", "--budget", "1", "--checkpoint", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write: not a regular file: {path}\n"
+    assert stat.S_ISFIFO(os.stat(path).st_mode) and os.listdir(tmp_path) == ["pipe"]
 
 
 # each budget lies below the node count of its stage alone at (5, 5): 90, 30 and 120

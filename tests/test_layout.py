@@ -5,7 +5,8 @@
 - the package directory holds Python modules only, no data files;
 - every function parameter is read by its function;
 - every module-level private function or class is read somewhere else in the package;
-- every import sits at module level, none inside a function body.
+- every import sits at module level, none inside a function body;
+- only the search's `_UnitLoop` writes an attribute named `used`: it alone charges nodes to a budget.
 """
 
 import ast
@@ -131,3 +132,25 @@ def test_a_function_local_import_is_found():
     tree = ast.parse("import os\ndef f():\n    from .a import b\n    return b\n"
                      "class C:\n    def g(self):\n        if True:\n            import sys\n")
     assert _imports_in_functions(tree) == ["f line 3", "g line 8"]
+
+
+def _used_writes_outside_the_unit_loop(tree: ast.Module) -> list[str]:
+    """Writes to an attribute named `used` (assigned, augmented, unpacked into or deleted) outside any
+    class `_UnitLoop`, as "line N"."""
+    inside = {id(n) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "_UnitLoop"
+              for n in ast.walk(node)}
+    return [f"line {n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "used"
+            and isinstance(n.ctx, (ast.Store, ast.Del)) and id(n) not in inside]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_the_unit_loop_charges_nodes(path):
+    """A stage that added to a loop's node count from inside a unit would bypass the one charging rule."""
+    assert _used_writes_outside_the_unit_loop(_tree(path)) == []
+
+
+def test_a_used_write_outside_the_unit_loop_is_found():
+    tree = ast.parse("class _UnitLoop:\n    def run(self):\n        self.used = 0\n        self.used += 1\n"
+                     "def stage(loop):\n    loop.used += 3\n    a, loop.used = 1, 2\n    return loop.used\n"
+                     "class Other:\n    def f(self):\n        del self.used\n")
+    assert _used_writes_outside_the_unit_loop(tree) == ["line 6", "line 7", "line 11"]

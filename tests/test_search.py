@@ -1,6 +1,8 @@
 import errno
 import gc
 import os
+import re
+import stat
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -360,20 +362,18 @@ class TestCliques:
                 continue
             unit_nodes = []
 
-            def unit(first, loop):
-                nodes = np.zeros(1, dtype=np.int64)
+            def unit(units):
+                (first,) = units  # each unit is a group of its own
+                nodes = np.ones(1, dtype=np.int64)
                 found = cliques(csr, size, np.array([first]), nodes).tolist()
-                loop.used += int(nodes[0])
-                unit_nodes.append(int(nodes[0]) + 1)
-                return found
+                unit_nodes.append(int(nodes[0]))
+                return {first: (found, int(nodes[0]))}
 
-            full_loop = _UnitLoop("hadamards", 2, 2, None, None, None)
-            full = full_loop.run(m, 1, lambda u: unit(u, full_loop))
+            full = _UnitLoop("hadamards", 2, 2, None, None, None).run(list(range(m)), unit)
             assert full.complete and full.results == cliques(adj, size).tolist()
             for limit in range(1, full.nodes_used + 1):
                 unit_nodes.clear()
-                loop = _UnitLoop("hadamards", 2, 2, limit, None, None)
-                outcome = loop.run(m, 1, lambda u: unit(u, loop))
+                outcome = _UnitLoop("hadamards", 2, 2, limit, None, None).run(list(range(m)), unit)
                 assert outcome.results == full.results[:len(outcome.results)], (size, limit)
                 assert unit_nodes and outcome.nodes_used == sum(unit_nodes), (size, limit)
                 if not outcome.complete:
@@ -690,6 +690,59 @@ def test_budget_below_one_is_rejected(run, budget):
         run(budget)
 
 
+def test_unit_loop_runs_each_group_once_with_the_units_the_checkpoint_lacks(tmp_path):
+    """A group runs once per run, when the loop reaches its first pending unit, with its pending units only;
+    a group the checkpoint holds whole never runs, and each unit is charged its own nodes."""
+    group_of = [0, 1, 0, 2, 1, 2, 2, 3, 3]  # the groups interleave
+    calls = []
+
+    def run_group(units):
+        calls.append(units)
+        return {unit: ([], unit + 1) for unit in units}
+
+    path = str(tmp_path / "run.checkpoint.json")
+    partial = _UnitLoop("hadamards", 2, 2, 7, path, None).run(group_of, run_group)
+    assert calls == [[0, 2], [1, 4], [3, 5, 6]]  # units 0..3 cost 1 + 2 + 3 + 4 nodes; the budget stops at unit 4
+    assert not partial.complete and partial.nodes_used == 10
+    calls.clear()
+    resumed = _UnitLoop("hadamards", 2, 2, None, None, path).run(group_of, run_group)
+    assert calls == [[4], [5, 6], [7, 8]]  # group 0 is held whole
+    assert resumed.complete and resumed.nodes_used == sum(range(5, 10))
+
+
+def test_hadamard_resume_from_inside_a_block(tmp_path, monkeypatch):
+    """A resumed Hadamard run that starts inside a block enumerates the rest of that block, then the blocks
+    of a fresh run, and gives the matrices, buckets and nodes of an uninterrupted run."""
+    n, k = 6, 12
+    blocks = []
+    monkeypatch.setattr(search_mod, "cliques", lambda adj, size, start=None, nodes=None:
+                        blocks.append(start.tolist()) or cliques(adj, size, start, nodes))
+    full = root_hadamard_enumerate(n, k)
+    fresh = blocks[:]
+    path = str(tmp_path / "run.checkpoint.json")
+    partial = root_hadamard_enumerate(n, k, budget=full.nodes_used // 3, checkpoint_path=path)
+    cut = len(_UnitLoop("hadamards", n, k, None, None, path).done) + 1  # unit u's first column is u + 1
+    within = [block for block in fresh if block[0] < cut <= block[-1]]
+    assert within  # the case this test is about: the partial run stopped inside a block
+    blocks.clear()
+    resumed = root_hadamard_enumerate(n, k, resume_token=path)
+    assert blocks == [[c for c in within[0] if c >= cut], *fresh[fresh.index(within[0]) + 1:]]
+    assert [m.tobytes() for m in resumed.matrices] == [m.tobytes() for m in full.matrices]
+    assert (resumed.buckets, resumed.complete) == (full.buckets, True)
+    assert partial.nodes_used + resumed.nodes_used == full.nodes_used
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_checkpoint_path_that_is_not_a_regular_file_is_left_alone(tmp_path):
+    """Writing a checkpoint over a pipe (or a device) would replace it with a regular file: it is refused."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError, match=re.escape(f"not a regular file: {fifo}")):
+        root_hadamard_enumerate(3, 3, budget=1, checkpoint_path=str(fifo))
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
 def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> SearchOutcome:
     """Reference for `_extend`: every unit solved on its own, with full base-set rows for every H1 column."""
     n, k = loop.spec.n, loop.spec.k
@@ -703,7 +756,8 @@ def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]
     unbiased = [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in range(len(first_at))]
     which = which.reshape(len(tuples), n - 1)
 
-    def extensions(unit: int) -> list[tuple]:
+    def extensions(units: list[int]) -> dict[int, tuple[list, int]]:
+        (unit,) = units  # each unit is a group of its own
         cand = sorted(set.intersection(*(unbiased[i] for i in which[unit])))
         for mat in tuples[unit][1:]:
             indptr, indices = _difference_bits(n, mat[1:].T, base[cand], k)
@@ -711,14 +765,14 @@ def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]
                                                         for i in range(len(indptr) - 1)))
             cand = [cand[i] for i in sorted(keep)]
         if len(cand) < n:  # no n-clique can come of fewer candidates
-            return []
+            return {unit: ([], n)}
         cols = base[cand]
         indptr, indices = _difference_bits(0, cols, cols, k)
         adj = np.zeros((len(cand), len(cand)), dtype=bool)
         adj[np.repeat(np.arange(len(cand)), np.diff(indptr)), indices] = True
-        return [(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n).tolist()]
+        return {unit: ([(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n).tolist()], n)}
 
-    return loop.run(len(tuples), n, extensions, prior=prior)
+    return loop.run(list(range(len(tuples))), extensions, prior=prior)
 
 
 def _assert_same_outcome(ours: SearchOutcome, theirs: SearchOutcome) -> None:
