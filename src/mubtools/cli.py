@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scan", help="parameter scans over catalog families")
     sc.add_argument("family", choices=("h4", "f6", "bn"))
     sc.add_argument("--points", type=_positive_int, default=360)
-    sc.add_argument("--extension-m", type=int)
+    sc.add_argument("--extension-m", type=_int_at_least(2))
     sc.add_argument("--seeds", type=_positive_int, default=2)
     sc.add_argument("--seed", type=_non_negative_int, default=0)
     sc.add_argument("--iterations", type=_positive_int, default=4000)

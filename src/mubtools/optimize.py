@@ -84,13 +84,24 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _ascent_direction(
-    g: np.ndarray, dev: np.ndarray, n: int, lo: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Squared norm |A|^2 of the skews A of the slots i >= lo, and the eigendecomposition
-    (w, v) of -iA, which every trial step from this state reuses; |A|^2 = sum w^2."""
-    w, v = np.linalg.eigh(-1j * _ascent_skews(g, dev, n, lo))
-    flat = w.ravel()
-    return float(flat @ flat), w, v
+    a: np.ndarray, previous: tuple[np.ndarray, float, np.ndarray] | None
+) -> tuple[np.ndarray, float, float]:
+    """Polak-Ribiere+ direction D for the gradient skews A, with |A|^2 and the slope <A, D>.
+
+    `previous` is (A_prev, |A_prev|^2, D_prev) of the last accepted state, or
+    None.  D = A + beta D_prev with beta = max(0, <A, A - A_prev> / |A_prev|^2),
+    D_prev carried over unchanged (the skews live in one Lie algebra).  When
+    that D is not an ascent direction, <A, D> <= 0, it restarts as D = A.
+    """
+    a_sq = float(np.vdot(a, a).real)
+    if previous is not None:
+        a_prev, a_prev_sq, d_prev = previous
+        beta = max(0.0, (a_sq - float(np.vdot(a_prev, a).real)) / a_prev_sq)
+        d = a + beta * d_prev
+        slope = float(np.vdot(a, d).real)
+        if slope > 0:
+            return d, a_sq, slope
+    return a, a_sq, a_sq
 
 
 STOP_REASONS = ("target", "gradient", "step-underflow", "iteration-cap")
@@ -128,14 +139,19 @@ def maximize_spread(
     """Local ascent of the spread objective over (m-1) unitaries; the first basis stays standard.
 
     Optional `frozen` matrices occupy the slots after the standard basis and
-    are never moved.  Steps follow the Riemannian gradient, U <- U exp(eps A)
-    with A the skew-Hermitian projection of U^dag grad, and eps adapted by
-    backtracking.  A step is accepted only if it raises the objective strictly
-    above f + 1e-4 eps |A|^2, so the trajectory is strictly increasing and a
-    plateau ends in a step underflow.  Each accepted state is diagonalized
-    once, -iA = V diag(w) V^dag, and every trial from it, rejected ones
-    included, retracts with exp(eps A) = V diag(exp(i eps w)) V^dag.  `target`
-    stops the run early once reached (useful for extension scans).
+    are never moved.  Steps are Riemannian conjugate gradient, U <- U exp(eps D):
+    A is the skew-Hermitian projection of U^dag grad, and D = A + beta D_prev is
+    the Polak-Ribiere+ direction of `_ascent_direction` (Abrudan, Eriksson and
+    Koivunen, Signal Processing 89, 2009), restarted as D = A whenever it is
+    not an ascent direction.  A step is accepted only if it raises the
+    objective strictly above f + 1e-4 eps <A, D>, so the trajectory is strictly
+    increasing and a plateau ends in a step underflow; eps grows by 1.3 after an
+    accepted step and halves after a rejected one.  Each accepted state is
+    diagonalized once, -iD = V diag(w) V^dag, and every trial from it, rejected
+    ones included, retracts with exp(eps D) = V diag(exp(i eps w)) V^dag.
+    `target` stops the run early once reached (useful for extension scans), and
+    `gradient` once |A|^2 < 1e-20; both are checked before the iteration cap,
+    and `trials` counts only evaluated trial steps.
     """
     if n < 2 or m < 2:
         raise InadmissibleParameterError("need n >= 2 and m >= 2")
@@ -156,25 +172,32 @@ def maximize_spread(
 
     upper = spread_upper_bound(n, m)
     f, *gram = _spread(us)
-    gnorm_sq, w, v = _ascent_direction(*gram, n, lo)
+    a = _ascent_skews(*gram, n, lo)
+    d, gnorm_sq, slope = _ascent_direction(a, None)
+    w, v = np.linalg.eigh(-1j * d)
     trajectory = [f]
     eps = INITIAL_STEP
-    stop_reason = "iteration-cap"
     trials = 0
 
-    while trials < iterations:
-        trials += 1
+    while True:
         if target is not None and f >= target:
             stop_reason = "target"
             break
         if gnorm_sq < 1e-20:
             stop_reason = "gradient"
             break
+        if trials >= iterations:
+            stop_reason = "iteration-cap"
+            break
+        trials += 1
         trial_us = np.concatenate((us[:lo], us[lo:] @ _exp_skew(w, v, eps)))
         f_trial, *gram = _spread(trial_us)
-        if f_trial > f + 1e-4 * eps * gnorm_sq:
+        if f_trial > f + 1e-4 * eps * slope:
             us, f = trial_us, f_trial
-            gnorm_sq, w, v = _ascent_direction(*gram, n, lo)
+            previous = (a, gnorm_sq, d)
+            a = _ascent_skews(*gram, n, lo)
+            d, gnorm_sq, slope = _ascent_direction(a, previous)
+            w, v = np.linalg.eigh(-1j * d)
             trajectory.append(f)
             eps = min(eps * 1.3, 2.0)
         else:

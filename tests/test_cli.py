@@ -469,12 +469,18 @@ class TestOptimizeAndScan:
         # at these points the columns of f6 are those of fourier(6) up to phase
         assert [line.split(",")[column] for line in lines[1:]] == ["0"] * 4
 
+    @pytest.mark.parametrize("value", ["1", "0", "-2"])
+    def test_scan_refuses_an_extension_below_two_bases(self, value, capsys):
+        assert main(["scan", "h4", "--points", "2", "--extension-m", value]) == 4
+        err = capsys.readouterr().err
+        assert f"argument --extension-m: expected an integer >= 2, got {value}" in err
+
     def test_optimize_downsamples_a_long_trajectory(self, tmp_path):
         out = tmp_path / "opt.json"
-        assert main(["optimize", "--n", "6", "--m", "4", "--seed", "0", "-o", str(out)]) == 0
+        assert main(["optimize", "--n", "5", "--m", "4", "--seed", "3", "-o", str(out)]) == 0
         trajectory = json.loads(out.read_text())["runs"][0]["trajectory"]
-        full = maximize_spread(6, 4, seed=0).trajectory
-        assert len(full) == 374
+        full = maximize_spread(5, 4, seed=3).trajectory
+        assert len(full) > 200
         assert len(trajectory) == 200
         assert (trajectory[0], trajectory[-1]) == (full[0], full[-1])
 

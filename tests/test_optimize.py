@@ -137,11 +137,62 @@ class TestMaximizeSpread:
         assert capped.trials == 20
         frozen = maximize_spread(2, 2, frozen=[np.eye(2)])
         assert frozen.stop_reason == "gradient" and frozen.converged
-        # a local maximum below the bound: backtracking halves the step to nothing
-        stalled = maximize_spread(6, 4, seed=0, iterations=4000)
+        assert frozen.trials == 0  # nothing is free, so no trial step is ever evaluated
+        # a local maximum below the bound: backtracking halves the step to nothing, well before the cap
+        stalled = maximize_spread(6, 4, seed=0, iterations=300)
         assert stalled.stop_reason == "step-underflow" and not stalled.converged
-        assert stalled.trials < 4000
+        assert stalled.trials < 300
+        assert stalled.objective == pytest.approx(29.948750781, abs=1e-9)
         assert {r.stop_reason for r in (reached, capped, frozen, stalled)} == set(STOP_REASONS)
+
+    def test_target_and_gradient_are_checked_before_the_cap(self, monkeypatch):
+        """`trials` counts evaluated trial steps, and a run that reaches its target on its last
+        allowed trial stops at the target, not at the cap."""
+        calls = []
+        spread = optimize._spread
+        monkeypatch.setattr(optimize, "_spread", lambda us: calls.append(1) or spread(us))
+        reached = maximize_spread(2, 3, seed=0, target=3 - 1e-9)
+        assert reached.stop_reason == "target"
+        assert reached.trials == len(calls) - 1  # every _spread call after the start is one trial
+        tight = maximize_spread(2, 3, seed=0, target=3 - 1e-9, iterations=reached.trials)
+        assert tight.stop_reason == "target" and tight.converged
+        assert (tight.trials, tight.objective) == (reached.trials, reached.objective)
+
+    def test_every_direction_ascends(self, monkeypatch):
+        """<A, D> > 0 on every accepted state, and conjugate (not steepest) directions are taken."""
+        steps = []
+
+        def recording(a, previous):
+            d, a_sq, slope = direction(a, previous)
+            steps.append((a, d, a_sq, slope))
+            return d, a_sq, slope
+
+        direction = optimize._ascent_direction
+        monkeypatch.setattr(optimize, "_ascent_direction", recording)
+        result = maximize_spread(6, 4, seed=0, iterations=300)
+        assert len(steps) == len(result.trajectory)
+        for a, d, a_sq, slope in steps:
+            assert a_sq == pytest.approx(float(np.vdot(a, a).real), rel=1e-12)
+            assert slope == pytest.approx(float(np.vdot(a, d).real), rel=1e-12)
+            assert slope > 0
+            assert np.abs(d + d.conj().swapaxes(1, 2)).max() <= 1e-12  # D stays skew-Hermitian
+        assert sum(d is not a for a, d, *_ in steps) > len(steps) // 2
+
+    def test_a_non_ascent_conjugate_direction_restarts(self):
+        """When the Polak-Ribiere+ direction points downhill, D falls back to the gradient skew A."""
+        rng = np.random.default_rng(6)
+        z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        a = 0.5 * (z - z.conj().swapaxes(1, 2))
+        a_sq = float(np.vdot(a, a).real)
+        # A_prev = -A gives beta = 2, and D_prev = -A makes A + beta D_prev = -A
+        d, got_sq, slope = optimize._ascent_direction(a, (-a, a_sq, -a))
+        assert d is a and slope == got_sq == a_sq
+        # with D_prev = A the same beta keeps the conjugate direction 3 A
+        d, _, slope = optimize._ascent_direction(a, (-a, a_sq, a))
+        assert np.abs(d - 3 * a).max() <= 1e-12 and slope == pytest.approx(3 * a_sq)
+        # beta is clipped at 0, which is steepest ascent
+        d, _, slope = optimize._ascent_direction(a, (2 * a, 4 * a_sq, a))
+        assert np.abs(d - a).max() == 0.0 and slope == pytest.approx(a_sq)
 
     def test_qubit_complete_set(self):
         result = maximize_spread(2, 3, seed=0, target=3 - 1e-9)
@@ -167,7 +218,8 @@ class TestMaximizeSpread:
         assert np.all(np.diff(result.trajectory) > 0)
 
     def test_four_point_h4_scan_never_hits_the_cap(self, monkeypatch):
-        """The 4-point extension scan of H4 ends every ascent at its target or in a step underflow."""
+        """The 4-point extension scan of H4 ends every ascent at its target or in a step underflow,
+        succeeds at phi = 0 and pi, and spends at most 1,500 trials in all."""
         results = []
 
         def recording(*args, **kwargs):
@@ -176,9 +228,11 @@ class TestMaximizeSpread:
 
         monkeypatch.setattr(optimize, "maximize_spread", recording)
         grid = np.linspace(0.0, 2 * np.pi, 4, endpoint=False).reshape(-1, 1)
-        scan_family("H4", grid, [Basis.standard(4)], extension_m=5, seeds=(0, 1, 2), iterations=3000)
+        rows = scan_family("H4", grid, [Basis.standard(4)], extension_m=5, seeds=(0, 1, 2), iterations=3000)
         assert len(results) == 8
         assert {r.stop_reason for r in results} == {"target", "step-underflow"}
+        assert [i for i, row in enumerate(rows) if row.extension_score >= 30 - 1e-6] == [0, 2]
+        assert sum(r.trials for r in results) <= 1500
 
     def test_upper_bound_never_exceeded(self):
         for seed in range(5):
