@@ -11,7 +11,7 @@ import numpy as np
 
 from . import search as search_mod
 from .catalog import bjorck_d
-from .core import DEFAULT_DEDUPE_TOL, DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance
+from .core import DEFAULT_DEDUPE_TOL, DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance, is_unbiased_pair
 from .constructions import fourier
 from .cyclotomic import _is_prime
 from .grassmann import distance_table
@@ -25,6 +25,8 @@ NEWTON_MAX_ITERATIONS = 200
 NEWTON_BATCH_SIZE = 512  # Newton starts per batch after the first, and the most rows per kernel product
 ARMIJO_CHUNKS = (1, 1, 2, 4, 8, 24)  # halvings per line-search residual call; 40 in all
 ASSEMBLY_ORTH_TOL = 1e-8  # census vectors closer to orthogonal than this are adjacent in `assemble_bases`
+ASSEMBLY_UNBIASED_TOL = Tolerance(eq_tol=1e-8)  # an assembled basis must be unbiased to standard and Fourier within this
+ROOT_TOL = 1e-8  # an entry this close to a root (times a power of d) is one, in `classify_sequence` and `entry_structure`
 CIRCULANT_TOL = 1e-6  # shift images match census members within this in `assemble_bases`
 
 
@@ -51,15 +53,15 @@ def autocorrelation(x: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(v, np.roll(v, -b)) for b in range(n)]) / n
 
 
-def classify_sequence(entries: np.ndarray, tol: float = 1e-8) -> str:
+def classify_sequence(entries: np.ndarray) -> str:
     """gaussian when every entry is a 2N-th root of unity, bjorck otherwise."""
     v = np.asarray(entries, dtype=complex)
     roots = np.exp(2j * np.pi * np.arange(2 * len(v)) / (2 * len(v)))
     dist = np.abs(v[:, None] - roots[None, :]).min(axis=1).max()
-    return GAUSSIAN if dist < tol else BJORCK
+    return GAUSSIAN if dist < ROOT_TOL else BJORCK
 
 
-def entry_structure(entries: np.ndarray, tol: float = 1e-8) -> list[str]:
+def entry_structure(entries: np.ndarray) -> list[str]:
     """Tag each entry as a 12th-root multiple of a power of d (or as 'other').
 
     Diagnostic only; the tags are recorded in census metadata, not asserted.
@@ -70,7 +72,7 @@ def entry_structure(entries: np.ndarray, tol: float = 1e-8) -> list[str]:
     for z in np.asarray(entries, dtype=complex):
         for power, tag in ((0, "root12"), (1, "d-times-root12"), (-1, "d-times-root12"),
                            (2, "d2-times-root12"), (-2, "d2-times-root12")):
-            if np.abs(z / d**power - roots12).min() < tol:
+            if np.abs(z / d**power - roots12).min() < ROOT_TOL:
                 tags.append(tag)
                 break
         else:
@@ -268,17 +270,13 @@ def _phase_residual_system(phi: np.ndarray, dft_matrix: np.ndarray):
 
 
 def _row_parts(rows: int) -> int:
-    """How many even row slices of at most NEWTON_BATCH_SIZE rows the batched kernels use."""
+    """How many even row slices of at most NEWTON_BATCH_SIZE rows the residual product uses."""
     return max(1, -(-rows // NEWTON_BATCH_SIZE))
 
 
 def _phase_jacobian(x: np.ndarray, xt: np.ndarray, q_table: np.ndarray) -> np.ndarray:
-    # d|x~_a|^2 / dphi_j = -(2/sqrt(n)) Im(conj(x~_a) x_j q^{ja}); row slices bound the (rows, n-1, n-1) temporaries
-    parts = _row_parts(len(x))
-    return np.concatenate([
-        -(2.0 / np.sqrt(x.shape[1])) * np.imag(np.conj(xts[:, 1:, None]) * xs[:, None, 1:] * q_table[None, :, :])
-        for xs, xts in zip(np.array_split(x, parts), np.array_split(xt, parts))
-    ])
+    # d|x~_a|^2 / dphi_j = -(2/sqrt(n)) Im(conj(x~_a) x_j q^{ja}); elementwise, so row slices would change no bit
+    return -(2.0 / np.sqrt(x.shape[1])) * np.imag(np.conj(xt[:, 1:, None]) * x[:, None, 1:] * q_table[None, :, :])
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -490,9 +488,8 @@ def assemble_bases(census: CensusResult) -> CensusResult:
         label = f"census-basis-{bi:02d}:{kind}:{'circulant' if circulant else 'enphased'}"
         basis = Basis(cols, label=label)
         for other in (std, fb):
-            s = np.abs(other.matrix.conj().T @ basis.matrix) ** 2
-            defect = float(np.abs(s - 1.0 / n).max())
-            if defect > 1e-8:
+            unbiased, defect = is_unbiased_pair(other, basis, ASSEMBLY_UNBIASED_TOL)
+            if not unbiased:
                 raise ValueError(f"{label} is not unbiased to {other.label}: defect {defect:.3e}")
         bases.append(basis)
         for i in clique:

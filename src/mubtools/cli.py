@@ -279,7 +279,6 @@ def _cmd_search(args) -> int:
            "quartets": search_mod.mub_quartet_search}[args.depth]
     outcome = run(args.n, args.k, budget=args.budget, resume_token=args.resume,
                   checkpoint_path=args.checkpoint or f"{args.depth}-n{args.n}-k{args.k}.checkpoint.json")
-    lines = [mio.dumps(mio.search_result_payload(item, args.k)) + "\n" for item in outcome.results]
     if args.depth == "hadamards":
         counts = {"matrices": len(outcome.results), "buckets": len(outcome.buckets)}
     else:
@@ -289,8 +288,7 @@ def _cmd_search(args) -> int:
         "complete": outcome.complete, "nodes": outcome.nodes_used,
         "resume_token": outcome.resume_token,
     }
-    lines.append(mio.dumps({"summary": summary}) + "\n")
-    _write_text(args.output, *lines)  # line by line: no copy of the whole text
+    _write_text(args.output, *mio.search_lines(outcome.results, summary))  # line by line: no copy of the whole text
     print(f"search {args.depth}: {summary}", file=sys.stderr)
     return EXIT_OK
 

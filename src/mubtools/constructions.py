@@ -12,6 +12,8 @@ from .core import Basis, InadmissibleParameterError
 from .cyclotomic import _is_prime
 from .search import cliques
 
+KS_ORTH_TOL = 1e-9  # real vectors whose inner product is this small are orthogonal in `ks_uncolourable`
+
 
 def weyl_pair(n: int) -> tuple[np.ndarray, np.ndarray, complex]:
     """Shift and clock unitaries with XZ = qZX, q = exp(2*pi*i/n).
@@ -171,7 +173,7 @@ class ColouringResult:
     colouring: tuple[int, ...] | None  # a valid colouring when one exists
 
 
-def ks_uncolourable(vectors: np.ndarray, tol: float = 1e-9) -> ColouringResult:
+def ks_uncolourable(vectors: np.ndarray) -> ColouringResult:
     """Search for a 0/1 colouring giving every complete orthogonal 4-subset exactly one 1.
 
     Returns uncolourable=True iff no such colouring exists, together with the
@@ -183,7 +185,7 @@ def ks_uncolourable(vectors: np.ndarray, tol: float = 1e-9) -> ColouringResult:
         raise ValueError("expected a list of real 4-dimensional vectors")
     nv = len(vecs)
     gram = vecs @ vecs.T
-    orth = np.abs(gram) <= tol
+    orth = np.abs(gram) <= KS_ORTH_TOL
 
     contexts = [tuple(quad) for quad in cliques(orth, 4).tolist()]
     covered = set(i for quad in contexts for i in quad)

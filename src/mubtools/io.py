@@ -4,7 +4,10 @@ checkpoints, distance CSV.
 
 Writers are deterministic (sorted keys, fixed separators) and emit floats
 with 17 significant digits so that write -> read -> write round-trips are
-byte-identical.  Readers check every field they return and raise
+byte-identical.  Payloads with no float (search lines, checkpoints) are built
+here and written by `_encode`, the standard encoder, several times faster
+than `dumps` for the same bytes; `dumps` would have to walk a payload to know
+it holds no float.  Readers check every field they return and raise
 FileFormatError for anything else; this is the only module that parses JSON.
 """
 
@@ -55,6 +58,11 @@ def dumps(obj) -> str:
     return _dump(obj)
 
 
+def _encode(payload) -> str:
+    """`dumps` text of a payload with no float in it, by the standard encoder (numpy integers through int)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=int)
+
+
 def complex_entries(values) -> list:
     """[re, im] pairs in the shape of a complex scalar, vector or matrix."""
     a = np.asarray(values, dtype=complex)
@@ -79,13 +87,8 @@ def complex_matrix_payload(matrix: np.ndarray, provenance: dict | None = None) -
 
 
 def root_matrix_payload(exponents: np.ndarray, k: int) -> dict:
-    e = np.asarray(exponents, dtype=int)
-    return {
-        "n": int(e.shape[0]),
-        "form": "roots",
-        "k": int(k),
-        "exponents": [[int(v) for v in row] for row in e],
-    }
+    grid = np.asarray(exponents, dtype=int).tolist()
+    return {"n": len(grid), "form": "roots", "k": int(k), "exponents": grid}
 
 
 @dataclass(frozen=True)
@@ -184,25 +187,24 @@ def parse_bases(payload: dict, label: str) -> list[Basis]:
 _STAGE_MATRICES = {"hadamards": 1, "triplets": 2, "quartets": 3}  # exponent matrices per search result
 
 
-def search_result_payload(result, k: int) -> dict:
-    """One `search` output line: a root-form matrix, or {"h1": ..., "h2": ...[, "h3": ...]} for a tuple."""
-    if isinstance(result, np.ndarray):
-        return root_matrix_payload(result, k)
-    return {name: root_matrix_payload(mat, k) for name, mat in zip(("h1", "h2", "h3"), result)}
+def search_lines(results: list, summary: dict) -> list[str]:
+    """The `search` output: per result a root-form matrix or {"h1": ..., "h2": ...[, "h3": ...]}, then
+    {"summary": summary}, which names the depth and k; each grid becomes lists only for its own line."""
+    k, tuples = summary["k"], _STAGE_MATRICES[summary["depth"]] > 1
+    lines = []
+    for item in np.asarray(results):
+        grids = [root_matrix_payload(grid, k) for grid in (item if tuples else [item])]
+        lines.append(_encode(dict(zip(("h1", "h2", "h3"), grids)) if tuples else grids[0]) + "\n")
+    return lines + [_encode({"summary": summary}) + "\n"]
 
 
 def checkpoint_text(spec: dict, completed: list[tuple[int, list]]) -> str:
-    """A search checkpoint: the spec (n, k, depth) and each completed unit with its results as exponent grids.
-
-    The payload holds only integers and strings, for which the standard encoder
-    (numpy integers through int) writes the same bytes as `dumps`, several times faster.
-    """
-    payload = {
+    """A search checkpoint: the spec (n, k, depth) and each completed unit with its results as exponent grids."""
+    return _encode({
         "spec": spec,
         "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
                       for unit, found in completed],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=int)
+    })
 
 
 def read_checkpoint(path: str, spec: dict) -> dict[int, list]:

@@ -21,9 +21,9 @@ row per orbit with it, permutes that row onto the rest of the orbit and
 keeps each row's neighbours above it.  One clique enumerator (`cliques`)
 grows the cliques of such a graph level by level, intersecting sorted
 neighbour arrays, to pick mutually orthogonal columns; the Hadamard stage
-runs it over blocks of units of about _BLOCK candidate tests.  Hadamards are
-bucketed by the integer histogram of their Haagerup exponents (a necessary
-condition for equivalence, not a sufficient one).
+runs it over blocks of units cut at multiples of _BLOCK candidate tests.
+Hadamards are bucketed by the integer histogram of their Haagerup exponents
+(a necessary condition for equivalence, not a sufficient one).
 The triplet and quartet stages are one extension step (`_extend`): each
 takes tuples (H1, ...) and extends every tuple by the matrices whose columns
 are unbiased to all of its columns and orthogonal to one another.  Those
@@ -511,8 +511,8 @@ def root_hadamard_enumerate(
     Work is split into units by the first chosen column; a unit costs one
     node plus one per vertex a depth-first walk from that column would try,
     the number of cliques of sizes 2..n-1 with that column as least vertex.
-    The groups are fixed blocks of about _BLOCK candidate tests of the
-    enumeration's second level, cut from the first unit on; a block's pending
+    A unit's group is its block: the enumeration's second-level candidate
+    tests before its first column, divided by _BLOCK; a block's pending
     units' cliques are enumerated together.  On budget exhaustion a checkpoint
     is written only if `checkpoint_path` is given; a run resumed from it
     (resume_token) returns every matrix an uninterrupted run returns.
@@ -526,10 +526,6 @@ def root_hadamard_enumerate(
     # the second level's candidate tests of each edge (f, w): the smaller of f's neighbours after w and w's above it
     after = np.repeat(indptr[1:], degree) - np.arange(len(indices)) - 1
     tests = np.concatenate(([0], np.cumsum(np.minimum(after, degree[indices]))))[indptr]  # of the rows before each
-    starts = [1]  # the first columns of the blocks; unit u's first column is u + 1
-    while starts[-1] < len(cols):
-        last = int(np.searchsorted(tests, tests[starts[-1]] + _BLOCK, side="right")) - 1
-        starts.append(min(len(cols), max(starts[-1] + 1, last)))
 
     def block_matrices(units: list[int]) -> dict[int, tuple[list, int]]:
         first = np.array(units) + 1
@@ -539,7 +535,7 @@ def root_hadamard_enumerate(
         bounds = np.searchsorted(found[:, 0], np.append(first, len(cols))).tolist()  # the units' ranges in mats
         return {u: (list(mats[lo:hi]), cost) for u, lo, hi, cost in zip(units, bounds, bounds[1:], nodes.tolist())}
 
-    outcome = loop.run(np.repeat(np.arange(len(starts) - 1), np.diff(starts)).tolist(), block_matrices)
+    outcome = loop.run((tests[1:len(cols)] // _BLOCK).tolist(), block_matrices)  # unit u's first column is u + 1
     mats = np.array(outcome.results, dtype=np.int16).reshape(-1, n, n)  # one array for the stage; the units' are freed
     outcome.results = list(mats)
     return HadamardEnumeration(**vars(outcome), buckets=_haagerup_buckets(mats, k))
@@ -553,9 +549,10 @@ def _haagerup_buckets(matrices: np.ndarray | list[np.ndarray], k: int) -> list[l
     0..k-1 of those n^4 exponents mod k: exact, with no snapping grid.  Swapping
     i with r, or j with s, negates the exponent, and it is 0 when i = r or
     j = s; so only the C(n, 2)^2 exponents with i < r and j < s are computed,
-    and the full histogram is 2 (h[x] + h[-x]) plus n^4 - (n(n-1))^2 at x = 0.
-    Matrices are processed in chunks to bound the C(n, 2)^2-wide batch, and
-    the histograms are grouped by `np.unique` over their rows.
+    and the full histogram is 2 (h[x] + h[-x]) plus n^4 - (n(n-1))^2 at x = 0:
+    the same factor and offset for every matrix, so h[x] + h[-x] for x <= k/2
+    decides the grouping.  Matrices are processed in chunks to bound the
+    C(n, 2)^2-wide batch, and those rows are grouped by `np.unique`.
     """
     if not len(matrices):
         return []
@@ -568,9 +565,7 @@ def _haagerup_buckets(matrices: np.ndarray | list[np.ndarray], k: int) -> list[l
         # diff[b, p, j] = e_ij - e_rj over the row pairs p = (i, r) with i < r
         diff = batch[:, upper, :] - batch[:, lower, :]
         half = _row_histogram(((diff[..., upper] - diff[..., lower]) % k).reshape(len(batch), -1), k)
-        full = 2 * (half + half[:, -np.arange(k) % k])
-        full[:, 0] += n**4 - (n * (n - 1)) ** 2
-        hists[lo:lo + len(batch)] = full[:, :k // 2 + 1]  # full[x] = full[-x], so these entries decide it
+        hists[lo:lo + len(batch)] = half[:, :k // 2 + 1] + half[:, -np.arange(k // 2 + 1) % k]
     _, first, label = np.unique(hists, axis=0, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))  # groups numbered in order of first appearance

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import io
 import json
 import math
 import os
@@ -15,8 +16,9 @@ from mubtools import cli
 from mubtools import io as mio
 from mubtools.biunimodular import root_census
 from mubtools.cli import build_parser, main
-from mubtools.constructions import prime_mub_set
+from mubtools.constructions import fourier, prime_mub_set
 from mubtools.core import Basis
+from mubtools.grassmann import distance_table
 from mubtools.optimize import maximize_spread
 
 
@@ -84,6 +86,28 @@ class TestGenAndVerify:
         payload = json.loads(gen.stdout)
         assert payload["form"] == "roots" and payload["k"] == 6
 
+    def test_gen_roots_format_exponents_round_trip(self, tmp_path):
+        """In process: the exponents are a * b mod n, and the file parses back to them and to the Fourier matrix."""
+        path = tmp_path / "f6.json"
+        assert main(["gen", "fourier", "--n", "6", "--format", "roots", "-o", str(path)]) == 0
+        parsed = mio.parse_matrix(mio.loads(path.read_text()))
+        assert isinstance(parsed, mio.RootMatrix) and (parsed.n, parsed.k) == (6, 6)
+        assert parsed.exponents.tolist() == [[a * b % 6 for b in range(6)] for a in range(6)]
+        assert np.allclose(parsed.to_complex(), fourier(6).matrix)
+
+    def test_dash_reads_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(mio.dumps(mio.complex_matrix_payload(fourier(6).matrix))))
+        assert main(["verify", "hadamard", "-"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["file"] == "-" and report["pass"]
+
+    def test_matrix_without_entries_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "no-entries.json"
+        path.write_text('{"n": 2, "form": "complex"}')
+        assert main(["verify", "hadamard", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: malformed matrix payload")
+
     def test_malformed_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -143,6 +167,17 @@ class TestCensusPipeline:
         for token in ("2.000", "3.71", "4.62", "4.64"):
             assert token in rep.stdout
         assert csv.read_text().count("\n") == 17
+
+    def test_report_csv_is_the_distance_table(self, assembled6, tmp_path, capsys):
+        bases, csv = tmp_path / "bases.json", tmp_path / "distances.csv"
+        bases.write_text(mio.dumps(assembled6.to_dict()))
+        assert main(["report", str(bases), "--csv", str(csv)]) == 0
+        header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+        labels = [b.label for b in assembled6.bases]
+        assert header == ["basis", *labels] and [row[0] for row in rows] == labels
+        values = np.array([[float(cell) for cell in row[1:]] for row in rows])
+        assert np.allclose(values, distance_table(list(assembled6.bases)), rtol=1e-11, atol=1e-12)
+        assert json.loads(capsys.readouterr().out)["summary"][0].startswith("bases: 16")
 
     def test_census_determinism(self, tmp_path):
         a = tmp_path / "a.json"

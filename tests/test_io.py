@@ -84,9 +84,16 @@ def test_nonfinite_rejected():
         mio.dumps({"x": float("nan")})
 
 
+def test_numpy_float32_has_17_digits_and_unknown_types_raise():
+    assert mio.dumps([np.float32(0.1)]) == "[0.10000000149011612]"
+    with pytest.raises(TypeError, match="cannot serialize"):
+        mio.dumps({"x": 1j})
+
+
 @pytest.mark.parametrize("depth", ["hadamards", "triplets", "quartets"])
 def test_checkpoint_text_is_dumps_text(depth):
-    """The standard encoder behind `checkpoint_text` writes what `dumps` writes, numpy spec integers included."""
+    """The standard encoder behind `checkpoint_text` and `search_lines` writes what `dumps` writes,
+    numpy spec integers included."""
     grids = [(np.arange(36, dtype=np.int16).reshape(6, 6) * shift) % 12 for shift in (1, 5, 7)]
     result = grids[0] if depth == "hadamards" else tuple(grids[: mio._STAGE_MATRICES[depth]])
     spec = {"n": np.int64(6), "k": 12, "depth": depth}
@@ -94,6 +101,12 @@ def test_checkpoint_text_is_dumps_text(depth):
     payload = {"spec": spec, "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
                                            for unit, found in completed]}
     assert mio.checkpoint_text(spec, completed) == mio.dumps(payload)
+    for results in ([], [result, result]):
+        summary = {"depth": depth, "n": 6, "k": 12, "complete": False, "nodes": 7, "resume_token": None}
+        payloads = [mio.root_matrix_payload(r, 12) if depth == "hadamards" else
+                    {name: mio.root_matrix_payload(mat, 12) for name, mat in zip(("h1", "h2", "h3"), r)}
+                    for r in results] + [{"summary": summary}]
+        assert mio.search_lines(results, summary) == [mio.dumps(p) + "\n" for p in payloads]
 
 
 def test_distance_csv_shape():
