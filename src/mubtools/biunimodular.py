@@ -125,13 +125,7 @@ class CensusResult:
         sequence is renormalized back to x_0 = 1).  An image is matched to a
         census member within tol, by the census's own dedupe test.
         """
-        shift, conj = _image_maps(self, tol)
-        return {
-            "fixed_first_entry": self.count,
-            "up_to_shift": _orbit_count(self.count, shift),
-            "up_to_conjugation": _orbit_count(self.count, conj),
-            "up_to_shift_and_conjugation": _orbit_count(self.count, shift, conj),
-        }
+        return _quotient_counts(self.count, *_image_maps(self, tol))
 
     def to_dict(self) -> dict:
         return {
@@ -174,29 +168,72 @@ class CensusResult:
         return CensusResult(n=n, sequences=sequences, bases=bases, metadata=metadata)
 
 
+def _close(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Per pair of broadcast rows: within tol of each other in every component, by circular phase gap."""
+    return np.abs((a - b + np.pi) % (2 * np.pi) - np.pi).max(axis=-1) <= tol
+
+
+def _windows(first: np.ndarray, keys: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(len(first), 3) bounds [lo, hi) into the sorted `keys` of the keys within tol + 1e-9 of each
+    first phase, shifted by -2 pi, 0 and 2 pi.
+
+    `first` and `keys` are reduced mod 2 pi, so a pair whose first phases lie within tol of each
+    other on the circle falls in one of the three windows; the 1e-9 covers the rounding of the
+    reductions.
+    """
+    centres = first[:, None] + np.array([-2 * np.pi, 0.0, 2 * np.pi])
+    lo = np.searchsorted(keys, centres - (tol + 1e-9), "left")
+    return lo, np.maximum(lo, np.searchsorted(keys, centres + (tol + 1e-9), "right"))
+
+
 def _within(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """(len(a), len(b)) mask: phase rows within tol of each other in every component.
 
-    The rows of `a` go through in blocks whose gap tensor has about search._BLOCK
-    entries, so one block is all that is held besides the mask.
+    Only candidate pairs are decided: `b` is sorted once by its first phase mod 2 pi, and each
+    row of `a` is compared with the rows of `b` in its `_windows`.  The candidates go through
+    in blocks of about search._BLOCK gap entries (at least one row of `a`), so one block is all
+    that is held besides the mask.
     """
-    out = np.empty((len(a), len(b)), dtype=bool)
-    step = max(1, search_mod._BLOCK // max(1, b.size))
-    for lo in range(0, len(a), step):
-        gap = np.abs((a[lo : lo + step, None, :] - b[None, :, :] + np.pi) % (2 * np.pi) - np.pi)
-        out[lo : lo + step] = gap.max(axis=2, initial=0.0) <= tol  # zero-width rows (n = 1) are equal
+    out = np.zeros((len(a), len(b)), dtype=bool)
+    if not a.shape[1]:  # zero-width rows (n = 1) are equal
+        out[:] = 0.0 <= tol
+        return out
+    order = np.argsort(b[:, 0] % (2 * np.pi), kind="stable")
+    lo, hi = _windows(a[:, 0] % (2 * np.pi), b[order, 0] % (2 * np.pi), tol)
+    ends = np.cumsum((hi - lo).sum(axis=1))
+    cap = max(1, search_mod._BLOCK // a.shape[1])
+    start = 0
+    while start < len(a):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + cap, "right")))
+        counts = (hi[start:stop] - lo[start:stop]).ravel()
+        rows = np.repeat(np.repeat(np.arange(start, stop), 3), counts)
+        # the k-th candidate of a window sits at lo + k in the sorted order
+        offsets = np.arange(ends[stop - 1] - done) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = order[np.repeat(lo[start:stop].ravel(), counts) + offsets]
+        out[rows, cols] = _close(a[rows], b[cols], tol)
+        start = stop
     return out
 
 
 def _new_solutions(sols: np.ndarray, pool: np.ndarray, tol: float) -> list[int]:
     """Rows of sols, in order, that lie within tol of neither the pool nor an earlier new row."""
     fresh = np.nonzero(~_within(sols, pool, tol).any(axis=1))[0]
+    first = sols[fresh, 0] % (2 * np.pi)
+    order = fresh[np.argsort(first, kind="stable")]
+    lo, hi = _windows(first, sols[order, 0] % (2 * np.pi), tol)
+    alive = np.zeros(len(sols), dtype=bool)
+    alive[fresh] = True
     new: list[int] = []
-    while len(fresh):
-        # the first fresh row is new; one sweep drops every later fresh row within tol of it
-        new.append(int(fresh[0]))
-        rest = fresh[1:]
-        fresh = rest[~_within(sols[rest], sols[fresh[:1]], tol)[:, 0]]
+    for row, row_lo, row_hi in zip(fresh.tolist(), lo.tolist(), hi.tolist()):
+        if not alive[row]:
+            continue
+        # the first fresh row still alive is new; its sweep drops every later fresh row within tol of it
+        new.append(row)
+        alive[row] = False
+        near = np.concatenate([order[l:h] for l, h in zip(row_lo, row_hi)])
+        near = near[alive[near]]
+        alive[near[_close(sols[near], sols[row], tol)]] = False
     return new
 
 
@@ -210,6 +247,16 @@ def _image_maps(census: CensusResult, tol: float) -> tuple[np.ndarray, np.ndarra
     match = _within(np.concatenate([shifted, -phases]), phases, tol)
     image = np.where(match.any(axis=1), match.argmax(axis=1), -1)
     return image[: len(phases)], image[len(phases) :]
+
+
+def _quotient_counts(count: int, shift: np.ndarray, conj: np.ndarray) -> dict[str, int]:
+    """`CensusResult.quotient_counts` from the census size and its `_image_maps`."""
+    return {
+        "fixed_first_entry": count,
+        "up_to_shift": _orbit_count(count, shift),
+        "up_to_conjugation": _orbit_count(count, conj),
+        "up_to_shift_and_conjugation": _orbit_count(count, shift, conj),
+    }
 
 
 def _orbit_count(count: int, *maps: np.ndarray) -> int:
@@ -319,6 +366,19 @@ def _armijo_step_sizes(phi: np.ndarray, step: np.ndarray, f0: np.ndarray, dft_ma
     return t
 
 
+def _rank_deficient_count(jac: np.ndarray) -> int:
+    """How many of the square matrices jac[i] have smallest singular value below 1e-6.
+
+    For m x m J, sigma_min >= |det J| / ||J||_F^(m-1), since each other singular value is at
+    most ||J||_F.  A matrix whose computed bound is at least 2e-6 is full rank without an SVD;
+    the factor 2 covers the rounding of the LU determinant and of the SVD.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero matrix gives 0 / 0, which is not >= 2e-6
+        bound = np.abs(np.linalg.det(jac)) / np.linalg.norm(jac, axis=(1, 2)) ** (jac.shape[-1] - 1)
+    low = jac[~(bound >= 2e-6)]
+    return int(np.sum(np.linalg.svd(low, compute_uv=False)[:, -1] < 1e-6))
+
+
 def _newton_solve(phi: np.ndarray, dft_matrix: np.ndarray, q_table: np.ndarray) -> None:
     """Damped Newton on every row of phi, in place, until it converges, stalls or hits the iteration cap."""
     active = np.ones(len(phi), dtype=bool)
@@ -365,6 +425,11 @@ def newton_census(
     on row slices of at most NEWTON_BATCH_SIZE rows; neither changes an
     accepted step.
 
+    After the Newton loop the work scales with the matches: the dedupe and
+    the image maps compare a row only with the rows in its window of sorted
+    first phases (`_windows`), and the rank test runs an SVD only where a
+    determinant bound cannot show full rank (`_rank_deficient_count`).
+
     Rank-deficient Jacobians at solutions mark the result 'not
     zero-dimensional'; exhausting the restart budget before the count
     stabilizes marks it 'unconverged census'.
@@ -393,8 +458,7 @@ def newton_census(
 
         r, x, xt = _phase_residual_system(phi, dft_matrix)
         rows = np.nonzero(np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL)[0]
-        jac = _phase_jacobian(x[rows], xt[rows], q_table)
-        rank_deficient += int(np.sum(np.linalg.svd(jac, compute_uv=False)[:, -1] < 1e-6))
+        rank_deficient += _rank_deficient_count(_phase_jacobian(x[rows], xt[rows], q_table))
         sols = phi[rows] % (2 * np.pi)
         new = _new_solutions(sols, pool, tol.dedupe_tol)
         if new:
@@ -435,9 +499,10 @@ def newton_census(
         "status": status,
     }
     result = CensusResult(n=n, sequences=tuple(sequences), bases=(), metadata=metadata)
-    if status == "ok" and any((image < 0).any() for image in _image_maps(result, tol.dedupe_tol)):
+    maps = _image_maps(result, tol.dedupe_tol)
+    if status == "ok" and any((image < 0).any() for image in maps):
         metadata["status"] = "not closed"  # a shift or conjugate image of a found sequence was never found
-    metadata["counts_under_quotients"] = result.quotient_counts(tol.dedupe_tol)
+    metadata["counts_under_quotients"] = _quotient_counts(result.count, *maps)
     return result
 
 

@@ -9,6 +9,7 @@ included).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -386,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate catalog objects")
-    gen.set_defaults(func=_cmd_gen)  # argparse copies a group's defaults into its leaves' namespace
     gen_sub = gen.add_subparsers(dest="what", required=True)
     for name in ("fourier", "weyl"):
         p = gen_sub.add_parser(name)
@@ -417,19 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="verify properties of stored matrices")
     ver.add_argument("what", choices=("hadamard", "unbiased", "mubset"))
     ver.add_argument("files", nargs="+")
-    ver.set_defaults(func=_cmd_verify)
 
     dist = sub.add_parser("distance", help="squared chordal distance between two bases")
     dist.add_argument("files", nargs=2)
-    dist.set_defaults(func=_cmd_distance)
 
     tab = sub.add_parser("table", help="pairwise distance table")
     tab.add_argument("files", nargs="+")
     tab.add_argument("--csv", help="output CSV path (default stdout)")
-    tab.set_defaults(func=_cmd_table)
 
     cen = sub.add_parser("census", help="biunimodular sequence census")
-    cen.set_defaults(func=_cmd_census)
     cen_sub = cen.add_subparsers(dest="method", required=True)
     p = cen_sub.add_parser("newton")
     p.add_argument("--n", type=int, default=6)
@@ -444,12 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     asm = sub.add_parser("assemble", help="assemble census vectors into bases")
     asm.add_argument("census")
     asm.add_argument("-o", "--output")
-    asm.set_defaults(func=_cmd_assemble)
 
     rep = sub.add_parser("report", help="distance-pattern report over an assembled census")
     rep.add_argument("census")
     rep.add_argument("--csv", help="also write the full distance table as CSV")
-    rep.set_defaults(func=_cmd_report)
 
     sea = sub.add_parser("search", help="exact root-of-unity searches")
     sea.add_argument("depth", choices=("hadamards", "triplets", "quartets"))
@@ -460,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--checkpoint", help="where to write the checkpoint on budget exhaustion "
                      "(default <depth>-n<n>-k<k>.checkpoint.json)")
     sea.add_argument("-o", "--output")
-    sea.set_defaults(func=_cmd_search)
 
     o = sub.add_parser("optimize", help="maximize the spread objective")
     o.add_argument("--n", type=int, required=True)
@@ -469,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--seed", type=_non_negative_int)
     o.add_argument("--iterations", type=_positive_int, default=4000)
     o.add_argument("-o", "--output")
-    o.set_defaults(func=_cmd_optimize)
 
     sc = sub.add_parser("scan", help="parameter scans over catalog families")
     sc.add_argument("family", choices=("h4", "f6", "bn"))
@@ -480,19 +472,40 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--iterations", type=_positive_int, default=4000)
     sc.add_argument("--with-fourier", action="store_true")
     sc.add_argument("--csv")
-    sc.set_defaults(func=_cmd_scan)
 
     ks = sub.add_parser("ks-check", help="real-space results and the colouring obstruction")
     ks.add_argument("-o", "--output")
-    ks.set_defaults(func=_cmd_ks_check)
 
     return parser
 
 
+def _handler(command: str):
+    """The function that runs a top-level command, looked up per call rather than stored in the cached parser."""
+    return {
+        "gen": _cmd_gen,
+        "verify": _cmd_verify,
+        "distance": _cmd_distance,
+        "table": _cmd_table,
+        "census": _cmd_census,
+        "assemble": _cmd_assemble,
+        "report": _cmd_report,
+        "search": _cmd_search,
+        "optimize": _cmd_optimize,
+        "scan": _cmd_scan,
+        "ks-check": _cmd_ks_check,
+    }[command]
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` uses in a process; building the tree costs more than a parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return _handler(args.command)(args)
     except mio.FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -227,6 +227,18 @@ def _one_shot_within(a, b, tol):
     return np.abs((a[:, None, :] - b[None, :, :] + np.pi) % (2 * np.pi) - np.pi).max(axis=2) <= tol
 
 
+def _first_phase_edge_cases(rng, width):
+    """Rows on the edges of the sorted first-phase window: one row repeated at first phases 2 pi
+    and -2 pi (unreduced images), 0, 1e-8, -1e-8 and 2 pi - 1e-8, which are all within 2e-8 of
+    each other on the circle, then 24 random rows; and 200 rows that share one first phase."""
+    edges = np.concatenate([np.repeat(rng.uniform(0, 2 * np.pi, (1, width)), 6, axis=0),
+                            rng.uniform(0, 2 * np.pi, (24, width))])
+    edges[:6, 0] = [2 * np.pi, -2 * np.pi, 0.0, 1e-8, -1e-8, 2 * np.pi - 1e-8]
+    same = rng.uniform(0, 2 * np.pi, (200, width))
+    same[:, 0] = 1.25
+    return edges, same
+
+
 @pytest.mark.parametrize("block", [1, 7, 50, bu.search_mod._BLOCK])
 def test_within_in_blocks_matches_one_shot_mask(block, monkeypatch):
     monkeypatch.setattr(bu.search_mod, "_BLOCK", block)
@@ -241,6 +253,14 @@ def test_within_in_blocks_matches_one_shot_mask(block, monkeypatch):
     for rows, cols in ((a[:0], b), (a, b[:0]), (a[:0], b[:0])):
         mask = bu._within(rows, cols, tol)
         assert mask.shape == (len(rows), len(cols)) and mask.dtype == bool
+
+    edges, same = _first_phase_edge_cases(rng, 5)
+    near = np.concatenate([edges, edges + rng.uniform(-5e-7, 5e-7, edges.shape), same[:20]])
+    near[-20:, 1:] += rng.uniform(-5e-7, 5e-7, (20, 4))
+    assert _one_shot_within(edges[:6], near[30:36], tol).all()  # matches across 0 and +-2 pi
+    assert _one_shot_within(same, near[-20:], tol).sum() == 20  # one shared first phase, one match each
+    for rows, cols in ((near, edges), (edges, near), (near, near), (same, near), (near, same), (same, same)):
+        assert np.array_equal(bu._within(rows, cols, tol), _one_shot_within(rows, cols, tol))
 
 
 def test_within_zero_width_rows_are_equal():
@@ -289,6 +309,18 @@ def test_new_solutions_matches_pairwise_loop():
     assert _pairwise_new_solutions(chain, chain[:0], tol) == [0, 2]
     assert _new_solutions(chain, chain[:0], tol) == [0, 2]
     assert _new_solutions(chain, chain[1:2], tol) == []
+
+    # first phases at 2 pi and -2 pi, on both sides of 0, and 200 rows sharing one first phase
+    edges, same = _first_phase_edge_cases(rng, 5)
+    for sols in (
+        np.concatenate([edges[:6], edges + rng.uniform(-5e-7, 5e-7, edges.shape)]),
+        np.concatenate([same[:100], same[:100] + rng.uniform(-5e-7, 5e-7, (100, 5))]),
+        same,
+    ):
+        sols = sols[rng.permutation(len(sols))]
+        for pool in (sols[:0], edges[::5], same[::7]):
+            expected = _pairwise_new_solutions(sols, pool, tol)
+            assert _new_solutions(sols, pool, tol) == expected
 
     # 2,000 rows, about the census's first batch, in clusters whose spread straddles tol
     centres = rng.uniform(0, 2 * np.pi, (48, 5))
@@ -435,7 +467,7 @@ def _parent_newton_census(n, restarts, seed, tol=bu.DEFAULT_TOL):
 class TestNewtonLoop:
     @pytest.mark.parametrize(
         "n, restarts, seed",
-        [(6, 20000, 0), (6, 20000, 1), (6, 20000, 2), (6, 20000, 6), (3, 3000, 5), (5, 4000, 1)],
+        [(6, 20000, 0), (6, 20000, 1), (6, 20000, 2), (6, 20000, 6), (3, 3000, 5), (5, 4000, 1), (7, 6000, 3)],
     )
     def test_bytes_match_the_batch_by_batch_loop(self, n, restarts, seed):
         expected = mio.dumps(_parent_newton_census(n, restarts, seed).to_dict())
@@ -455,14 +487,14 @@ class TestNewtonLoop:
         plain = newton_census(6, 20, 0)
         assert plain.metadata["status"] == "unconverged census"
         assert plain.metadata["rank_deficient_solutions"] == 0
-        svd = np.linalg.svd
+        count = bu._rank_deficient_count
 
-        def first_row_singular(a, *args, **kwargs):
-            values = svd(a, *args, **kwargs).copy()
-            values[:1, -1] = 0.0
-            return values
+        def first_row_singular(jac):
+            jac = jac.copy()
+            jac[:1, :, -1] = jac[:1, :, 0]  # two equal columns: singular, whatever the rounding
+            return count(jac)
 
-        monkeypatch.setattr(np.linalg, "svd", first_row_singular)
+        monkeypatch.setattr(bu, "_rank_deficient_count", first_row_singular)
         census = newton_census(6, 20, 0)
         assert census.metadata["rank_deficient_solutions"] == 1
         assert census.metadata["status"] == "not zero-dimensional"
@@ -495,6 +527,66 @@ class TestNewtonLoop:
         assert mixed[1:].tobytes() == alone.tobytes()
         r, _, _ = bu._phase_residual_system(alone, dft_matrix)
         assert (np.abs(r).max(axis=1) <= bu.NEWTON_RESIDUAL_TOL).sum() > 32
+
+
+def _svd_rank_deficient(jac):
+    """The rank test without the determinant screen."""
+    return int(np.sum(np.linalg.svd(jac, compute_uv=False)[:, -1] < 1e-6))
+
+
+def _with_singular_values(rng, values):
+    """A random real matrix with exactly these singular values (up to rounding)."""
+    m = len(values)
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return u @ np.diag(values) @ v.T
+
+
+class TestRankScreen:
+    def _svd_rows(self, monkeypatch):
+        """Patch np.linalg.svd to record how many matrices reach it."""
+        svd, rows = np.linalg.svd, []
+
+        def counting(a, *args, **kwargs):
+            rows.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return rows
+
+    def test_edge_stacks_match_the_svd_count(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        m = 5
+        singular = np.stack([np.zeros((m, m)), np.outer(rng.standard_normal(m), rng.standard_normal(m)),
+                             rng.standard_normal((m, m))])
+        singular[2, :, -1] = singular[2, :, 0]
+        near = np.stack([_with_singular_values(rng, [1.0, 0.7, 0.5, 0.3, s]) for s in (0.9e-6, 1.1e-6)])
+        # sigma_min = 1e-5 > 1e-6, but |det J| / ||J||_F^4 = 0.1 / 400^2 < 2e-6: only the SVD can tell
+        hidden = _with_singular_values(rng, [10.0, 10.0, 10.0, 10.0, 1e-5])[None]
+        screened = _with_singular_values(rng, [1.0, 1.0, 1.0, 1.0, 1e-3])[None]  # bound 6.25e-5
+        cases = [(singular, 3, 3), (near, 1, 2), (hidden, 0, 1), (screened, 0, 0), (singular[:0], 0, 0)]
+        expected = [_svd_rank_deficient(jac) for jac, _, _ in cases]
+        rows = self._svd_rows(monkeypatch)
+        for (jac, deficient, reach_svd), want in zip(cases, expected):
+            rows.clear()
+            assert bu._rank_deficient_count(jac) == want == deficient
+            assert rows == [reach_svd]
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
+    def test_converged_stacks_match_the_svd_count(self, n, monkeypatch):
+        dft_matrix = fourier(n).matrix
+        q_table = np.exp(2j * np.pi / n) ** np.outer(np.arange(1, n), np.arange(1, n))
+        phi = _ScrambledHalton(n - 1, n).random(512) * 2 * np.pi
+        _newton_solve(phi, dft_matrix, q_table)
+        r, x, xt = bu._phase_residual_system(phi, dft_matrix)
+        rows = np.nonzero(np.abs(r).max(axis=1) <= bu.NEWTON_RESIDUAL_TOL)[0]
+        jac = bu._phase_jacobian(x[rows], xt[rows], q_table)
+        assert len(rows) > 100
+        expected = _svd_rank_deficient(jac)
+        svd_rows = self._svd_rows(monkeypatch)
+        assert bu._rank_deficient_count(jac) == expected == 0
+        if n == 6:
+            assert svd_rows == [0]  # every converged n = 6 Jacobian is screened: the smallest bound is about 0.01
 
 
 class TestRootCensus:
