@@ -3,10 +3,8 @@ root-of-unity searches, the six-dimensional biunimodular census, and the
 chordal distance geometry that scores near-unbiasedness."""
 
 from .core import (
-    DEFAULT_TOL,
     Basis,
     InadmissibleParameterError,
-    Tolerance,
     dephase,
     equivalent_heuristic,
     haagerup_invariants,

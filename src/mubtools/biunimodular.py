@@ -11,11 +11,11 @@ import numpy as np
 
 from . import search as search_mod
 from .catalog import bjorck_d
-from .core import DEFAULT_DEDUPE_TOL, DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance, is_unbiased_pair
+from .core import DEFAULT_DEDUPE_TOL, DEFAULT_EQ_TOL, Basis, InadmissibleParameterError, is_unbiased_pair
 from .constructions import fourier
 from .cyclotomic import _is_prime
 from .grassmann import distance_table
-from .io import FileFormatError, _header_int, _label, complex_entries, parse_complex_entries
+from .io import FileFormatError, _header_int, _label, complex_entries, dumps, parse_complex_entries
 
 GAUSSIAN = "gaussian"
 BJORCK = "bjorck"
@@ -25,7 +25,7 @@ NEWTON_MAX_ITERATIONS = 200
 NEWTON_BATCH_SIZE = 512  # Newton starts per batch after the first, and the most rows per kernel product
 ARMIJO_CHUNKS = (1, 1, 2, 4, 8, 24)  # halvings per line-search residual call; 40 in all
 ASSEMBLY_ORTH_TOL = 1e-8  # census vectors closer to orthogonal than this are adjacent in `assemble_bases`
-ASSEMBLY_UNBIASED_TOL = Tolerance(eq_tol=1e-8)  # an assembled basis must be unbiased to standard and Fourier within this
+ASSEMBLY_UNBIASED_TOL = 1e-8  # an assembled basis must be unbiased to standard and Fourier within this
 ROOT_TOL = 1e-8  # an entry this close to a root (times a power of d) is one, in `classify_sequence` and `entry_structure`
 CIRCULANT_TOL = 1e-6  # shift images match census members within this in `assemble_bases`
 
@@ -36,14 +36,14 @@ def dft(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(v) * np.sqrt(len(v))
 
 
-def is_biunimodular(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+def is_biunimodular(x: np.ndarray, tol: float = DEFAULT_EQ_TOL) -> tuple[bool, float]:
     """Whether x and its transform are both unimodular; returns the max modulus deviation."""
     v = np.asarray(x, dtype=complex)
     dev = max(
         float(np.abs(np.abs(v) - 1.0).max()),
         float(np.abs(np.abs(dft(v)) - 1.0).max()),
     )
-    return dev <= tol.eq_tol, dev
+    return dev <= tol, dev
 
 
 def autocorrelation(x: np.ndarray) -> np.ndarray:
@@ -157,7 +157,10 @@ class CensusResult:
                 Basis(parse_complex_entries(item["entries"]), label=_label(item, ""))
                 for item in payload.get("bases", [])
             )
-            metadata = dict(payload["metadata"])
+            metadata = payload["metadata"]
+            if not isinstance(metadata, dict):
+                raise FileFormatError(f"census metadata must be a JSON object, got {metadata!r}")
+            dumps(metadata)  # what cannot be written back, such as NaN, is refused here and not on output
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise FileFormatError(f"malformed census payload: {exc}") from exc
         if any(s.n != n for s in sequences) or any(b.dim != n for b in bases):
@@ -165,7 +168,7 @@ class CensusResult:
         entries = [s.entries for s in sequences] + [b.matrix for b in bases]
         if not all(np.isfinite(e).all() for e in entries):
             raise FileFormatError("census entries must be finite")
-        return CensusResult(n=n, sequences=sequences, bases=bases, metadata=metadata)
+        return CensusResult(n=n, sequences=sequences, bases=bases, metadata=dict(metadata))
 
 
 def _close(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -407,16 +410,18 @@ def newton_census(
     n: int = 6,
     restarts: int = 20000,
     seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = DEFAULT_DEDUPE_TOL,
 ) -> CensusResult:
     """Multistart damped-Newton census of the biunimodular sequences with x_0 = 1.
 
     Solves the square system |x~_a|^2 = 1 (a = 1..n-1) over the n-1 free
     phases, starting from a low-discrepancy (Halton) sweep of the phase
     torus.  Damped steps use Armijo backtracking on the squared residual;
-    convergence demands residual inf-norm <= 1e-12.  Solutions are merged at
-    dedupe_tol (componentwise circular phase distance) and the run stops
-    early once the latter half of the restarts used produced nothing new.
+    convergence demands residual inf-norm <= 1e-12.  Solutions are merged
+    within tol (componentwise circular phase distance), which must lie in
+    (0, pi): no phase gap exceeds pi, so a larger tol would merge every pair.
+    The run stops early once the latter half of the restarts used produced
+    nothing new.
 
     The first batch holds min(restarts, 2048) starts, so the stop rule is
     never tried on a smaller sample (a run that stabilizes there is one
@@ -438,6 +443,8 @@ def newton_census(
         raise InadmissibleParameterError("census targets n = 6 (primary) or odd n <= 7")
     if restarts < 1:
         raise InadmissibleParameterError("need at least one restart")
+    if not 0 < tol < math.pi:
+        raise InadmissibleParameterError(f"the dedupe margin must lie in (0, pi), got {tol}")
 
     dft_matrix = fourier(n).matrix
     # q^{ja} (j, a = 1..n-1) for the Jacobian, from q itself: sqrt(n) * dft_matrix rounds differently
@@ -460,7 +467,7 @@ def newton_census(
         rows = np.nonzero(np.abs(r).max(axis=1) <= NEWTON_RESIDUAL_TOL)[0]
         rank_deficient += _rank_deficient_count(_phase_jacobian(x[rows], xt[rows], q_table))
         sols = phi[rows] % (2 * np.pi)
-        new = _new_solutions(sols, pool, tol.dedupe_tol)
+        new = _new_solutions(sols, pool, tol)
         if new:
             pool = np.concatenate([pool, sols[new]])
             last_new = start_index + int(rows[new[-1]])
@@ -492,14 +499,14 @@ def newton_census(
         "restarts_used": used,
         "newton_residual_tol": NEWTON_RESIDUAL_TOL,
         "max_iterations": NEWTON_MAX_ITERATIONS,
-        "dedupe_tol": tol.dedupe_tol,
+        "dedupe_tol": tol,
         "rank_deficient_solutions": rank_deficient,
         "last_new_solution_at_restart": last_new,
         "bjorck_entry_tags": structure,
         "status": status,
     }
     result = CensusResult(n=n, sequences=tuple(sequences), bases=(), metadata=metadata)
-    maps = _image_maps(result, tol.dedupe_tol)
+    maps = _image_maps(result, tol)
     if status == "ok" and any((image < 0).any() for image in maps):
         metadata["status"] = "not closed"  # a shift or conjugate image of a found sequence was never found
     metadata["counts_under_quotients"] = _quotient_counts(result.count, *maps)
@@ -605,7 +612,7 @@ class DistanceReport:
         return lines
 
 
-def census_distance_report(census: CensusResult, tol: Tolerance = DEFAULT_TOL) -> DistanceReport:
+def census_distance_report(census: CensusResult, tol: float = DEFAULT_EQ_TOL) -> DistanceReport:
     """Chordal distance table over the assembled bases and the paper-pattern statistics."""
     if not census.bases:
         raise ValueError("census has no assembled bases; run assemble_bases first")

@@ -24,7 +24,6 @@ from .core import (
     DEFAULT_EQ_TOL,
     Basis,
     InadmissibleParameterError,
-    Tolerance,
     hadamard_defect,
     is_unbiased_pair,
 )
@@ -68,21 +67,22 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _env_float(name: str, default: float) -> float:
+def _env_tol(name: str, default: float) -> float:
+    """The margin in environment variable `name`, `default` if unset; a command reads only the one it uses."""
     text = os.environ.get(name)
     if text is None:
         return default
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise InadmissibleParameterError(f"{name}={text!r} is not a number") from None
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise InadmissibleParameterError(f"{name}={text!r} is not a finite, non-negative number")
+    return value
 
 
-def _tolerance() -> Tolerance:
-    return Tolerance(
-        eq_tol=_env_float("MUBTOOLS_EQ_TOL", DEFAULT_EQ_TOL),
-        dedupe_tol=_env_float("MUBTOOLS_DEDUPE_TOL", DEFAULT_DEDUPE_TOL),
-    )
+def _eq_tol() -> float:
+    return _env_tol("MUBTOOLS_EQ_TOL", DEFAULT_EQ_TOL)
 
 
 def _write_text(path: str | None, *parts: str) -> None:
@@ -96,7 +96,7 @@ def _write_text(path: str | None, *parts: str) -> None:
         handle.writelines(parts)
 
 
-def _load_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
+def _load_bases(paths: list[str], tol: float) -> list[Basis]:
     """Every command that reads files as bases rejects non-unitary or mixed-dimension input here."""
     bases = [basis for path in paths for basis in mio.parse_bases(mio.loads(mio.read_text(path)), path)]
     for basis in bases:
@@ -110,7 +110,7 @@ def _load_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
     return bases
 
 
-def _two_bases(paths: list[str], tol: Tolerance) -> list[Basis]:
+def _two_bases(paths: list[str], tol: float) -> list[Basis]:
     bases = _load_bases(paths, tol)
     if len(bases) != 2:
         raise mio.FileFormatError(f"expected exactly two bases, the files hold {len(bases)}")
@@ -167,7 +167,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = _tolerance()
+    tol = _eq_tol()
     failures = 0
     reports = []
     if args.what == "hadamard":
@@ -180,7 +180,7 @@ def _cmd_verify(args) -> int:
                 name = f"{path} [{basis.label}]" if listed else path
                 if not math.isfinite(defect):  # entries near the float limit overflow the products
                     raise mio.FileFormatError(f"{name}: hadamard defect {defect} is not finite")
-                ok = defect <= tol.eq_tol
+                ok = defect <= tol
                 report = {"file": path, "check": "hadamard", "pass": ok, "defect": defect}
                 if listed:
                     report["basis"] = basis.label
@@ -213,7 +213,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    tol = _tolerance()
+    tol = _eq_tol()
     a, b = _two_bases(args.files, tol)
     value = chordal_distance_sq_overlap(a, b, tol)
     _write_text(None, mio.dumps({"n": a.dim, "chordal_distance_sq": value}))
@@ -221,7 +221,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    tol = _tolerance()
+    tol = _eq_tol()
     bases = _load_bases(args.files, tol)
     if len(bases) < 2:
         raise mio.FileFormatError("table needs at least two bases")
@@ -234,7 +234,8 @@ def _cmd_table(args) -> int:
 def _cmd_census(args) -> int:
     if args.method == "newton":
         seed, origin = _resolve_seed(args.seed)
-        census = biunimodular.newton_census(args.n, restarts=args.restarts, seed=seed, tol=_tolerance())
+        tol = _env_tol("MUBTOOLS_DEDUPE_TOL", DEFAULT_DEDUPE_TOL)
+        census = biunimodular.newton_census(args.n, restarts=args.restarts, seed=seed, tol=tol)
         census.metadata["seed_origin"] = origin
     else:
         census = biunimodular.root_census(args.n, args.k)
@@ -259,7 +260,7 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    tol = _tolerance()
+    tol = _eq_tol()
     census = biunimodular.CensusResult.from_dict(mio.loads(mio.read_text(args.census)))
     try:
         if not census.bases:
@@ -337,7 +338,7 @@ def _downsample(traj: np.ndarray) -> np.ndarray:
 
 
 def _cmd_scan(args) -> int:
-    tol = _tolerance()
+    tol = _eq_tol()
     family = args.family.upper()
     n, names, _ = catalog.FAMILIES[family]
     axis = np.linspace(0.0, 2 * np.pi, args.points, endpoint=False)
@@ -360,8 +361,7 @@ def _cmd_scan(args) -> int:
 def _cmd_ks_check(args) -> int:
     census3 = constructions.real_unbiased_census(3)
     dim4 = constructions.real_mub_set_dim4()
-    exact = Tolerance(eq_tol=1e-12)
-    cross_ok = all(is_unbiased_pair(a, b, exact)[0] for a, b in itertools.combinations(dim4.bases, 2))
+    cross_ok = all(is_unbiased_pair(a, b, 1e-12)[0] for a, b in itertools.combinations(dim4.bases, 2))
     rays = constructions.peres_rays()
     result = constructions.ks_uncolourable(rays)
     payload = {

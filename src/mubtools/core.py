@@ -1,4 +1,10 @@
-"""Complex bases, unbiasedness and Hadamard predicates, dephasing, equivalence heuristics."""
+"""Complex bases, unbiasedness and Hadamard predicates, dephasing, equivalence heuristics.
+
+A margin is a plain float named `tol`, of one rule: DEFAULT_EQ_TOL for identities
+(unitarity, unbiasedness, the Hadamard and biunimodular tests, chordal distances),
+DEFAULT_DEDUPE_TOL for merging near-duplicates (the Newton census dedupe, the
+Haagerup invariant grid).  No function takes both.
+"""
 
 from __future__ import annotations
 
@@ -13,23 +19,6 @@ DEFAULT_DEDUPE_TOL = 1e-6
 
 class InadmissibleParameterError(ValueError):
     """A parameter lies outside its admissible region."""
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical margins: eq_tol for algebraic identities, dedupe_tol for merging near-duplicates."""
-
-    eq_tol: float = DEFAULT_EQ_TOL
-    dedupe_tol: float = DEFAULT_DEDUPE_TOL
-
-    def __post_init__(self):
-        if self.eq_tol < 0 or self.dedupe_tol < 0:
-            raise InadmissibleParameterError("tolerances must be non-negative")
-        if not self.eq_tol < self.dedupe_tol:
-            raise InadmissibleParameterError(f"eq_tol ({self.eq_tol}) must be smaller than dedupe_tol ({self.dedupe_tol})")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 @dataclass(frozen=True)
@@ -54,11 +43,11 @@ class Basis:
     def unitarity_defect(self) -> float:
         return unitarity_defect(self.matrix)
 
-    def require_unitary(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def require_unitary(self, tol: float = DEFAULT_EQ_TOL) -> None:
         defect = self.unitarity_defect()
-        if not defect <= tol.eq_tol:  # NaN entries fail too
+        if not defect <= tol:  # NaN entries fail too
             name = self.label or "<unlabelled>"
-            raise ValueError(f"basis {name!r} is not unitary: defect {defect:.3e} > {tol.eq_tol:.1e}")
+            raise ValueError(f"basis {name!r} is not unitary: defect {defect:.3e} > {tol:.1e}")
 
     @staticmethod
     def standard(n: int) -> "Basis":
@@ -77,32 +66,32 @@ def conjugate_basis(basis: Basis) -> Basis:
     return Basis(np.conj(basis.matrix), label=f"conj({basis.label})" if basis.label else "")
 
 
-def _check_pair(a: Basis, b: Basis, tol: Tolerance) -> None:
+def _check_pair(a: Basis, b: Basis, tol: float) -> None:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     a.require_unitary(tol)
     b.require_unitary(tol)
 
 
-def overlap_squares(a: Basis, b: Basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def overlap_squares(a: Basis, b: Basis, tol: float = DEFAULT_EQ_TOL) -> np.ndarray:
     """Matrix of squared overlaps |<a_i|b_j>|^2; doubly stochastic for unitary inputs."""
     _check_pair(a, b, tol)
     return np.abs(a.matrix.conj().T @ b.matrix) ** 2
 
 
-def is_unbiased_pair(a: Basis, b: Basis, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether all squared overlaps equal 1/N within eq_tol; returns the max deviation too."""
+def is_unbiased_pair(a: Basis, b: Basis, tol: float = DEFAULT_EQ_TOL) -> tuple[bool, float]:
+    """Whether all squared overlaps equal 1/N within tol; returns the max deviation too."""
     s = overlap_squares(a, b, tol)
     deviation = float(np.abs(s - 1.0 / a.dim).max())
-    return deviation <= tol.eq_tol, deviation
+    return deviation <= tol, deviation
 
 
-def is_complex_hadamard(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every entry has modulus 1/sqrt(N) and the matrix is unitary, within eq_tol."""
+def is_complex_hadamard(matrix: np.ndarray, tol: float = DEFAULT_EQ_TOL) -> bool:
+    """True iff every entry has modulus 1/sqrt(N) and the matrix is unitary, within tol."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return hadamard_defect(m) <= tol.eq_tol
+    return hadamard_defect(m) <= tol
 
 
 def hadamard_defect(matrix: np.ndarray) -> float:
@@ -123,29 +112,30 @@ def dephase(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def haagerup_invariants(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Counter:
+def haagerup_invariants(matrix: np.ndarray, tol: float = DEFAULT_DEDUPE_TOL) -> Counter:
     """Multiset of quadruple products m_ij conj(m_kj) m_kl conj(m_il) over all index quadruples.
 
     Products are taken on the sqrt(N)-scaled entries, so for a Hadamard they
     are unimodular.  The exact multiset is invariant under row/column
     permutations and row/column phase multiplication.  Values are snapped to
-    a dedupe_tol grid before counting, which makes this a heuristic screen:
-    rounding errors that put a value near a cell edge can split equal values
-    between neighbouring cells, so equivalent matrices usually, but not
-    always, give equal multisets.
+    a grid of spacing tol before counting, which makes this a heuristic
+    screen: rounding errors that put a value near a cell edge can split equal
+    values between neighbouring cells, so equivalent matrices usually, but
+    not always, give equal multisets.
     """
+    if not 0 < tol < np.inf:  # no grid of spacing 0, or of infinite spacing, snaps to numbers
+        raise InadmissibleParameterError(f"the invariant grid must be a finite positive number, got {tol}")
     m = np.asarray(matrix, dtype=complex) * np.sqrt(matrix.shape[0])
     prods = np.einsum("ij,kj,kl,il->ikjl", m, m.conj(), m, m.conj()).ravel()
-    grid = tol.dedupe_tol
-    keys = zip(np.round(prods.real / grid).astype(int), np.round(prods.imag / grid).astype(int))
-    return Counter(complex(re * grid, im * grid) for re, im in keys)
+    keys = zip(np.round(prods.real / tol).astype(int), np.round(prods.imag / tol).astype(int))
+    return Counter(complex(re * tol, im * tol) for re, im in keys)
 
 
 INEQUIVALENT = "inequivalent"
 PROBABLY_EQUIVALENT = "probably-equivalent"
 
 
-def equivalent_heuristic(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> str:
+def equivalent_heuristic(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_DEDUPE_TOL) -> str:
     """Invariant-multiset screen: 'inequivalent' is a certificate, 'probably-equivalent' is not."""
     ma = np.asarray(a, dtype=complex)
     mb = np.asarray(b, dtype=complex)

@@ -8,7 +8,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Basis, Tolerance
+from .core import DEFAULT_EQ_TOL, Basis
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +69,7 @@ def hs_distance_sq(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(d) ** 2))
 
 
-def basis_frame(basis: Basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def basis_frame(basis: Basis, tol: float = DEFAULT_EQ_TOL) -> np.ndarray:
     """(N^2-1) x N frame of scaled Bloch columns; it has rank N-1 and columns summing to zero."""
     basis.require_unitary(tol)
     n = basis.dim
@@ -77,7 +77,7 @@ def basis_frame(basis: Basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.sqrt((n - 1.0) / n) * np.stack(cols, axis=1)
 
 
-def basis_projector(basis: Basis, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def basis_projector(basis: Basis, tol: float = DEFAULT_EQ_TOL) -> np.ndarray:
     """Rank-(N-1) projector F F^T onto the Bloch plane of a basis, F = basis_frame(basis)."""
     frame = basis_frame(basis, tol)
     return frame @ frame.T
@@ -117,12 +117,12 @@ def gram_deviations(unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, np.abs(g) ** 2 - 1.0 / n
 
 
-def chordal_distance_sq_overlap(a: Basis, b: Basis, tol: Tolerance = DEFAULT_TOL) -> float:
+def chordal_distance_sq_overlap(a: Basis, b: Basis, tol: float = DEFAULT_EQ_TOL) -> float:
     """Overlap form of the squared chordal distance: N-1 - sum_ab (|<a|b>|^2 - 1/N)^2."""
     return float(distance_table([a, b], tol)[0, 1])
 
 
-def distance_table(bases: list[Basis], tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def distance_table(bases: list[Basis], tol: float = DEFAULT_EQ_TOL) -> np.ndarray:
     """Symmetric table of pairwise squared chordal distances (zero diagonal), in overlap form."""
     if len(bases) < 2:
         raise ValueError("need at least two bases")
@@ -140,7 +140,7 @@ def distance_table(bases: list[Basis], tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     return table + table.T
 
 
-def spread_objective(bases: list[Basis], tol: Tolerance = DEFAULT_TOL) -> float:
+def spread_objective(bases: list[Basis], tol: float = DEFAULT_EQ_TOL) -> float:
     """Sum of squared chordal distances over unordered pairs of bases.
 
     Bounded by C(m,2) * (N-1), attained exactly when all pairs are unbiased.

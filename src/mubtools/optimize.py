@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .catalog import FAMILIES, family_matrix
-from .core import DEFAULT_TOL, Basis, InadmissibleParameterError, Tolerance, hadamard_defect
+from .core import DEFAULT_EQ_TOL, Basis, InadmissibleParameterError, hadamard_defect
 from .grassmann import distance_table, gram_deviations, spread_upper_bound
 
 
@@ -241,7 +241,7 @@ def scan_family(
     extension_m: int | None = None,
     seeds: tuple[int, ...] = (0, 1),
     iterations: int = 4000,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = DEFAULT_EQ_TOL,
 ) -> list[ScanRow]:
     """Evaluate a catalog family over a parameter grid.
 

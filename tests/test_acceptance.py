@@ -28,7 +28,7 @@ from mubtools.constructions import (
     real_mub_set_dim4,
     real_unbiased_census,
 )
-from mubtools.core import Basis, Tolerance, is_complex_hadamard
+from mubtools.core import Basis, is_complex_hadamard
 from mubtools.cyclotomic import RootVector, is_orthogonal, is_unbiased_exact
 from mubtools.grassmann import (
     basis_projector,
@@ -39,7 +39,7 @@ from mubtools.grassmann import (
 from mubtools.optimize import haar_unitary, scan_family, spread_and_grads
 from mubtools.search import mub_quartet_search, mub_triplet_search, root_hadamard_enumerate
 
-TOL9 = Tolerance(eq_tol=1e-9, dedupe_tol=1e-6)
+TOL9 = 1e-9
 
 
 def announce(num: int, ok: bool, text: str) -> None:

@@ -25,9 +25,9 @@ from mubtools.biunimodular import (
 )
 from mubtools.catalog import bjorck_c
 from mubtools.constructions import fourier
-from mubtools.core import Basis, Tolerance, is_unbiased_pair
+from mubtools.core import Basis, InadmissibleParameterError, is_unbiased_pair
 
-TOL9 = Tolerance(eq_tol=1e-9, dedupe_tol=1e-6)
+TOL9 = 1e-9
 
 
 class TestDft:
@@ -129,6 +129,12 @@ class TestNewtonCensus:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             newton_census(4)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.pi, np.inf])
+    def test_dedupe_margin_outside_zero_pi_refused(self, tol):
+        # no phase gap exceeds pi, so a margin of pi or more would merge every pair of solutions
+        with pytest.raises(InadmissibleParameterError):
+            newton_census(6, 10, tol=tol)
 
     def test_census_missing_an_image_is_not_closed(self):
         """At n = 7 seed 2 stabilizes one sequence short of the 532 every other seed 0-40 finds: a shift
@@ -331,7 +337,7 @@ def test_new_solutions_matches_pairwise_loop():
         assert _new_solutions(sols, pool, tol) == expected
 
 
-def _parent_newton_census(n, restarts, seed, tol=bu.DEFAULT_TOL):
+def _parent_newton_census(n, restarts, seed, tol=bu.DEFAULT_DEDUPE_TOL):
     """Reference census, batch by batch: 512-row batches, one unsliced residual call per Armijo
     halving, one `_within` call per fresh row, lstsq for the whole batch when one solve fails.
     `newton_census` must reproduce its bytes."""
@@ -417,7 +423,7 @@ def _parent_newton_census(n, restarts, seed, tol=bu.DEFAULT_TOL):
         jac = phase_jacobian(x[rows], xt[rows], q_table, n)
         rank_deficient += int(np.sum(np.linalg.svd(jac, compute_uv=False)[:, -1] < 1e-6))
         sols = phi[rows] % (2 * np.pi)
-        new = new_solutions(sols, pool, tol.dedupe_tol)
+        new = new_solutions(sols, pool, tol)
         if new:
             pool = np.concatenate([pool, sols[new]])
             last_new = start_index + int(rows[new[-1]])
@@ -453,14 +459,14 @@ def _parent_newton_census(n, restarts, seed, tol=bu.DEFAULT_TOL):
         "restarts_used": used,
         "newton_residual_tol": bu.NEWTON_RESIDUAL_TOL,
         "max_iterations": bu.NEWTON_MAX_ITERATIONS,
-        "dedupe_tol": tol.dedupe_tol,
+        "dedupe_tol": tol,
         "rank_deficient_solutions": rank_deficient,
         "last_new_solution_at_restart": last_new,
         "bjorck_entry_tags": structure,
         "status": status,
     }
     result = CensusResult(n=n, sequences=tuple(sequences), bases=(), metadata=metadata)
-    metadata["counts_under_quotients"] = result.quotient_counts(tol.dedupe_tol)
+    metadata["counts_under_quotients"] = result.quotient_counts(tol)
     return result
 
 
@@ -653,7 +659,7 @@ class TestAssembleBases:
         for basis in assembled6.bases:
             assert basis.unitarity_defect() < 1e-9
             for other in (std, fb):
-                ok, dev = is_unbiased_pair(other, basis, Tolerance(1e-8, 1e-6))
+                ok, dev = is_unbiased_pair(other, basis, 1e-8)
                 assert ok, (basis.label, dev)
 
     def test_empty_census_rejected(self):

@@ -15,11 +15,11 @@ from mubtools.catalog import (
 )
 from mubtools.cli import main
 from mubtools.constructions import fourier
-from mubtools.core import InadmissibleParameterError, Tolerance, haagerup_invariants, is_complex_hadamard
+from mubtools.core import InadmissibleParameterError, haagerup_invariants, is_complex_hadamard
 from mubtools.io import RootMatrix
 from mubtools.search import root_hadamard_enumerate
 
-TOL9 = Tolerance(eq_tol=1e-9, dedupe_tol=1e-6)
+TOL9 = 1e-9
 
 # admissibility boundary of the hermitian one-parameter family
 THETA_EDGE = np.arccos((np.sqrt(3) - 1) / 2)

@@ -269,8 +269,8 @@ def roots_census_text():
         (["optimize", "--n", "1", "--m", "3"], {}, 4),
         (["optimize", "--n", "2", "--m", "2", "--seeds", "0"], {}, 4),
         (["verify", "hadamard", "fourier.json"], {"MUBTOOLS_EQ_TOL": "abc"}, 4),
-        (["distance", "eye.json", "fourier.json"], {"MUBTOOLS_DEDUPE_TOL": ""}, 4),
-        (["table", "eye.json", "fourier.json"], {"MUBTOOLS_EQ_TOL": "1e-3"}, 4),  # not below dedupe
+        (["census", "newton", "--n", "6", "--restarts", "10"], {"MUBTOOLS_DEDUPE_TOL": ""}, 4),
+        (["table", "eye.json", "fourier.json"], {"MUBTOOLS_EQ_TOL": "1e-3"}, 0),  # no ordering against the dedupe margin
         (["verify", "hadamard", "fourier.json"], {"MUBTOOLS_EQ_TOL": "nan"}, 4),
         (["assemble", "fourier.json"], {}, 3),  # a matrix file, not a census
         (["assemble", "stub-census.json"], {}, 3),  # census header without sequences or metadata
@@ -359,6 +359,49 @@ def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, mo
     if code in (3, 4):
         assert out == ""
         assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+
+
+_TOL_VARIABLES = ("MUBTOOLS_EQ_TOL", "MUBTOOLS_DEDUPE_TOL")
+_TOL_COMMANDS = [  # every command that reads a tolerance variable, and the one variable it reads
+    (["verify", "hadamard", "fourier.json"], "MUBTOOLS_EQ_TOL"),
+    (["distance", "eye.json", "fourier.json"], "MUBTOOLS_EQ_TOL"),
+    (["table", "eye.json", "fourier.json"], "MUBTOOLS_EQ_TOL"),
+    (["report", "census.json"], "MUBTOOLS_EQ_TOL"),
+    (["scan", "h4", "--points", "2"], "MUBTOOLS_EQ_TOL"),
+    (["census", "newton", "--n", "6", "--restarts", "20", "--seed", "0"], "MUBTOOLS_DEDUPE_TOL"),
+]
+
+
+@pytest.fixture
+def tol_inputs(assembled6, tmp_path, monkeypatch):
+    """The input files of `_TOL_COMMANDS` in the working directory, and neither variable set."""
+    monkeypatch.chdir(tmp_path)
+    for name in _TOL_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    (tmp_path / "eye.json").write_text(mio.dumps(mio.complex_matrix_payload(np.eye(4))))
+    (tmp_path / "fourier.json").write_text(mio.dumps(mio.complex_matrix_payload(fourier(4).matrix)))
+    (tmp_path / "census.json").write_text(mio.dumps(assembled6.to_dict()))
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    pytest.param(argv, name, value, id=f"{argv[0]} {name}={value!r}")
+    for argv, name in _TOL_COMMANDS
+    for value in ("abc", "", "nan", "inf", "-1", *(["3.2"] if argv[0] == "census" else []))  # 3.2 >= pi
+])
+def test_read_tolerance_variable_refuses_bad_values(argv, name, value, tol_inputs, monkeypatch, capsys):
+    monkeypatch.setenv(name, value)
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, name", [pytest.param(*case, id=case[0][0]) for case in _TOL_COMMANDS])
+@pytest.mark.parametrize("value", ["abc", "1e-3"])
+def test_unread_tolerance_variable_changes_nothing(argv, name, value, tol_inputs, monkeypatch, capsys):
+    expected = main(argv), capsys.readouterr().out
+    (other,) = set(_TOL_VARIABLES) - {name}
+    monkeypatch.setenv(other, value)
+    assert (main(argv), capsys.readouterr().out) == expected
 
 
 _CENSUS_N2 = '{"format": "census", "n": 2, "metadata": {}, "sequences": [%s]}'
@@ -581,6 +624,8 @@ def _checkpoint(exponent=1, grid=None, extra=0, unit=0):
     return text
 
 
+# the census (1) assembles, so only its metadata can make a variant fail
+_CENSUS_N1_METADATA = '{"format": "census", "n": 1, "metadata": %s, "sequences": [{"kind": "gaussian", "entries": [[1, 0]]}]}'
 _BASIS_LABEL_5 = {"label": 5, "matrix": mio.complex_matrix_payload(np.eye(2))}
 _BAD_FILES = {  # variant -> content, or content per input-file dest; a callable takes the search depth
     "missing": None,
@@ -604,6 +649,8 @@ _BAD_FILES = {  # variant -> content, or content per input-file dest; a callable
     "header-n": {"files": json.dumps({"format": "basis-list", "n": 3,
                                       "bases": [{"label": "I", "matrix": mio.complex_matrix_payload(np.eye(2))}]})},
     "length": {"census": _CENSUS_N2 % _THREE_ENTRIES},
+    "metadata-nan": {"census": _CENSUS_N1_METADATA % '{"x": NaN}'},
+    "metadata-pairs": {"census": _CENSUS_N1_METADATA % "[[1, 0]]"},
     "float-exponent": {"resume": _checkpoint(1.7)},
     "exponent-k": {"resume": _checkpoint(3)},
     "negative-exponent": {"resume": _checkpoint(-1)},

@@ -7,7 +7,7 @@ from mubtools.core import (
     Basis,
     INEQUIVALENT,
     PROBABLY_EQUIVALENT,
-    Tolerance,
+    InadmissibleParameterError,
     dephase,
     equivalent_heuristic,
     haagerup_invariants,
@@ -22,20 +22,6 @@ def haar(n, rng):
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-class TestTolerance:
-    def test_defaults(self):
-        tol = Tolerance()
-        assert tol.eq_tol == 1e-10 and tol.dedupe_tol == 1e-6
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            Tolerance(eq_tol=1e-5, dedupe_tol=1e-6)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Tolerance(eq_tol=-1.0)
 
 
 class TestOverlapSquares:
@@ -171,6 +157,11 @@ class TestHaagerupInvariants:
 
     def test_f6_vs_bjorck_differ(self):
         assert haagerup_invariants(f6(0, 0)) != haagerup_invariants(bjorck_c())
+
+    @pytest.mark.parametrize("grid", [0.0, -1e-6, np.nan, np.inf])
+    def test_grid_must_be_finite_and_positive(self, grid):
+        with pytest.raises(InadmissibleParameterError):
+            haagerup_invariants(fourier(2).matrix, grid)
 
 
 class TestEquivalentHeuristic:

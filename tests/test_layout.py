@@ -1,6 +1,7 @@
 """Design invariants of the package source, checked on its syntax trees.
 
 - `io` is the one module that reads or writes JSON;
+- `cli` is the one module that reads the environment, so library margins enter only as arguments;
 - numpy is the one third-party import;
 - the package directory holds Python modules only, no data files;
 - every function parameter is read by its function;
@@ -41,6 +42,27 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_only_io_imports_json(path):
     assert ("json" in _imported_tops(_tree(path))) == (path.stem == "io")
+
+
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """Reads of os.environ or os.getenv, as an attribute or an imported name, as "line N"."""
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in _ENVIRONMENT_NAMES]
+    lines += [n.lineno for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "os"
+              and any(alias.name in _ENVIRONMENT_NAMES for alias in n.names)]
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_cli_reads_the_environment(path):
+    assert path.stem == "cli" or _environment_reads(_tree(path)) == []
+
+
+def test_an_environment_read_is_found():
+    tree = ast.parse("import os\nfrom os import getenv\ndef f():\n    return os.environ.get('X'), os.getenv('Y')\n")
+    assert _environment_reads(tree) == ["line 2", "line 4", "line 4"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -19,7 +19,6 @@ from mubtools.constructions import prime_mub_set
 from mubtools.core import (
     Basis,
     InadmissibleParameterError,
-    Tolerance,
     haagerup_invariants,
     is_complex_hadamard,
     is_unbiased_pair,
@@ -46,7 +45,7 @@ from mubtools.search import (
     unbiased_vector_enumerate,
 )
 
-TOL = Tolerance(eq_tol=1e-10, dedupe_tol=1e-6)
+TOL = 1e-10
 
 
 def to_complex(exps: np.ndarray, k: int) -> np.ndarray:
@@ -145,7 +144,7 @@ class TestHadamardEnumerate:
         enum = root_hadamard_enumerate(n, k)
         groups: dict = {}
         for i, m in enumerate(enum.matrices):
-            inv = haagerup_invariants(to_complex(m, k), TOL)
+            inv = haagerup_invariants(to_complex(m, k))
             groups.setdefault(frozenset(inv.items()), []).append(i)
         assert enum.buckets == list(groups.values())
 
