@@ -13,7 +13,7 @@ from . import search as search_mod
 from .catalog import bjorck_d
 from .core import DEFAULT_DEDUPE_TOL, DEFAULT_EQ_TOL, Basis, InadmissibleParameterError, is_unbiased_pair
 from .constructions import fourier
-from .cyclotomic import _is_prime
+from .cyclotomic import _is_prime, _unit_roots
 from .grassmann import distance_table
 from .io import FileFormatError, _header_int, _label, complex_entries, dumps, parse_complex_entries
 
@@ -56,8 +56,7 @@ def autocorrelation(x: np.ndarray) -> np.ndarray:
 def classify_sequence(entries: np.ndarray) -> str:
     """gaussian when every entry is a 2N-th root of unity, bjorck otherwise."""
     v = np.asarray(entries, dtype=complex)
-    roots = np.exp(2j * np.pi * np.arange(2 * len(v)) / (2 * len(v)))
-    dist = np.abs(v[:, None] - roots[None, :]).min(axis=1).max()
+    dist = np.abs(v[:, None] - _unit_roots(2 * len(v))[None, :]).min(axis=1).max()
     return GAUSSIAN if dist < ROOT_TOL else BJORCK
 
 
@@ -66,7 +65,7 @@ def entry_structure(entries: np.ndarray) -> list[str]:
 
     Diagnostic only; the tags are recorded in census metadata, not asserted.
     """
-    roots12 = np.exp(2j * np.pi * np.arange(12) / 12)
+    roots12 = _unit_roots(12)
     d = bjorck_d()
     tags = []
     for z in np.asarray(entries, dtype=complex):
@@ -168,6 +167,8 @@ class CensusResult:
         entries = [s.entries for s in sequences] + [b.matrix for b in bases]
         if not all(np.isfinite(e).all() for e in entries):
             raise FileFormatError("census entries must be finite")
+        if not all(np.abs(np.abs(s.as_array()) - 1).max(initial=0) <= DEFAULT_EQ_TOL for s in sequences):
+            raise FileFormatError("census sequence entries must have modulus 1")  # so no product of them overflows
         return CensusResult(n=n, sequences=sequences, bases=bases, metadata=dict(metadata))
 
 

@@ -15,6 +15,7 @@ import math
 import os
 import secrets
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -85,15 +86,16 @@ def _eq_tol() -> float:
     return _env_tol("MUBTOOLS_EQ_TOL", DEFAULT_EQ_TOL)
 
 
-def _write_text(path: str | None, *parts: str) -> None:
-    """Write the parts in order, to `path` or to stdout (ending in a newline there), without joining them."""
+def _write_text(path: str | None, text: str | Iterable[str]) -> None:
+    """Write a text, or its lines as they come, to `path` or to stdout (where a text ends in a newline)."""
+    lines = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.writelines(parts)
-        if not parts or not parts[-1].endswith("\n"):
+        sys.stdout.writelines(lines)
+        if isinstance(text, str) and not text.endswith("\n"):
             sys.stdout.write("\n")
         return
     with open(path, "w") as handle:
-        handle.writelines(parts)
+        handle.writelines(lines)
 
 
 def _load_bases(paths: list[str], tol: float) -> list[Basis]:
@@ -290,7 +292,7 @@ def _cmd_search(args) -> int:
         "complete": outcome.complete, "nodes": outcome.nodes_used,
         "resume_token": outcome.resume_token,
     }
-    _write_text(args.output, *mio.search_lines(outcome.results, summary))  # line by line: no copy of the whole text
+    _write_text(args.output, mio.search_lines(outcome.results, summary))  # one line at a time: no copy of the text
     print(f"search {args.depth}: {summary}", file=sys.stderr)
     return EXIT_OK
 

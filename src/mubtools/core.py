@@ -127,8 +127,11 @@ def haagerup_invariants(matrix: np.ndarray, tol: float = DEFAULT_DEDUPE_TOL) -> 
         raise InadmissibleParameterError(f"the invariant grid must be a finite positive number, got {tol}")
     m = np.asarray(matrix, dtype=complex) * np.sqrt(matrix.shape[0])
     prods = np.einsum("ij,kj,kl,il->ikjl", m, m.conj(), m, m.conj()).ravel()
-    keys = zip(np.round(prods.real / tol).astype(int), np.round(prods.imag / tol).astype(int))
-    return Counter(complex(re * tol, im * tol) for re, im in keys)
+    with np.errstate(over="ignore"):  # a grid too fine for the products overflows: it is refused below
+        cells = np.round(np.stack([prods.real, prods.imag]) / tol) + 0.0  # rounded as floats; + 0.0 makes -0 0
+    if not np.isfinite(cells).all():
+        raise InadmissibleParameterError(f"a product scaled to the invariant grid {tol} is not finite")
+    return Counter(complex(re * tol, im * tol) for re, im in zip(*cells.tolist()))
 
 
 INEQUIVALENT = "inequivalent"

@@ -35,6 +35,13 @@ def _is_prime(n: int) -> bool:
     return _prime_factors(n) == [n]
 
 
+@lru_cache(maxsize=8)
+def _unit_roots(k: int) -> np.ndarray:
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    roots.setflags(write=False)
+    return roots
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_k, constant term first.
@@ -194,9 +201,7 @@ class CyclotomicInt:
         return self * self.conj()
 
     def to_complex(self) -> complex:
-        k = self.order
-        roots = np.exp(2j * np.pi * np.arange(k) / k)
-        return complex(np.dot(np.asarray(self.coeffs, dtype=float), roots))
+        return complex(np.dot(np.asarray(self.coeffs, dtype=float), _unit_roots(self.order)))
 
     def __repr__(self) -> str:
         terms = [f"{c}*z{self.order}^{j}" for j, c in enumerate(self.coeffs) if c]
@@ -219,7 +224,7 @@ class RootVector:
         return len(self.exponents)
 
     def to_complex(self, normalized: bool = False) -> np.ndarray:
-        v = np.exp(2j * np.pi * np.asarray(self.exponents) / self.order)
+        v = _unit_roots(self.order)[list(self.exponents)]
         return v / np.sqrt(len(v)) if normalized else v
 
 

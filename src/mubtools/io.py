@@ -118,18 +118,19 @@ def _label(item: dict, default: str) -> str:
     return label
 
 
-def _exponent_grid(value, n: int, k: int | None = None) -> np.ndarray:
-    """An n x n grid of Python-int exponents; given k, each must lie in [0, k) and the grid is int16."""
-    if not isinstance(value, list) or len(value) != n or not all(
-            isinstance(row, list) and len(row) == n for row in value):
-        raise FileFormatError(f"exponent grid must be {n} x {n}")
-    if not all(type(e) is int for row in value for e in row):
+def _exponent_array(value, shape: tuple[int, ...], k: int | None = None) -> np.ndarray:
+    """Nested lists of Python-int exponents in the given shape, as an array; given k, each must lie in [0, k)
+    and the array is int16."""
+    items = [value]
+    for size in shape:
+        if not all(isinstance(item, list) and len(item) == size for item in items):
+            raise FileFormatError(f"exponents must form a {' x '.join(map(str, shape))} array")
+        items = [e for item in items for e in item]
+    if not all(type(e) is int for e in items):
         raise FileFormatError("exponents must be integers")
-    if k is None:
-        return np.array(value, dtype=int)
-    if not all(0 <= e < k for row in value for e in row):
+    if k is not None and not all(0 <= e < k for e in items):
         raise FileFormatError(f"exponents must lie in [0, {k})")
-    return np.array(value, dtype=np.int16)
+    return np.array(value, dtype=int if k is None else np.int16).reshape(shape)
 
 
 def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:
@@ -146,9 +147,9 @@ def parse_matrix(payload: dict) -> np.ndarray | RootMatrix:
             return m
         if form == "roots":
             k = _header_int(payload, "k")
-            if k < 1:
-                raise FileFormatError(f"root order k must be >= 1, got {k}")
-            return RootMatrix(n=n, k=k, exponents=_exponent_grid(payload["exponents"], n))
+            if k < 1 or n < 1:  # the complex form's n = 0 fails its shape check
+                raise FileFormatError(f"a root-form matrix needs n >= 1 and k >= 1, got n = {n}, k = {k}")
+            return RootMatrix(n=n, k=k, exponents=_exponent_array(payload["exponents"], (n, n)))
     except FileFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -184,35 +185,32 @@ def parse_bases(payload: dict, label: str) -> list[Basis]:
     return bases
 
 
-_STAGE_MATRICES = {"hadamards": 1, "triplets": 2, "quartets": 3}  # exponent matrices per search result
+def result_shape(depth: str, n: int) -> tuple[int, ...]:
+    """The shape of one result of a search stage: an n x n exponent matrix, or a tuple of 2 or 3 of them."""
+    return {"hadamards": (n, n), "triplets": (2, n, n), "quartets": (3, n, n)}[depth]
 
 
-def search_lines(results: list, summary: dict) -> list[str]:
-    """The `search` output: per result a root-form matrix or {"h1": ..., "h2": ...[, "h3": ...]}, then
-    {"summary": summary}, which names the depth and k; each grid becomes lists only for its own line."""
-    k, tuples = summary["k"], _STAGE_MATRICES[summary["depth"]] > 1
-    lines = []
-    for item in np.asarray(results):
-        grids = [root_matrix_payload(grid, k) for grid in (item if tuples else [item])]
-        lines.append(_encode(dict(zip(("h1", "h2", "h3"), grids)) if tuples else grids[0]) + "\n")
-    return lines + [_encode({"summary": summary}) + "\n"]
+def search_lines(results: np.ndarray, summary: dict):
+    """The `search` output, one line at a time: per row of a stage's `results` a root-form matrix or {"h1": ...,
+    "h2": ...[, "h3": ...]}, then {"summary": summary}, which names k; each grid becomes lists only for its line."""
+    k = summary["k"]
+    for item in results:
+        yield _encode(root_matrix_payload(item, k) if results.ndim == 3 else
+                      {f"h{i}": root_matrix_payload(grid, k) for i, grid in enumerate(item, 1)}) + "\n"
+    yield _encode({"summary": summary}) + "\n"
 
 
-def checkpoint_text(spec: dict, completed: list[tuple[int, list]]) -> str:
-    """A search checkpoint: the spec (n, k, depth) and each completed unit with its results as exponent grids."""
-    return _encode({
-        "spec": spec,
-        "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
-                      for unit, found in completed],
-    })
+def checkpoint_text(spec: dict, completed: list[tuple[int, np.ndarray]]) -> str:
+    """A search checkpoint: the spec (n, k, depth) and each completed unit with its results' exponent grids."""
+    return _encode({"spec": spec, "completed": [{"unit": unit, "results": found.tolist()} for unit, found in completed]})
 
 
-def read_checkpoint(path: str, spec: dict) -> dict[int, list]:
+def read_checkpoint(path: str, spec: dict) -> dict[int, np.ndarray]:
     """Completed unit -> its results, from a checkpoint written for the search `spec`.
 
     A result is one n x n exponent grid (hadamards) or a list of 2 (triplets)
-    or 3 (quartets), every exponent a Python int in [0, k); the grids come
-    back as int16 arrays, as a fresh run gives them.
+    or 3 (quartets), every exponent a Python int in [0, k); a unit's results
+    come back as one int16 array of `result_shape`s, as a fresh run gives them.
     """
     try:
         with open(path) as handle:
@@ -223,21 +221,14 @@ def read_checkpoint(path: str, spec: dict) -> dict[int, list]:
         raise FileFormatError(f"checkpoint {path} does not belong to the search {spec}")
     if "completed" not in payload:
         raise FileFormatError(f"checkpoint {path} stores no results; rerun the search from the start")
-    n, k, count = spec["n"], spec["k"], _STAGE_MATRICES[spec["depth"]]
-
-    def result(value):
-        grids = [value] if count == 1 else value
-        if not isinstance(grids, list) or len(grids) != count:
-            raise FileFormatError(f"a {spec['depth']} result must hold {count} exponent matrices")
-        mats = tuple(_exponent_grid(grid, n, k) for grid in grids)
-        return mats[0] if count == 1 else mats
-
+    shape = result_shape(spec["depth"], spec["n"])
     try:
         done = {}
         for item in payload["completed"]:
             if type(item["unit"]) is not int:
                 raise FileFormatError(f"unit index must be an integer, got {item['unit']!r}")
-            done[item["unit"]] = [result(r) for r in item["results"]]
+            results = item["results"]
+            done[item["unit"]] = _exponent_array(results, (len(results), *shape), spec["k"])
         return done
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed checkpoint {path}: {exc}") from exc

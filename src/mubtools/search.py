@@ -43,6 +43,8 @@ The three stages (Hadamards, triplets, quartets) split their work into
 independent units in groups that share work (a block of Hadamard units, an
 orbit of tuples) and run them through one loop (`_UnitLoop`), which runs a
 group once, at its first pending unit, and charges each unit its own nodes.  A
+stage's results are one int16 array, (count, n, n) Hadamards or (count, m, n, n)
+tuples of m matrices, from the unit that finds them to `search`'s output.  A
 node budget bounds the nodes of the stage that was asked for; it is checked
 before each unit, never inside one, so a run overruns it by at most one unit,
 and a budget of at least 1 always completes a pending unit.  The earlier
@@ -67,8 +69,8 @@ import numpy as np
 
 from .core import InadmissibleParameterError
 from .core import haagerup_invariants  # noqa: F401  (kept importable here; perfbench/child.py wraps it)
-from .cyclotomic import _PRESCREEN_MARGIN, RootVector, _norm_sq_is, _row_histogram
-from .io import checkpoint_text, read_checkpoint
+from .cyclotomic import _PRESCREEN_MARGIN, RootVector, _norm_sq_is, _row_histogram, _unit_roots
+from .io import checkpoint_text, read_checkpoint, result_shape
 
 MAX_CANDIDATES = 10**8
 _BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 225 exponents at n = 6
@@ -95,7 +97,7 @@ class SearchOutcome:
     """Results of a search stage plus completeness bookkeeping."""
 
     spec: SearchSpec
-    results: list
+    results: np.ndarray  # int16 exponent matrices: (count, n, n), or (count, m, n, n) for tuples of m
     complete: bool
     nodes_used: int
     resume_token: str | None = None
@@ -104,7 +106,7 @@ class SearchOutcome:
     def verdict(self) -> str:
         if not self.complete:
             return "inconclusive"
-        return "empty" if not self.results else "non-empty"
+        return "empty" if len(self.results) == 0 else "non-empty"
 
 
 def cliques(adj: np.ndarray | tuple[np.ndarray, np.ndarray], size: int,
@@ -193,13 +195,6 @@ def _digit_matrix(idx: np.ndarray, n: int, k: int) -> np.ndarray:
     for j in range(n - 1):
         out[:, j] = (idx // k**j) % k
     return out
-
-
-@lru_cache(maxsize=8)
-def _unit_roots(k: int) -> np.ndarray:
-    roots = np.exp(2j * np.pi * np.arange(k) / k)
-    roots.setflags(write=False)
-    return roots
 
 
 def _candidate_count(n: int, k: int) -> int:
@@ -445,19 +440,20 @@ class _UnitLoop:
         """Unit u is in group group_of[u]; run_group(units) runs units of one group, returning {unit: (results, nodes)}.
 
         The first pending unit of a group calls run_group once, with the units
-        of the group that the checkpoint does not hold.  `prior` is the earlier
-        stage's outcome: its nodes are added to the reported `nodes_used` but
-        never charged to the budget, and an incomplete prior makes this stage
-        incomplete too.
+        of the group that the checkpoint does not hold.  The units' result
+        arrays are concatenated in unit order (no unit: a (0, ...) array of the
+        stage's shape).  `prior` is the earlier stage's outcome: its nodes are
+        added to the reported `nodes_used` but never charged to the budget, and
+        an incomplete prior makes this stage incomplete too.
         """
         complete = prior is None or prior.complete
         pending: dict[int, list[int]] = {}
         for unit, group in enumerate(group_of):
             if unit not in self.done:
                 pending.setdefault(group, []).append(unit)
-        ran: dict[int, tuple[list, int]] = {}  # units whose group has run and that the loop has not reached
+        ran: dict[int, tuple[np.ndarray, int]] = {}  # units whose group has run and that the loop has not reached
         used = 0
-        completed: list[tuple[int, list]] = []
+        completed: list[tuple[int, np.ndarray]] = []
         for unit, group in enumerate(group_of):
             found = self.done.get(unit)
             if found is None:
@@ -475,7 +471,8 @@ class _UnitLoop:
             token = self.checkpoint_path
         return SearchOutcome(
             spec=self.spec,
-            results=[r for _, found in completed for r in found],
+            results=np.concatenate([found for _, found in completed]) if completed
+            else np.empty((0, *result_shape(self.spec.depth, self.spec.n)), dtype=np.int16),
             complete=complete,
             nodes_used=used + (prior.nodes_used if prior is not None else 0),
             resume_token=token,
@@ -489,8 +486,8 @@ class HadamardEnumeration(SearchOutcome):
     buckets: list[list[int]] = field(default_factory=list)  # matrix indices grouped by equal Haagerup multiset
 
     @property
-    def matrices(self) -> list[np.ndarray]:
-        """The results, n x n exponent matrices."""
+    def matrices(self) -> np.ndarray:
+        """The results, one (count, n, n) int16 array of exponent matrices."""
         return self.results
 
 
@@ -527,21 +524,19 @@ def root_hadamard_enumerate(
     after = np.repeat(indptr[1:], degree) - np.arange(len(indices)) - 1
     tests = np.concatenate(([0], np.cumsum(np.minimum(after, degree[indices]))))[indptr]  # of the rows before each
 
-    def block_matrices(units: list[int]) -> dict[int, tuple[list, int]]:
+    def block_matrices(units: list[int]) -> dict[int, tuple[np.ndarray, int]]:
         first = np.array(units) + 1
         nodes = np.ones(len(units), dtype=np.int64)  # the unit itself, then the vertices its walk tries
         found = cliques(adj, n - 1, first, nodes)
         mats = _exponent_matrix(cols[np.insert(found, 0, 0, axis=1)])  # column 0 is cols[0], the all-ones column
         bounds = np.searchsorted(found[:, 0], np.append(first, len(cols))).tolist()  # the units' ranges in mats
-        return {u: (list(mats[lo:hi]), cost) for u, lo, hi, cost in zip(units, bounds, bounds[1:], nodes.tolist())}
+        return {u: (mats[lo:hi], cost) for u, lo, hi, cost in zip(units, bounds, bounds[1:], nodes.tolist())}
 
     outcome = loop.run((tests[1:len(cols)] // _BLOCK).tolist(), block_matrices)  # unit u's first column is u + 1
-    mats = np.array(outcome.results, dtype=np.int16).reshape(-1, n, n)  # one array for the stage; the units' are freed
-    outcome.results = list(mats)
-    return HadamardEnumeration(**vars(outcome), buckets=_haagerup_buckets(mats, k))
+    return HadamardEnumeration(**vars(outcome), buckets=_haagerup_buckets(outcome.results, k))
 
 
-def _haagerup_buckets(matrices: np.ndarray | list[np.ndarray], k: int) -> list[list[int]]:
+def _haagerup_buckets(matrices: np.ndarray, k: int) -> list[list[int]]:
     """Matrix indices grouped by equal Haagerup multiset, groups in order of first appearance.
 
     For an exponent matrix e the Haagerup invariants are the roots
@@ -556,7 +551,6 @@ def _haagerup_buckets(matrices: np.ndarray | list[np.ndarray], k: int) -> list[l
     """
     if not len(matrices):
         return []
-    matrices = np.asarray(matrices, dtype=np.int16)
     n = matrices.shape[1]
     upper, lower = np.triu_indices(n, 1)
     hists = np.empty((len(matrices), k // 2 + 1), dtype=np.min_scalar_type(n**4))
@@ -615,15 +609,17 @@ def _column_keys(mats: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Those are the columns of H1 but its first (the all-ones column) and every
     column of the later matrices, sorted within each matrix.  A column's
     index is its rows 1..n-1 dotted with `weights`: k^j for digit position j,
-    or those powers permuted, which indexes the digit-permuted column.
+    or those powers permuted, which indexes the digit-permuted column.  The
+    int64 sum takes one int16 row of every matrix at a time, so it makes no
+    int64 copy of the matrices.
     """
-    idx = np.einsum("umrc,r->umc", mats[:, :, 1:, :], weights)
+    idx = sum(mats[:, :, row, :] * weight for row, weight in enumerate(weights, 1))
     later = np.sort(idx[:, 1:], axis=2).reshape(len(idx), (idx.shape[1] - 1) * idx.shape[2])
     return np.concatenate([np.sort(idx[:, 0, 1:], axis=1), later], axis=1)
 
 
-def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> SearchOutcome:
-    """One unit per tuple (H1, ...): the tuple plus each further matrix unbiased to all of it.
+def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: np.ndarray) -> SearchOutcome:
+    """One unit per tuple (H1, ...), a row of `tuples`: the tuple plus each further matrix unbiased to all of it.
 
     The new matrix's columns are exactly unbiased to every column of the
     tuple and exactly orthogonal to one another.  Each is unbiased to the
@@ -637,7 +633,7 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     the n - 2 adjacent transpositions of digit positions: a unit's image is
     the unit with the same sorted column set (`_column_keys`), matched in one
     lexsort of the keys and their images, and a permuted tuple that is not in
-    the list is no edge, so any list of tuples may be given.  Each orbit is a
+    the array is no edge, so any array of tuples may be given.  Each orbit is a
     group; pointer jumping up its tree (`_orbit_forest`) gives each unit its
     root, the representative, and its digit permutation from it.  The group
     solves the representative once (its first H1 column's row over the base
@@ -650,13 +646,12 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     _, base_idx = _difference_tables(n, k)
     base = _digit_matrix(base_idx, n, k)
     weights = k ** np.arange(n - 1, dtype=np.int64)
-    count = len(tuples)
-    mats = np.array(tuples, dtype=np.int64).reshape(count, len(tuples[0]) if tuples else 1, n, n)
+    count, m = tuples.shape[:2]
     moves = np.tile(np.arange(n - 1), (n - 1, 1))  # row 0 moves no digit; row i + 1 swaps digit positions i and i + 1
     for i in range(n - 2):
         moves[i + 1, [i, i + 1]] = i + 1, i
     # the units' keys, then their images under each transposition: a move of the digits moves their weights
-    keyed = np.concatenate([_column_keys(mats, weights[move]) for move in moves])
+    keyed = np.concatenate([_column_keys(tuples, weights[move]) for move in moves])
     order = np.lexsort(keyed.T)  # stable: equal rows stay in increasing index order
     begins = np.any(np.diff(keyed[order], axis=0, prepend=-1), axis=1)  # a run of equal rows; keys are >= 0
     least = np.empty(len(keyed), dtype=np.intp)  # each row's least equal row: a unit, if any unit has that key
@@ -673,13 +668,14 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
     # the representatives' distinct first H1 columns; first_of[u] locates unit u's representative's among them
     firsts, first_of = np.unique(keys[rep, 0], return_inverse=True)
     unb_ptr, unb_hits = _difference_bits(n, _digit_matrix(firsts, n, k), base, k)
+    none = np.empty((0, m + 1, n, n), dtype=np.int16)  # the results of every unit with no extension
 
-    def orbit_extensions(units: list[int]) -> dict[int, tuple[list, int]]:
+    def orbit_extensions(units: list[int]) -> dict[int, tuple[np.ndarray, int]]:
         key, at = keys[rep[units[0]]], first_of[units[0]]
         cand = unb_hits[unb_ptr[at]:unb_ptr[at + 1]]
         rest_ptr, rest_hits = _difference_bits(n, _digit_matrix(key[1:], n, k), base[cand], k)
         cand = cand[np.bincount(rest_hits, minlength=len(cand)) == len(rest_ptr) - 1]  # a hit of every other column
-        extended = {unit: ([], n) for unit in units}
+        extended = {unit: (none, n) for unit in units}
         if len(cand) < n:  # no n-clique can come of fewer candidates
             return extended
         indptr, indices = _difference_bits(0, base[cand], base[cand], k)
@@ -689,7 +685,8 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> Searc
         for unit in units if len(found) else ():  # an orbit with no extensions maps nothing
             members = np.sort(np.searchsorted(base_idx, found @ placed[unit]), axis=1)
             members = members[np.lexsort(members.T[::-1])]
-            extended[unit] = ([(*tuples[unit], mat) for mat in _exponent_matrix(base[members])], n)
+            mats = _exponent_matrix(base[members])[:, None]
+            extended[unit] = (np.concatenate((np.broadcast_to(tuples[unit], (len(mats), m, n, n)), mats), axis=1), n)
         return extended
 
     return loop.run(rep.tolist(), orbit_extensions, prior=prior)
@@ -713,7 +710,7 @@ def mub_triplet_search(
     loop = _UnitLoop("triplets", n, k, budget, checkpoint_path, resume_token)
     if hadamards is None:
         hadamards = root_hadamard_enumerate(n, k, budget=None)
-    return _extend(loop, hadamards, [(h1,) for h1 in hadamards.matrices])
+    return _extend(loop, hadamards, hadamards.matrices[:, None])
 
 
 def mub_quartet_search(

@@ -217,7 +217,7 @@ def test_no_quartets_at_k24():
     assert len(hadamards.matrices) == 7584
     assert [len(b) for b in hadamards.buckets] == [300, 2160, 1080, 2160, 72, 720, 720, 360, 12]
     assert len(triplets.results) == 1920
-    assert quartets.results == [] and quartets.verdict == "empty"
+    assert len(quartets.results) == 0 and quartets.verdict == "empty"
     assert hadamards.complete and triplets.complete and quartets.complete
     assert (hadamards.nodes_used, triplets.nodes_used, quartets.nodes_used) == (181669, 227173, 238693)
 
@@ -230,7 +230,7 @@ def test_no_quartets_at_k36():
     assert len(hadamards.matrices) == 15864
     assert [len(b) for b in hadamards.buckets] == [300, 2160, 2160, 1080, 2160, 4320, 720, 72, 720, 720, 720, 720, 12]
     assert len(triplets.results) == 480
-    assert quartets.results == [] and quartets.verdict == "empty"
+    assert len(quartets.results) == 0 and quartets.verdict == "empty"
     assert hadamards.complete and triplets.complete and quartets.complete
     assert (hadamards.nodes_used, triplets.nodes_used, quartets.nodes_used) == (376009, 471193, 474073)
 

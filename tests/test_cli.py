@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -316,6 +317,7 @@ def roots_census_text():
         (["verify", "hadamard", "hadamards.json"], {}, 0),  # a basis list of Hadamards only
         (["assemble", "census-n1.json", "-o", "bases-n1.json"], {}, 0),  # no free phase: zero-width rows
         (["search", "hadamards", "--n", "6", "--k", "3", "--budget", "0"], {}, 4),  # could never start a unit
+        (["verify", "hadamard", "roots-n0.json"], {}, 3),  # n = 0 and no exponents
     ],
 )
 def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, monkeypatch, capsys):
@@ -337,6 +339,7 @@ def test_exit_codes(argv, env, code, roots_census_text, assembled6, tmp_path, mo
     for name, k, exponent in (("k0", "0", "0"), ("inf", "2", "1e400"), ("half", "2", "0.5"), ("k2.5", "2.5", "0")):
         (tmp_path / f"roots-{name}.json").write_text(
             '{"n": 1, "form": "roots", "k": %s, "exponents": [[%s]]}' % (k, exponent))
+    (tmp_path / "roots-n0.json").write_text('{"n": 0, "form": "roots", "k": 3, "exponents": []}')
     census = json.loads(mio.dumps(assembled6.to_dict()))
     (tmp_path / "census.json").write_text(json.dumps(census))
     for name, edit in (("n6.7", {"n": 6.7}),
@@ -649,6 +652,7 @@ _BAD_FILES = {  # variant -> content, or content per input-file dest; a callable
     "header-n": {"files": json.dumps({"format": "basis-list", "n": 3,
                                       "bases": [{"label": "I", "matrix": mio.complex_matrix_payload(np.eye(2))}]})},
     "length": {"census": _CENSUS_N2 % _THREE_ENTRIES},
+    "entry-modulus": {"census": _CENSUS_N2 % '{"kind": "gaussian", "entries": [[1, 0], [1e308, 0]]}'},
     "metadata-nan": {"census": _CENSUS_N1_METADATA % '{"x": NaN}'},
     "metadata-pairs": {"census": _CENSUS_N1_METADATA % "[[1, 0]]"},
     "float-exponent": {"resume": _checkpoint(1.7)},
@@ -771,3 +775,107 @@ def test_checkpoint_control_resumes(depth, tmp_path, monkeypatch, capsys):
     assert main(["search", depth, "--n", "3", "--k", "3", "--resume", "cp.json"]) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
     assert summary["complete"]
+
+
+# Generated structural mutations of valid files.  Each kind of file is written by the CLI itself and read by
+# the commands listed with it; "{}" stands for the mutated file.  The root-form matrix is the first line of a
+# `search` output.
+_MUTATED_FILES = {
+    "complex": (["gen", "fourier", "--n", "3", "-o", "complex.json"], "complex.json",
+                [["verify", "hadamard", "{}"], ["distance", "{}", "{}"]]),
+    "roots": (["search", "hadamards", "--n", "3", "--k", "3", "-o", "roots.json"], "roots.json",
+              [["verify", "hadamard", "{}"], ["distance", "{}", "{}"]]),
+    "prime-mubs": (["gen", "prime-mubs", "--p", "3", "-o", "mubs.json"], "mubs.json",
+                   [["verify", "mubset", "{}"], ["table", "{}"]]),
+    "census": (["census", "newton", "--n", "6", "--restarts", "2000", "--seed", "0", "-o", "census.json"],
+               "census.json", [["assemble", "{}"], ["report", "{}"]]),
+    "assembled": (["assemble", "census.json", "-o", "assembled.json"], "assembled.json", [["report", "{}"]]),
+    "checkpoint": (["search", "hadamards", "--n", "5", "--k", "5", "--budget", "1", "--checkpoint", "cp.json"],
+                   "cp.json", [["search", "hadamards", "--n", "5", "--k", "5", "--resume", "{}"]]),
+}
+# the values a mutation puts at a path; _DELETED removes the key or the list item instead
+_MUTATION_VALUES = (None, True, False, "x", 0, -1, 1, 2, 7, 1e30, 1.5, -0.0, 1e308, math.nan, math.inf, -math.inf,
+                    [], {}, [0], [[1, 0]], {"x": 1}, {"n": [0, 1]})
+_DELETED = object()
+_MUTATION_SAMPLE = 60  # cases per kind of file in the tier-1 run, drawn with a fixed seed
+
+
+def _mutations(value, path=()):
+    """(path, new value) for every key of every object and the first three items of every list in a JSON value,
+    depth first: each of `_MUTATION_VALUES` in turn, then `_DELETED`."""
+    children = value.items() if isinstance(value, dict) else enumerate(value[:3]) if isinstance(value, list) else ()
+    for key, child in children:
+        for new in (*_MUTATION_VALUES, _DELETED):
+            yield (*path, key), new
+        yield from _mutations(child, (*path, key))
+
+
+def _mutated(value, path, new):
+    """A copy of the JSON value with the item at `path` set to `new`, or removed for `_DELETED`."""
+    value = json.loads(json.dumps(value))
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return value
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Kind -> the JSON payload of a valid file of that kind, as the CLI writes it."""
+    directory = tmp_path_factory.mktemp("valid")
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for argv, _, _ in _MUTATED_FILES.values():
+            assert main(argv) == 0, argv
+        return {kind: json.loads((directory / name).read_text().splitlines()[0])
+                for kind, (_, name, _) in _MUTATED_FILES.items()}
+    finally:
+        os.chdir(cwd)
+
+
+def _mutation_faults(kind, payload, cases, capsys) -> list[str]:
+    """Run every command that reads a file of `kind` on each mutated payload, in the current directory.
+
+    Returns one line per fault: an exit code other than 0, 2, 3 or 4, an exception or a traceback, output on
+    stdout or more than one error line at exit 3 or 4, or a non-finite number in the output at exit 0.
+    """
+    faults = []
+    for path, new in cases:
+        with open("mutated.json", "w") as handle:
+            json.dump(_mutated(payload, path, new), handle)
+        for argv in _MUTATED_FILES[kind][2]:
+            argv = [token.replace("{}", "mutated.json") for token in argv]
+            case = f"{' '.join(argv)} with {path} = {'<deleted>' if new is _DELETED else repr(new)}"
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except Exception as exc:  # any exception out of main is a fault to report
+                faults.append(f"{case}: {exc!r}")
+                continue
+            out, err = capsys.readouterr()
+            if code not in (0, 2, 3, 4) or "Traceback" in err:
+                faults.append(f"{case}: exit {code}, {err!r}")
+            elif code in (3, 4) and (out or len(err.splitlines()) != 1):
+                faults.append(f"{case}: exit {code} with {out!r} on stdout and {err!r}")
+            elif code == 0:
+                try:
+                    _assert_finite_output(out)
+                except AssertionError as exc:
+                    faults.append(f"{case}: {exc}")
+    return faults
+
+
+@pytest.mark.parametrize("kind", list(_MUTATED_FILES))
+def test_structural_mutations_exit_cleanly(kind, valid_files, tmp_path, monkeypatch, capsys):
+    """A seeded sample of the structural mutations of a valid file: every command that reads it exits 0, 2, 3
+    or 4 with no traceback, stays silent on stdout at 3 and 4, and writes only finite numbers at 0."""
+    monkeypatch.chdir(tmp_path)
+    cases = list(_mutations(valid_files[kind]))
+    assert len(cases) > _MUTATION_SAMPLE
+    sample = random.Random(0).sample(cases, _MUTATION_SAMPLE)
+    assert _mutation_faults(kind, valid_files[kind], sample, capsys) == []

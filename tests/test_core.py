@@ -163,6 +163,18 @@ class TestHaagerupInvariants:
         with pytest.raises(InadmissibleParameterError):
             haagerup_invariants(fourier(2).matrix, grid)
 
+    def test_fine_grid_keeps_the_values_apart(self):
+        """At a grid of 1e-300 the scaled products are about 1e300: no warning, no collapsed keys."""
+        coarse, fine = haagerup_invariants(f6(0, 0)), haagerup_invariants(f6(0, 0), 1e-300)
+        assert len(coarse) == 6 and len(fine) >= len(coarse)
+        assert sum(fine.values()) == sum(coarse.values()) == 6**4
+        assert all(abs(abs(z) - 1) < 1e-9 for z in fine)
+
+    @pytest.mark.parametrize("grid", [1e-310, 5e-324])
+    def test_grid_at_which_a_product_overflows_is_refused(self, grid):
+        with pytest.raises(InadmissibleParameterError, match="not finite"):
+            haagerup_invariants(f6(0, 0), grid)
+
 
 class TestEquivalentHeuristic:
     def test_f6_vs_s_inequivalent(self):

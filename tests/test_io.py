@@ -91,22 +91,30 @@ def test_numpy_float32_has_17_digits_and_unknown_types_raise():
 
 
 @pytest.mark.parametrize("depth", ["hadamards", "triplets", "quartets"])
-def test_checkpoint_text_is_dumps_text(depth):
+def test_checkpoint_text_is_dumps_text(depth, tmp_path):
     """The standard encoder behind `checkpoint_text` and `search_lines` writes what `dumps` writes,
-    numpy spec integers included."""
+    numpy spec integers included, and `read_checkpoint` gives each unit's int16 array back."""
     grids = [(np.arange(36, dtype=np.int16).reshape(6, 6) * shift) % 12 for shift in (1, 5, 7)]
-    result = grids[0] if depth == "hadamards" else tuple(grids[: mio._STAGE_MATRICES[depth]])
+    result = grids[0] if depth == "hadamards" else np.stack(grids[: mio.result_shape(depth, 6)[0]])
+    assert result.shape == mio.result_shape(depth, 6)
     spec = {"n": np.int64(6), "k": 12, "depth": depth}
-    completed = [(0, []), (1, [result]), (2, [result, result])]
+    completed = [(0, result[None][:0]), (1, result[None]), (2, np.stack([result, result]))]
     payload = {"spec": spec, "completed": [{"unit": unit, "results": [np.asarray(r).tolist() for r in found]}
                                            for unit, found in completed]}
-    assert mio.checkpoint_text(spec, completed) == mio.dumps(payload)
-    for results in ([], [result, result]):
+    text = mio.checkpoint_text(spec, completed)
+    assert text == mio.dumps(payload)
+    (tmp_path / "cp.json").write_text(text)
+    done = mio.read_checkpoint(str(tmp_path / "cp.json"), {**spec, "n": 6})
+    assert list(done) == [0, 1, 2]
+    for unit, found in completed:
+        assert done[unit].dtype == np.int16 and done[unit].shape == found.shape
+        assert np.array_equal(done[unit], found)
+    for results in (completed[0][1], completed[2][1]):
         summary = {"depth": depth, "n": 6, "k": 12, "complete": False, "nodes": 7, "resume_token": None}
         payloads = [mio.root_matrix_payload(r, 12) if depth == "hadamards" else
                     {name: mio.root_matrix_payload(mat, 12) for name, mat in zip(("h1", "h2", "h3"), r)}
                     for r in results] + [{"summary": summary}]
-        assert mio.search_lines(results, summary) == [mio.dumps(p) + "\n" for p in payloads]
+        assert list(mio.search_lines(results, summary)) == [mio.dumps(p) + "\n" for p in payloads]
 
 
 def test_distance_csv_shape():

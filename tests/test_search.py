@@ -154,7 +154,8 @@ class TestHadamardEnumerate:
         assert _haagerup_buckets(matrices, k) == _full_haagerup_buckets(matrices, k)
 
     def test_buckets_of_no_matrices(self):
-        assert _haagerup_buckets([], 12) == _full_haagerup_buckets([], 12) == []
+        none = np.empty((0, 6, 6), dtype=np.int16)
+        assert _haagerup_buckets(none, 12) == _full_haagerup_buckets(none, 12) == []
 
     def test_outcome_type(self):
         enum = root_hadamard_enumerate(4, 4)
@@ -195,7 +196,7 @@ class TestTripletSearch:
 
     def test_n3_k3_contains_prime_construction(self):
         outcome = mub_triplet_search(3, 3)
-        assert outcome.complete and outcome.results
+        assert outcome.complete and len(outcome.results) > 0
         mubs = prime_mub_set(3)
         targets = [np.asarray(b.matrix) for b in mubs.bases[1:]]
         hit = False
@@ -258,9 +259,9 @@ class TestQuartetSearch:
             raise AssertionError("the unit reached the clique walk")
 
         monkeypatch.setattr(search_mod, "cliques", no_clique_walk)
-        outcome = mub_quartet_search(3, 6, triplets=replace(triplets, results=[(h1, h2)]))
+        outcome = mub_quartet_search(3, 6, triplets=replace(triplets, results=np.stack([h1, h2])[None]))
         assert outcome.complete
-        assert outcome.results == []
+        assert len(outcome.results) == 0
         assert outcome.verdict == "empty"
 
     @pytest.mark.parametrize("n, k, count", [(3, 3, 2), (3, 6, 2), (4, 4, 6), (5, 5, 72), (4, 8, 6)])
@@ -364,16 +365,16 @@ class TestCliques:
             def unit(units):
                 (first,) = units  # each unit is a group of its own
                 nodes = np.ones(1, dtype=np.int64)
-                found = cliques(csr, size, np.array([first]), nodes).tolist()
+                found = cliques(csr, size, np.array([first]), nodes)
                 unit_nodes.append(int(nodes[0]))
                 return {first: (found, int(nodes[0]))}
 
             full = _UnitLoop("hadamards", 2, 2, None, None, None).run(list(range(m)), unit)
-            assert full.complete and full.results == cliques(adj, size).tolist()
+            assert full.complete and full.results.tolist() == cliques(adj, size).tolist()
             for limit in range(1, full.nodes_used + 1):
                 unit_nodes.clear()
                 outcome = _UnitLoop("hadamards", 2, 2, limit, None, None).run(list(range(m)), unit)
-                assert outcome.results == full.results[:len(outcome.results)], (size, limit)
+                assert outcome.results.tolist() == full.results[:len(outcome.results)].tolist(), (size, limit)
                 assert unit_nodes and outcome.nodes_used == sum(unit_nodes), (size, limit)
                 if not outcome.complete:
                     assert 0 <= outcome.nodes_used - limit < unit_nodes[-1], (size, limit)
@@ -697,7 +698,7 @@ def test_unit_loop_runs_each_group_once_with_the_units_the_checkpoint_lacks(tmp_
 
     def run_group(units):
         calls.append(units)
-        return {unit: ([], unit + 1) for unit in units}
+        return {unit: (np.empty((0, 2, 2), dtype=np.int16), unit + 1) for unit in units}
 
     path = str(tmp_path / "run.checkpoint.json")
     partial = _UnitLoop("hadamards", 2, 2, 7, path, None).run(group_of, run_group)
@@ -742,7 +743,7 @@ def test_checkpoint_path_that_is_not_a_regular_file_is_left_alone(tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]
 
 
-def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]) -> SearchOutcome:
+def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: np.ndarray) -> SearchOutcome:
     """Reference for `_extend`: every unit solved on its own, with full base-set rows for every H1 column."""
     n, k = loop.spec.n, loop.spec.k
     # a candidate's difference to the all-ones column is itself, so the base set is the unbiased hits
@@ -755,8 +756,9 @@ def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]
     unbiased = [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in range(len(first_at))]
     which = which.reshape(len(tuples), n - 1)
 
-    def extensions(units: list[int]) -> dict[int, tuple[list, int]]:
+    def extensions(units: list[int]) -> dict[int, tuple[np.ndarray, int]]:
         (unit,) = units  # each unit is a group of its own
+        shape = (-1, tuples.shape[1] + 1, n, n)
         cand = sorted(set.intersection(*(unbiased[i] for i in which[unit])))
         for mat in tuples[unit][1:]:
             indptr, indices = _difference_bits(n, mat[1:].T, base[cand], k)
@@ -764,12 +766,13 @@ def _reference_extend(loop: _UnitLoop, prior: SearchOutcome, tuples: list[tuple]
                                                         for i in range(len(indptr) - 1)))
             cand = [cand[i] for i in sorted(keep)]
         if len(cand) < n:  # no n-clique can come of fewer candidates
-            return {unit: ([], n)}
+            return {unit: (np.empty(0, dtype=np.int16).reshape(shape), n)}
         cols = base[cand]
         indptr, indices = _difference_bits(0, cols, cols, k)
         adj = np.zeros((len(cand), len(cand)), dtype=bool)
         adj[np.repeat(np.arange(len(cand)), np.diff(indptr)), indices] = True
-        return {unit: ([(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n).tolist()], n)}
+        found = [(*tuples[unit], _exponent_matrix(cols[members])) for members in cliques(adj, n).tolist()]
+        return {unit: (np.array(found, dtype=np.int16).reshape(shape), n)}
 
     return loop.run(list(range(len(tuples))), extensions, prior=prior)
 
@@ -779,7 +782,7 @@ def _assert_same_outcome(ours: SearchOutcome, theirs: SearchOutcome) -> None:
     assert (ours.nodes_used, ours.complete) == (theirs.nodes_used, theirs.complete)
 
 
-def _reference_stage(depth: str, n: int, k: int, prior: SearchOutcome, tuples: list[tuple], budget=None):
+def _reference_stage(depth: str, n: int, k: int, prior: SearchOutcome, tuples: np.ndarray, budget=None):
     return _reference_extend(_UnitLoop(depth, n, k, budget, None, None), prior, tuples)
 
 
@@ -789,19 +792,20 @@ def test_extend_matches_unit_by_unit_reference(n, k):
     completeness of solving every unit, at every stage and at a budget that stops halfway."""
     had = root_hadamard_enumerate(n, k)
     trip = mub_triplet_search(n, k, hadamards=had)
-    _assert_same_outcome(trip, _reference_stage("triplets", n, k, had, [(h,) for h in had.matrices]))
+    _assert_same_outcome(trip, _reference_stage("triplets", n, k, had, had.matrices[:, None]))
     quart = mub_quartet_search(n, k, triplets=trip)
     _assert_same_outcome(quart, _reference_stage("quartets", n, k, trip, trip.results))
     for run, depth, prior, tuples in (
-        (lambda b: mub_triplet_search(n, k, budget=b, hadamards=had), "triplets", had, [(h,) for h in had.matrices]),
+        (lambda b: mub_triplet_search(n, k, budget=b, hadamards=had), "triplets", had, had.matrices[:, None]),
         (lambda b: mub_quartet_search(n, k, budget=b, triplets=trip), "quartets", trip, trip.results),
     ):
         budget = max(1, n * len(tuples) // 2)
         _assert_same_outcome(run(budget), _reference_stage(depth, n, k, prior, tuples, budget))
 
 
-def _not_closed(tuples: list[tuple], how: str) -> list[tuple]:
-    return {"every other": tuples[::2], "reversed": tuples[::-1], "duplicated": tuples[:3] + tuples[1:2] + tuples[3:]}[how]
+def _not_closed(tuples: np.ndarray, how: str) -> np.ndarray:
+    return {"every other": tuples[::2], "reversed": tuples[::-1],
+            "duplicated": np.concatenate((tuples[:3], tuples[1:2], tuples[3:]))}[how]
 
 
 @pytest.mark.parametrize("how", ["every other", "reversed", "duplicated"])
@@ -811,7 +815,7 @@ def test_extend_of_a_list_not_closed_under_digit_permutations(n, k, how):
     had = root_hadamard_enumerate(n, k)
     hadamards = _not_closed(had.matrices, how)
     trip = mub_triplet_search(n, k, hadamards=replace(had, results=hadamards))
-    _assert_same_outcome(trip, _reference_stage("triplets", n, k, had, [(h,) for h in hadamards]))
+    _assert_same_outcome(trip, _reference_stage("triplets", n, k, had, hadamards[:, None]))
     full = mub_triplet_search(n, k, hadamards=had)
     triplets = _not_closed(full.results, how)
     quart = mub_quartet_search(n, k, triplets=replace(full, results=triplets))
@@ -838,7 +842,7 @@ def test_resume_solves_a_representative_the_checkpoint_holds(depth, tmp_path, mo
     had = root_hadamard_enumerate(n, k)
     trip = mub_triplet_search(n, k, hadamards=had)
     run, tuples = {
-        "triplets": (lambda **kw: mub_triplet_search(n, k, hadamards=had, **kw), [(h,) for h in had.matrices]),
+        "triplets": (lambda **kw: mub_triplet_search(n, k, hadamards=had, **kw), had.matrices[:, None]),
         "quartets": (lambda **kw: mub_quartet_search(n, k, triplets=trip, **kw), trip.results),
     }[depth]
     want = run()
@@ -847,7 +851,7 @@ def test_resume_solves_a_representative_the_checkpoint_holds(depth, tmp_path, mo
             if _digit_orbit(tuples[u]) == _digit_orbit(tuples[0]) and tuple(_result_bytes(tuples[u])) in extended]
     path = str(tmp_path / "run.checkpoint.json")
     partial = run(budget=n, checkpoint_path=path)  # one unit costs n nodes
-    assert not partial.complete and partial.results
+    assert not partial.complete and len(partial.results) > 0
     assert {tuple(_result_bytes(r[:-1])) for r in partial.results} == {tuple(_result_bytes(tuples[0]))}
     walks = []
     monkeypatch.setattr(search_mod, "cliques", lambda *args, **kwargs: walks.append(1) or cliques(*args, **kwargs))
@@ -886,3 +890,22 @@ def test_orbit_forest_spans_the_components():
                 root = p
             assert root == find(i)
         assert sum(p < 0 for p in parent) == len({find(i) for i in range(count)})
+
+
+@pytest.mark.parametrize("n, k, counts", [(6, 12, (2184, 480, 0)), (3, 3, (1, 2, 2)), (3, 4, (0, 0, 0))])
+def test_each_stage_gives_one_int16_array(n, k, counts, tmp_path):
+    """Every stage's results are one int16 array, (count, n, n) Hadamards or (count, m, n, n) tuples of m
+    matrices, an empty stage and a stage with no unit included, and so are a budgeted run's and a resumed run's."""
+    had = root_hadamard_enumerate(n, k)
+    trip = mub_triplet_search(n, k, hadamards=had)
+    quart = mub_quartet_search(n, k, triplets=trip)
+    assert had.matrices is had.results
+    for outcome, count, shape in zip((had, trip, quart), counts, ((n, n), (2, n, n), (3, n, n))):
+        assert isinstance(outcome.results, np.ndarray)
+        assert outcome.results.dtype == np.int16 and outcome.results.shape == (count, *shape)
+    path = str(tmp_path / "run.checkpoint.json")
+    partial = mub_quartet_search(n, k, budget=1, checkpoint_path=path, triplets=trip)
+    resumed = mub_quartet_search(n, k, resume_token=partial.resume_token, triplets=trip)  # (3, 4): a fresh run
+    for outcome in (partial, resumed):
+        assert outcome.results.dtype == np.int16 and outcome.results.shape[1:] == (3, n, n)
+    assert np.array_equal(resumed.results, quart.results)
