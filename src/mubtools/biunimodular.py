@@ -15,10 +15,7 @@ from .core import DEFAULT_DEDUPE_TOL, DEFAULT_EQ_TOL, Basis, InadmissibleParamet
 from .constructions import fourier
 from .cyclotomic import _is_prime, _unit_roots
 from .grassmann import distance_table
-from .io import FileFormatError, _header_int, _label, complex_entries, dumps, parse_complex_entries
-
-GAUSSIAN = "gaussian"
-BJORCK = "bjorck"
+from .io import BJORCK, GAUSSIAN, census_payload, parse_census
 
 NEWTON_RESIDUAL_TOL = 1e-12
 NEWTON_MAX_ITERATIONS = 200
@@ -127,49 +124,12 @@ class CensusResult:
         return _quotient_counts(self.count, *_image_maps(self, tol))
 
     def to_dict(self) -> dict:
-        return {
-            "format": "census",
-            "n": self.n,
-            "metadata": self.metadata,
-            "sequences": [{"kind": s.kind, "entries": complex_entries(s.entries)} for s in self.sequences],
-            "bases": [
-                {"label": b.label, "n": b.dim, "entries": complex_entries(b.matrix)} for b in self.bases
-            ],
-        }
+        return census_payload(self)
 
     @staticmethod
     def from_dict(payload: dict) -> "CensusResult":
         """Inverse of to_dict; anything that is not a well-formed census raises FileFormatError."""
-        if payload.get("format") != "census":
-            raise FileFormatError("not a census payload")
-        try:
-            n = _header_int(payload, "n")
-            items = payload["sequences"]
-            kinds = [item["kind"] for item in items]
-            bad = [kind for kind in kinds if kind not in (GAUSSIAN, BJORCK)]
-            if bad:
-                raise FileFormatError(f"sequence kind must be {GAUSSIAN!r} or {BJORCK!r}, got {bad[0]!r}")
-            # the sequences are the rows of one grid
-            rows = parse_complex_entries([item["entries"] for item in items])
-            sequences = tuple(BiuniSequence(entries=tuple(row), kind=kind) for row, kind in zip(rows, kinds))
-            bases = tuple(
-                Basis(parse_complex_entries(item["entries"]), label=_label(item, ""))
-                for item in payload.get("bases", [])
-            )
-            metadata = payload["metadata"]
-            if not isinstance(metadata, dict):
-                raise FileFormatError(f"census metadata must be a JSON object, got {metadata!r}")
-            dumps(metadata)  # what cannot be written back, such as NaN, is refused here and not on output
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise FileFormatError(f"malformed census payload: {exc}") from exc
-        if any(s.n != n for s in sequences) or any(b.dim != n for b in bases):
-            raise FileFormatError(f"census entries do not all have length n = {n}")
-        entries = [s.entries for s in sequences] + [b.matrix for b in bases]
-        if not all(np.isfinite(e).all() for e in entries):
-            raise FileFormatError("census entries must be finite")
-        if not all(np.abs(np.abs(s.as_array()) - 1).max(initial=0) <= DEFAULT_EQ_TOL for s in sequences):
-            raise FileFormatError("census sequence entries must have modulus 1")  # so no product of them overflows
-        return CensusResult(n=n, sequences=sequences, bases=bases, metadata=dict(metadata))
+        return CensusResult(**parse_census(payload, BiuniSequence))
 
 
 def _close(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:

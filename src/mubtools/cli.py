@@ -1,9 +1,9 @@
 """Command-line interface.
 
-stdout carries machine-parseable JSON/CSV; human-readable notes go to
-stderr.  Exit codes: 0 success / verification passed, 2 verification
-failed, 3 malformed input file, 4 inadmissible parameter (usage errors
-included).
+stdout carries machine-parseable JSON/CSV, written by `io` like every file;
+human-readable notes go to stderr.  Exit codes: 0 success / verification
+passed, 2 verification failed, 3 malformed input file, 4 inadmissible
+parameter (usage errors included).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import os
 import secrets
 import sys
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -86,18 +85,6 @@ def _eq_tol() -> float:
     return _env_tol("MUBTOOLS_EQ_TOL", DEFAULT_EQ_TOL)
 
 
-def _write_text(path: str | None, text: str | Iterable[str]) -> None:
-    """Write a text, or its lines as they come, to `path` or to stdout (where a text ends in a newline)."""
-    lines = [text] if isinstance(text, str) else text
-    if path is None or path == "-":
-        sys.stdout.writelines(lines)
-        if isinstance(text, str) and not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(path, "w") as handle:
-        handle.writelines(lines)
-
-
 def _load_bases(paths: list[str], tol: float) -> list[Basis]:
     """Every command that reads files as bases rejects non-unitary or mixed-dimension input here."""
     bases = [basis for path in paths for basis in mio.parse_bases(mio.loads(mio.read_text(path)), path)]
@@ -164,7 +151,7 @@ def _cmd_gen(args) -> int:
         result = constructions.real_mub_set_dim4()
         payload = mio.basis_list_payload(list(result.bases), 4)
         payload["vertices"] = [[float(v) for v in row] for row in result.vertices]
-    _write_text(args.output, mio.dumps(payload))
+    mio.write_text(args.output, mio.dumps(payload))
     return EXIT_OK
 
 
@@ -210,15 +197,14 @@ def _cmd_verify(args) -> int:
                     f"{bases[i].label} / {bases[j].label}: deviation {dev:.3e} -> {'pass' if ok else 'FAIL'}",
                     file=sys.stderr,
                 )
-    _write_text(None, mio.dumps({"reports": reports, "failures": failures}))
+    mio.write_text(None, mio.dumps({"reports": reports, "failures": failures}))
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
 def _cmd_distance(args) -> int:
     tol = _eq_tol()
     a, b = _two_bases(args.files, tol)
-    value = chordal_distance_sq_overlap(a, b, tol)
-    _write_text(None, mio.dumps({"n": a.dim, "chordal_distance_sq": value}))
+    mio.write_text(None, mio.dumps({"n": a.dim, "chordal_distance_sq": chordal_distance_sq_overlap(a, b, tol)}))
     return EXIT_OK
 
 
@@ -227,9 +213,7 @@ def _cmd_table(args) -> int:
     bases = _load_bases(args.files, tol)
     if len(bases) < 2:
         raise mio.FileFormatError("table needs at least two bases")
-    table = distance_table(bases, tol)
-    csv = mio.distance_csv([b.label for b in bases], table)
-    _write_text(args.csv, csv)
+    mio.write_text(args.csv, mio.distance_csv([b.label for b in bases], distance_table(bases, tol)))
     return EXIT_OK
 
 
@@ -241,12 +225,9 @@ def _cmd_census(args) -> int:
         census.metadata["seed_origin"] = origin
     else:
         census = biunimodular.root_census(args.n, args.k)
-    _write_text(args.output, mio.dumps(census.to_dict()))
-    counts = census.count_by_kind()
-    print(
-        f"census: {census.count} sequences ({counts}) status={census.metadata['status']}",
-        file=sys.stderr,
-    )
+    mio.write_text(args.output, mio.dumps(census.to_dict()))
+    print(f"census: {census.count} sequences ({census.count_by_kind()}) status={census.metadata['status']}",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -256,7 +237,7 @@ def _cmd_assemble(args) -> int:
         census = biunimodular.assemble_bases(census)
     except ValueError as exc:  # an empty census, or a basis that is not unbiased to standard and Fourier
         raise mio.FileFormatError(str(exc)) from None
-    _write_text(args.output, mio.dumps(census.to_dict()))
+    mio.write_text(args.output, mio.dumps(census.to_dict()))
     print(f"assembled {len(census.bases)} bases", file=sys.stderr)
     return EXIT_OK
 
@@ -271,8 +252,8 @@ def _cmd_report(args) -> int:
     except ValueError as exc:  # an empty census, non-unitary bases, or not the full census structure
         raise mio.FileFormatError(str(exc)) from None
     if args.csv:
-        _write_text(args.csv, mio.distance_csv(list(report.labels), report.table))
-    _write_text(None, mio.dumps({"summary": report.summary_lines(), "stats": report.stats}))
+        mio.write_text(args.csv, mio.distance_csv(list(report.labels), report.table))
+    mio.write_text(None, mio.dumps({"summary": report.summary_lines(), "stats": report.stats}))
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     return EXIT_OK
@@ -281,8 +262,8 @@ def _cmd_report(args) -> int:
 def _cmd_search(args) -> int:
     run = {"hadamards": search_mod.root_hadamard_enumerate, "triplets": search_mod.mub_triplet_search,
            "quartets": search_mod.mub_quartet_search}[args.depth]
-    outcome = run(args.n, args.k, budget=args.budget, resume_token=args.resume,
-                  checkpoint_path=args.checkpoint or f"{args.depth}-n{args.n}-k{args.k}.checkpoint.json")
+    checkpoint = f"{args.depth}-n{args.n}-k{args.k}.checkpoint.json" if args.checkpoint is None else args.checkpoint
+    outcome = run(args.n, args.k, budget=args.budget, resume_token=args.resume, checkpoint_path=checkpoint)
     if args.depth == "hadamards":
         counts = {"matrices": len(outcome.results), "buckets": len(outcome.buckets)}
     else:
@@ -292,7 +273,7 @@ def _cmd_search(args) -> int:
         "complete": outcome.complete, "nodes": outcome.nodes_used,
         "resume_token": outcome.resume_token,
     }
-    _write_text(args.output, mio.search_lines(outcome.results, summary))  # one line at a time: no copy of the text
+    mio.write_text(args.output, mio.search_lines(outcome.results, summary))  # one line at a time: no copy of the text
     print(f"search {args.depth}: {summary}", file=sys.stderr)
     return EXIT_OK
 
@@ -327,7 +308,7 @@ def _cmd_optimize(args) -> int:
         ],
         "best_bases": mio.basis_list_payload(best.bases, args.n)["bases"],
     }
-    _write_text(args.output, mio.dumps(payload))
+    mio.write_text(args.output, mio.dumps(payload))
     print(f"best F = {best.objective:.9f} of bound {best.upper_bound}", file=sys.stderr)
     return EXIT_OK
 
@@ -355,8 +336,7 @@ def _cmd_scan(args) -> int:
         iterations=args.iterations,
         tol=tol,
     )
-    csv = mio.scan_csv(list(names), [b.label for b in against], rows)
-    _write_text(args.csv, csv)
+    mio.write_text(args.csv, mio.scan_csv(list(names), [b.label for b in against], rows))
     return EXIT_OK
 
 
@@ -379,7 +359,7 @@ def _cmd_ks_check(args) -> int:
             "contexts": [list(c) for c in result.contexts],
         },
     }
-    _write_text(args.output, mio.dumps(payload))
+    mio.write_text(args.output, mio.dumps(payload))
     expected = result.uncolourable and not census3.mub_pair_exists and cross_ok
     return EXIT_OK if expected else EXIT_VERIFY_FAILED
 

@@ -1,6 +1,7 @@
-"""File formats: matrix JSON (complex and root forms), basis lists, the
-complex entries and header rules of census JSON, search result lines and
-checkpoints, distance CSV.
+"""File formats: matrix JSON (complex and root forms), basis lists, census
+JSON, search result lines and checkpoints, distance CSV.  This is the one
+module that opens a file or touches stdin or stdout (the path "-"):
+`write_text` streams every output, `write_checkpoint` replaces atomically.
 
 Writers are deterministic (sorted keys, fixed separators) and emit floats
 with 17 significant digits so that write -> read -> write round-trips are
@@ -13,13 +14,20 @@ FileFormatError for anything else; this is the only module that parses JSON.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
+import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis
+from .core import DEFAULT_EQ_TOL, Basis
+
+GAUSSIAN = "gaussian"  # the two kinds of census sequence
+BJORCK = "bjorck"
 
 
 class FileFormatError(ValueError):
@@ -70,11 +78,8 @@ def complex_entries(values) -> list:
 
 
 def parse_complex_entries(grid) -> np.ndarray:
-    """Inverse of complex_entries for a matrix grid.
-
-    Each pair goes through complex(re, im), so strings, bare numbers and
-    ragged rows raise TypeError or ValueError.
-    """
+    """Inverse of complex_entries for a matrix grid; each pair goes through complex(re, im), so strings, bare
+    numbers and ragged rows raise TypeError or ValueError."""
     return np.array([[complex(re, im) for re, im in row] for row in grid])
 
 
@@ -185,6 +190,44 @@ def parse_bases(payload: dict, label: str) -> list[Basis]:
     return bases
 
 
+def census_payload(census) -> dict:
+    """The census JSON of a `biunimodular.CensusResult`: its sequences and bases as complex entries."""
+    return {"format": "census", "n": census.n, "metadata": census.metadata,
+            "sequences": [{"kind": s.kind, "entries": complex_entries(s.entries)} for s in census.sequences],
+            "bases": [{"label": b.label, "n": b.dim, "entries": complex_entries(b.matrix)} for b in census.bases]}
+
+
+def parse_census(payload: dict, sequence) -> dict:
+    """The fields (n, sequences, bases, metadata) of the census a census JSON holds, each sequence made by
+    sequence(entries=..., kind=...); anything that is not a well-formed census raises FileFormatError."""
+    if payload.get("format") != "census":
+        raise FileFormatError("not a census payload")
+    try:
+        n = _header_int(payload, "n")
+        items = payload["sequences"]
+        kinds = [item["kind"] for item in items]
+        bad = [kind for kind in kinds if kind not in (GAUSSIAN, BJORCK)]
+        if bad:
+            raise FileFormatError(f"sequence kind must be {GAUSSIAN!r} or {BJORCK!r}, got {bad[0]!r}")
+        rows = parse_complex_entries([item["entries"] for item in items])  # the sequences are the rows of one grid
+        bases = tuple(Basis(parse_complex_entries(item["entries"]), label=_label(item, ""))
+                      for item in payload.get("bases", []))
+        metadata = payload["metadata"]
+        if not isinstance(metadata, dict):
+            raise FileFormatError(f"census metadata must be a JSON object, got {metadata!r}")
+        _dump(metadata)  # what cannot be written back, such as NaN, is refused here and not on output
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FileFormatError(f"malformed census payload: {exc}") from exc
+    if any(len(row) != n for row in rows) or any(b.dim != n for b in bases):
+        raise FileFormatError(f"census entries do not all have length n = {n}")
+    if not (np.isfinite(rows).all() and all(np.isfinite(b.matrix).all() for b in bases)):
+        raise FileFormatError("census entries must be finite")
+    if np.abs(np.abs(rows) - 1).max(initial=0) > DEFAULT_EQ_TOL:
+        raise FileFormatError("census sequence entries must have modulus 1")  # so no product of them overflows
+    sequences = tuple(sequence(entries=tuple(row), kind=kind) for row, kind in zip(rows, kinds))
+    return {"n": n, "sequences": sequences, "bases": bases, "metadata": dict(metadata)}
+
+
 def result_shape(depth: str, n: int) -> tuple[int, ...]:
     """The shape of one result of a search stage: an n x n exponent matrix, or a tuple of 2 or 3 of them."""
     return {"hadamards": (n, n), "triplets": (2, n, n), "quartets": (3, n, n)}[depth]
@@ -205,18 +248,39 @@ def checkpoint_text(spec: dict, completed: list[tuple[int, np.ndarray]]) -> str:
     return _encode({"spec": spec, "completed": [{"unit": unit, "results": found.tolist()} for unit, found in completed]})
 
 
+def write_checkpoint(path: str, spec: dict, completed: list[tuple[int, np.ndarray]]) -> None:
+    """Write `checkpoint_text` to `path` through a temporary file in its directory that then replaces it, never
+    over a device or a pipe; an empty path, or a temporary file that cannot be made, fails naming `path`."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"not a regular file: {path}")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        try:
+            data = memoryview(checkpoint_text(spec, completed).encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def read_checkpoint(path: str, spec: dict) -> dict[int, np.ndarray]:
-    """Completed unit -> its results, from a checkpoint written for the search `spec`.
+    """Completed unit -> its results, from a checkpoint written for the search `spec` ("-": stdin).
 
     A result is one n x n exponent grid (hadamards) or a list of 2 (triplets)
     or 3 (quartets), every exponent a Python int in [0, k); a unit's results
-    come back as one int16 array of `result_shape`s, as a fresh run gives them.
+    come back as one int16 array of `result_shape`s, as a fresh run gives them;
+    a unit listed twice is refused.
     """
-    try:
-        with open(path) as handle:
-            payload = loads(handle.read())
-    except (OSError, ValueError) as exc:
-        raise FileFormatError(f"cannot read checkpoint {path}: {exc}") from exc
+    payload = loads(read_text(path))
     if payload.get("spec") != spec:
         raise FileFormatError(f"checkpoint {path} does not belong to the search {spec}")
     if "completed" not in payload:
@@ -225,10 +289,13 @@ def read_checkpoint(path: str, spec: dict) -> dict[int, np.ndarray]:
     try:
         done = {}
         for item in payload["completed"]:
-            if type(item["unit"]) is not int:
-                raise FileFormatError(f"unit index must be an integer, got {item['unit']!r}")
+            unit = item["unit"]
+            if type(unit) is not int:
+                raise FileFormatError(f"unit index must be an integer, got {unit!r}")
+            if unit in done:
+                raise FileFormatError(f"unit {unit} is listed twice")
             results = item["results"]
-            done[item["unit"]] = _exponent_array(results, (len(results), *shape), spec["k"])
+            done[unit] = _exponent_array(results, (len(results), *shape), spec["k"])
         return done
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed checkpoint {path}: {exc}") from exc
@@ -245,6 +312,19 @@ def read_text(path: str) -> str:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
 
 
+def write_text(path: str | None, text: str | Iterable[str]) -> None:
+    """Write a text, or its lines as they come, to `path` or to stdout for None or "-" (where a text ends in a
+    newline)."""
+    lines = [text] if isinstance(text, str) else text
+    if path is None or path == "-":
+        sys.stdout.writelines(lines)
+        if isinstance(text, str) and not text.endswith("\n"):
+            sys.stdout.write("\n")
+        return
+    with open(path, "w") as handle:
+        handle.writelines(lines)
+
+
 def loads(text: str) -> dict:
     try:
         payload = json.loads(text)
@@ -257,21 +337,14 @@ def loads(text: str) -> dict:
 
 def distance_csv(labels: list[str], table: np.ndarray) -> str:
     """CSV with row/column labels and 12-significant-digit distances."""
-    header = "basis," + ",".join(labels)
-    lines = [header]
-    for label, row in zip(labels, np.asarray(table)):
-        lines.append(label + "," + ",".join(format(v, ".12g") for v in row))
-    return "\n".join(lines) + "\n"
+    rows = (label + "," + ",".join(format(v, ".12g") for v in row) for label, row in zip(labels, np.asarray(table)))
+    return "\n".join(["basis," + ",".join(labels), *rows]) + "\n"
 
 
 def scan_csv(param_names: list[str], against_labels: list[str], rows) -> str:
     """CSV for family scans: parameters, defect, distances, extension score."""
-    header = (
-        param_names
-        + ["admissible", "hadamard_defect"]
-        + [f"d2_to_{label}" for label in against_labels]
-        + ["extension_score"]
-    )
+    header = [*param_names, "admissible", "hadamard_defect", *(f"d2_to_{label}" for label in against_labels),
+              "extension_score"]
     lines = [",".join(header)]
     for row in rows:
         cells = [format(p, ".12g") for p in row.params]

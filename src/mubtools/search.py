@@ -51,16 +51,14 @@ and a budget of at least 1 always completes a pending unit.  The earlier
 stages that stage needs run in full, and the reported node count adds theirs
 to its own.  If a `checkpoint_path` is given, the completed units and their
 results are written there, and passing that path back as `resume_token` skips
-those units and returns the full answer of an uninterrupted run.  The
-checkpoint format, and the checks a checkpoint must pass before it is resumed,
-are in `io` (`checkpoint_text`, `read_checkpoint`); this module only writes
-the file, by an atomic replace, never over a device or a pipe.
+those units and returns the full answer of an uninterrupted run.  `io`
+writes and reads the checkpoint (`write_checkpoint`, `read_checkpoint`); before
+any unit runs, the loop refuses a stored unit that is not one of the stage's or
+holds results that are not its own.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import comb, lcm
@@ -70,7 +68,7 @@ import numpy as np
 from .core import InadmissibleParameterError
 from .core import haagerup_invariants  # noqa: F401  (kept importable here; perfbench/child.py wraps it)
 from .cyclotomic import _PRESCREEN_MARGIN, RootVector, _norm_sq_is, _row_histogram, _unit_roots
-from .io import checkpoint_text, read_checkpoint, result_shape
+from .io import FileFormatError, read_checkpoint, result_shape, write_checkpoint
 
 MAX_CANDIDATES = 10**8
 _BUCKET_CHUNK = 512  # matrices per Haagerup batch: 512 x 225 exponents at n = 6
@@ -391,30 +389,6 @@ def unbiased_vector_enumerate(n: int, k: int) -> list[RootVector]:
     return [RootVector(k, (0,) + tuple(int(e) for e in row)) for row in _digit_matrix(alive, n, k)]
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` through a temporary file in the same directory, so no partial file is left.
-
-    An error in making the temporary file names `path`, not the temporary file.
-    """
-    if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe: os.replace would destroy it
-        raise OSError(f"not a regular file: {path}")
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        try:
-            data = memoryview(text.encode())
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 class _UnitLoop:
     """Budget, checkpoint and resume bookkeeping shared by the three search stages.
 
@@ -432,9 +406,19 @@ class _UnitLoop:
         if budget is not None and budget < 1:  # no unit would ever run, so no resume could finish
             raise InadmissibleParameterError(f"a search budget must be at least 1, got {budget}")
         self.spec = SearchSpec(n=n, k=k, depth=depth)
-        self.done = read_checkpoint(resume_token, asdict(self.spec)) if resume_token else {}
+        self.done = read_checkpoint(resume_token, asdict(self.spec)) if resume_token is not None else {}
+        self.resumed_from = resume_token
         self.limit = budget
         self.checkpoint_path = checkpoint_path
+
+    def refuse_foreign(self, units: int, owns) -> None:
+        """Refuse a checkpoint whose stored unit is not in [0, units), or holds results that owns(unit, results)
+        says are not that unit's; the stages call this before any unit runs."""
+        for unit, found in self.done.items():
+            if not 0 <= unit < units:
+                raise FileFormatError(f"checkpoint {self.resumed_from} holds unit {unit}, outside [0, {units})")
+            if not owns(unit, found):
+                raise FileFormatError(f"checkpoint {self.resumed_from} holds results of another unit as unit {unit}")
 
     def run(self, group_of: list, run_group, prior=None) -> SearchOutcome:
         """Unit u is in group group_of[u]; run_group(units) runs units of one group, returning {unit: (results, nodes)}.
@@ -466,8 +450,8 @@ class _UnitLoop:
                 used += nodes
             completed.append((unit, found))
         token = None
-        if not complete and self.checkpoint_path:
-            _write_atomic(self.checkpoint_path, checkpoint_text(asdict(self.spec), completed))
+        if not complete and self.checkpoint_path is not None:
+            write_checkpoint(self.checkpoint_path, asdict(self.spec), completed)
             token = self.checkpoint_path
         return SearchOutcome(
             spec=self.spec,
@@ -518,6 +502,8 @@ def root_hadamard_enumerate(
     orth, _ = _difference_tables(n, k)
     # row 0 is candidate 0, the all-ones first column (all exponents 0): orthogonal to every other row
     cols = _digit_matrix(np.concatenate(([0], orth)), n, k)
+    # unit u's first column, column 1 of every matrix it finds, is candidate u + 1
+    loop.refuse_foreign(len(cols) - 1, lambda unit, found: (found[:, 1:, 1] == cols[unit + 1]).all())
     adj = indptr, indices = _orbit_bits(0, cols, k)
     degree = np.diff(indptr)
     # the second level's candidate tests of each edge (f, w): the smaller of f's neighbours after w and w's above it
@@ -532,7 +518,7 @@ def root_hadamard_enumerate(
         bounds = np.searchsorted(found[:, 0], np.append(first, len(cols))).tolist()  # the units' ranges in mats
         return {u: (mats[lo:hi], cost) for u, lo, hi, cost in zip(units, bounds, bounds[1:], nodes.tolist())}
 
-    outcome = loop.run((tests[1:len(cols)] // _BLOCK).tolist(), block_matrices)  # unit u's first column is u + 1
+    outcome = loop.run((tests[1:len(cols)] // _BLOCK).tolist(), block_matrices)
     return HadamardEnumeration(**vars(outcome), buckets=_haagerup_buckets(outcome.results, k))
 
 
@@ -642,11 +628,12 @@ def _extend(loop: _UnitLoop, prior: SearchOutcome, tuples: np.ndarray) -> Search
     permutation into the order a direct solve gives.  A unit costs n nodes.
     """
     n, k = loop.spec.n, loop.spec.k
+    count, m = tuples.shape[:2]
+    loop.refuse_foreign(count, lambda unit, found: (found[:, :m] == tuples[unit]).all())  # each unit extends its tuple
     # a candidate's difference to the all-ones column is itself, so the base set is the unbiased hits
     _, base_idx = _difference_tables(n, k)
     base = _digit_matrix(base_idx, n, k)
     weights = k ** np.arange(n - 1, dtype=np.int64)
-    count, m = tuples.shape[:2]
     moves = np.tile(np.arange(n - 1), (n - 1, 1))  # row 0 moves no digit; row i + 1 swaps digit positions i and i + 1
     for i in range(n - 2):
         moves[i + 1, [i, i + 1]] = i + 1, i

@@ -8,6 +8,7 @@ import random
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import mubtools
 from mubtools import cli
 from mubtools import io as mio
-from mubtools.biunimodular import root_census
+from mubtools.biunimodular import CensusResult, root_census
 from mubtools.cli import build_parser, main
 from mubtools.constructions import fourier, prime_mub_set
 from mubtools.core import Basis
@@ -506,6 +507,60 @@ def test_spaced_checkpoint_resumes_like_uninterrupted_run(depth, budget, tmp_pat
     assert run("--resume", "cp.json") == full
 
 
+def test_resume_dash_reads_the_checkpoint_from_stdin(tmp_path, monkeypatch, capsys):
+    """`--resume -` reads the checkpoint from stdin, as every input path "-" does, and resumes as its file does."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["search", "triplets", "--n", "5", "--k", "5"]
+    assert main([*argv, "--budget", "10", "--checkpoint", "cp.json"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--resume", "cp.json"]) == 0
+    from_file = capsys.readouterr()
+    monkeypatch.setattr(sys, "stdin", io.StringIO((tmp_path / "cp.json").read_text()))
+    assert main([*argv, "--resume", "-"]) == 0
+    assert capsys.readouterr() == from_file
+    assert json.loads(from_file.out.splitlines()[-1])["summary"]["complete"]
+
+
+@pytest.mark.parametrize("option, code", [("--resume", 3), ("--checkpoint", 4)])
+def test_empty_checkpoint_path_is_an_error(option, code, tmp_path, monkeypatch, capsys):
+    """An empty checkpoint path is refused, as `-o ""` is: it does not mean "no checkpoint" or the default path."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "hadamards", "--n", "5", "--k", "5", "--budget", "1", option, ""]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+    if option == "--checkpoint":
+        assert main(["gen", "fourier", "--n", "3", "-o", ""]) == 4
+        assert capsys.readouterr().err == err
+
+
+# (depth at (5, 5), budget of the run that writes the checkpoint, edit of its list of completed units)
+_FOREIGN_UNITS = {
+    "relabelled": ("hadamards", 1, lambda done: [{**done[0], "unit": 3}]),  # unchecked: unit 3's matrix is lost
+    "swapped": ("triplets", 10, lambda done: [{**done[0], "unit": 1}, {**done[1], "unit": 0}]),
+    "out-of-range": ("hadamards", 1, lambda done: [*done, {**done[0], "unit": -1}]),
+    "duplicated": ("triplets", 10, lambda done: [*done, done[0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOREIGN_UNITS))
+def test_a_unit_must_own_its_stored_results(case, tmp_path, monkeypatch, capsys):
+    """A stored unit that is no unit of the search, is listed twice or holds another unit's results is refused
+    (exit 3, one error line) before any unit runs: resumed, it would lose or repeat results."""
+    depth, budget, edit = _FOREIGN_UNITS[case]
+    monkeypatch.chdir(tmp_path)
+    argv = ["search", depth, "--n", "5", "--k", "5"]
+    assert main([*argv, "--budget", str(budget), "--checkpoint", "cp.json"]) == 0
+    payload = json.loads((tmp_path / "cp.json").read_text())
+    assert all(item["results"] for item in payload["completed"])
+    payload["completed"] = edit(payload["completed"])
+    (tmp_path / "cp.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([*argv, "--resume", "cp.json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_import_loads_no_scipy():
     probe = "import sys, mubtools.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_CHILD_ENV)
@@ -606,22 +661,26 @@ _BASE_ARGV = {  # cheap, valid invocations; numeric options are replaced or appe
     ("ks-check",): [],
 }
 _F3 = [[0, 0, 0], [0, 1, 2], [0, 2, 1]]  # exponents of the 3 x 3 Fourier matrix
+# the first result of unit 0 of the (3, 3) quartet search: the one dephased Hadamard, its columns in candidate
+# order, then two matrices unbiased to it; the triplet search's unit 0 result is its first two grids
+_UNIT_0 = [[[0, 0, 0], [0, 2, 1], [0, 1, 2]], [[0, 0, 0], [1, 0, 2], [0, 1, 2]], [[0, 0, 0], [2, 1, 0], [0, 1, 2]]]
 
 
-def _checkpoint(exponent=1, grid=None, extra=0, unit=0):
+def _checkpoint(exponent=2, grid=None, extra=0, unit=0):
     """Checkpoint text of a (3, 3) search at a given depth: unit `unit` holds one result.
 
     The result holds as many exponent grids as the depth's results do, plus
-    `extra`; each grid is `grid`, by default `_F3` with `exponent` at (1, 1).
+    `extra`; the grids are `grid` each, or by default unit 0's own result
+    (`_UNIT_0`, repeated for `extra`) with `exponent` at (1, 1) of the first.
     Unedited, it resumes (`test_checkpoint_control_resumes`).
     """
-    if grid is None:
-        grid = [_F3[0], [0, exponent, 2], _F3[2]]
+    first = [_UNIT_0[0][0], [0, exponent, 1], _UNIT_0[0][2]]
 
     def text(depth):
         count = {"hadamards": 1, "triplets": 2, "quartets": 3}[depth] + extra
+        grids = [grid] * count if grid is not None else ([first, *_UNIT_0[1:]] * 2)[:count]
         return json.dumps({"spec": {"n": 3, "k": 3, "depth": depth},
-                           "completed": [{"unit": unit, "results": [grid if count == 1 else [grid] * count]}]},
+                           "completed": [{"unit": unit, "results": [grids[0] if count == 1 else grids]}]},
                           sort_keys=True)
 
     return text
@@ -662,6 +721,8 @@ _BAD_FILES = {  # variant -> content, or content per input-file dest; a callable
     "grid-shape": {"resume": _checkpoint(grid=[[0, 0], [0, 1]])},
     "matrix-count": {"resume": _checkpoint(extra=1)},
     "unit-index": {"resume": _checkpoint(unit=0.5)},
+    "unit-range": {"resume": _checkpoint(unit=5)},
+    "foreign-result": {"resume": _checkpoint(grid=_F3)},  # no unit's result at any depth
 }
 
 
@@ -778,8 +839,8 @@ def test_checkpoint_control_resumes(depth, tmp_path, monkeypatch, capsys):
 
 
 # Generated structural mutations of valid files.  Each kind of file is written by the CLI itself and read by
-# the commands listed with it; "{}" stands for the mutated file.  The root-form matrix is the first line of a
-# `search` output.
+# the commands listed with it; "{}" stands for the mutated file, and an `-o` file is one that `_rewrite` reads
+# back.  The root-form matrix is the first line of a `search` output.
 _MUTATED_FILES = {
     "complex": (["gen", "fourier", "--n", "3", "-o", "complex.json"], "complex.json",
                 [["verify", "hadamard", "{}"], ["distance", "{}", "{}"]]),
@@ -788,7 +849,7 @@ _MUTATED_FILES = {
     "prime-mubs": (["gen", "prime-mubs", "--p", "3", "-o", "mubs.json"], "mubs.json",
                    [["verify", "mubset", "{}"], ["table", "{}"]]),
     "census": (["census", "newton", "--n", "6", "--restarts", "2000", "--seed", "0", "-o", "census.json"],
-               "census.json", [["assemble", "{}"], ["report", "{}"]]),
+               "census.json", [["assemble", "{}", "-o", "out.json"], ["report", "{}"]]),
     "assembled": (["assemble", "census.json", "-o", "assembled.json"], "assembled.json", [["report", "{}"]]),
     "checkpoint": (["search", "hadamards", "--n", "5", "--k", "5", "--budget", "1", "--checkpoint", "cp.json"],
                    "cp.json", [["search", "hadamards", "--n", "5", "--k", "5", "--resume", "{}"]]),
@@ -824,25 +885,57 @@ def _mutated(value, path, new):
 
 
 @pytest.fixture(scope="module")
-def valid_files(tmp_path_factory):
-    """Kind -> the JSON payload of a valid file of that kind, as the CLI writes it."""
+def valid_texts(tmp_path_factory):
+    """Kind -> the text of a valid file of that kind, as the CLI writes it (of a `search` output, the first line)."""
     directory = tmp_path_factory.mktemp("valid")
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         for argv, _, _ in _MUTATED_FILES.values():
             assert main(argv) == 0, argv
-        return {kind: json.loads((directory / name).read_text().splitlines()[0])
-                for kind, (_, name, _) in _MUTATED_FILES.items()}
+        return {kind: (directory / name).read_text().splitlines()[0] for kind, (_, name, _) in _MUTATED_FILES.items()}
     finally:
         os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def valid_files(valid_texts):
+    """Kind -> the JSON payload of a valid file of that kind, as the CLI writes it."""
+    return {kind: json.loads(text) for kind, text in valid_texts.items()}
+
+
+def _rewrite(path: str, out: str) -> None:
+    """Read the file at `path` by io's reader for its format, and write what that gives to `out` by io's writer."""
+    payload = mio.loads(mio.read_text(path))
+    if "completed" in payload:  # a checkpoint
+        mio.write_checkpoint(out, payload["spec"], list(mio.read_checkpoint(path, payload["spec"]).items()))
+        return
+    if payload.get("format") == "census":
+        payload = CensusResult.from_dict(payload).to_dict()
+    elif payload.get("format") == "basis-list":
+        bases = mio.parse_bases(payload, path)
+        payload = mio.basis_list_payload(bases, bases[0].dim)
+    else:
+        matrix = mio.parse_matrix(payload)
+        payload = (mio.root_matrix_payload(matrix.exponents, matrix.k) if isinstance(matrix, mio.RootMatrix)
+                   else mio.complex_matrix_payload(matrix))
+    mio.write_text(out, mio.dumps(payload))
+
+
+@pytest.mark.parametrize("kind", list(_MUTATED_FILES))
+def test_io_reads_back_what_it_writes_to_the_same_bytes(kind, valid_texts, tmp_path):
+    """Each kind of file the CLI writes, read by io's reader and written again by io's writer, is its own bytes."""
+    (tmp_path / "file.json").write_text(valid_texts[kind])
+    _rewrite(str(tmp_path / "file.json"), str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "file.json").read_bytes()
 
 
 def _mutation_faults(kind, payload, cases, capsys) -> list[str]:
     """Run every command that reads a file of `kind` on each mutated payload, in the current directory.
 
     Returns one line per fault: an exit code other than 0, 2, 3 or 4, an exception or a traceback, output on
-    stdout or more than one error line at exit 3 or 4, or a non-finite number in the output at exit 0.
+    stdout or more than one error line at exit 3 or 4, or at exit 0 a non-finite number in the output or an `-o`
+    file that io does not write back to its own bytes.
     """
     faults = []
     for path, new in cases:
@@ -865,7 +958,12 @@ def _mutation_faults(kind, payload, cases, capsys) -> list[str]:
             elif code == 0:
                 try:
                     _assert_finite_output(out)
-                except AssertionError as exc:
+                    if "-o" in argv:
+                        written = argv[argv.index("-o") + 1]
+                        _assert_finite_output(mio.read_text(written))
+                        _rewrite(written, "again.json")
+                        assert Path("again.json").read_bytes() == Path(written).read_bytes(), "not written back"
+                except (AssertionError, mio.FileFormatError) as exc:
                     faults.append(f"{case}: {exc}")
     return faults
 

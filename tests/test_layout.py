@@ -1,6 +1,7 @@
 """Design invariants of the package source, checked on its syntax trees.
 
-- `io` is the one module that reads or writes JSON;
+- `io` is the one module that reads or writes JSON, and the one that opens a file or touches stdin or stdout;
+- no module imports a private name of `io`;
 - `cli` is the one module that reads the environment, so library margins enter only as arguments;
 - numpy is the one third-party import;
 - the package directory holds Python modules only, no data files;
@@ -63,6 +64,65 @@ def test_only_cli_reads_the_environment(path):
 def test_an_environment_read_is_found():
     tree = ast.parse("import os\nfrom os import getenv\ndef f():\n    return os.environ.get('X'), os.getenv('Y')\n")
     assert _environment_reads(tree) == ["line 2", "line 4", "line 4"]
+
+
+_FILE_NAMES = {"os": {"open", "write", "replace", "unlink", "close", "path"}, "sys": {"stdin", "stdout"}}
+_FILE_MODULES = {"tempfile", "os.path"}
+
+
+def _file_access(tree: ast.Module) -> list[str]:
+    """Calls of the builtin open, uses of os.open/write/replace/unlink/close or os.path, imports of tempfile or
+    os.path, and uses of sys.stdin or sys.stdout, as "name line N"; sys.stderr is not one of them."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open":
+            found.append(("open", n.lineno))
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and n.attr in _FILE_NAMES.get(n.value.id, ())):
+            found.append((f"{n.value.id}.{n.attr}", n.lineno))
+        elif isinstance(n, ast.Import):
+            found += [(alias.name, n.lineno) for alias in n.names if alias.name in _FILE_MODULES]
+        elif isinstance(n, ast.ImportFrom) and n.level == 0 and n.module in _FILE_MODULES | set(_FILE_NAMES):
+            found += [(f"{n.module}.{alias.name}", n.lineno) for alias in n.names
+                      if n.module in _FILE_MODULES or alias.name in _FILE_NAMES[n.module]]
+    return [f"{name} line {line}" for name, line in sorted(found, key=lambda item: (item[1], item[0]))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_io_touches_files(path):
+    assert path.stem == "io" or _file_access(_tree(path)) == []
+
+
+def test_a_file_access_is_found():
+    tree = ast.parse("import os, sys, tempfile\nfrom os import replace, environ\nfrom os.path import join\n"
+                     "def f(p):\n    with open(p) as h:\n        os.write(1, h.read())\n"
+                     "    print(p, file=sys.stderr)\n"
+                     "    return sys.stdout, sys.stdin.read(), os.path.join(p), os.environ\n")
+    assert _file_access(tree) == ["tempfile line 1", "os.replace line 2", "os.path.join line 3", "open line 5",
+                                  "os.write line 6", "os.path line 8", "sys.stdin line 8", "sys.stdout line 8"]
+
+
+def _private_io_imports(tree: ast.Module) -> list[str]:
+    """Private names of the package's `io` imported from it (`from .io import _x`) or read through a name bound to
+    it (`from . import io as mio` ... `mio._x`), as "name line N"."""
+    bound = {alias.asname or alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1
+             and n.module is None for alias in n.names if alias.name == "io"}
+    found = [(alias.name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 1
+             and n.module == "io" for alias in n.names if alias.name.startswith("_")]
+    found += [(f"{n.value.id}.{n.attr}", n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+              and isinstance(n.value, ast.Name) and n.value.id in bound and n.attr.startswith("_")]
+    return [f"{name} line {line}" for name, line in sorted(found, key=lambda item: item[1])]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_a_private_io_name(path):
+    assert _private_io_imports(_tree(path)) == []
+
+
+def test_a_private_io_import_is_found():
+    tree = ast.parse("from .io import FileFormatError, _header_int\nfrom . import io as mio, search\n"
+                     "def f(p):\n    return mio._label(p, ''), mio.dumps(p), search._BLOCK\n")
+    assert _private_io_imports(tree) == ["_header_int line 1", "mio._label line 4"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
